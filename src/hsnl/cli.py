@@ -281,6 +281,8 @@ def _cmd_symbol(cfg):
         points = []
         for part in raw.split(","):
             comps = tuple(float(p) for p in part.split(":"))
+            if not all(math.isfinite(c) for c in comps):
+                raise CliError("xi point %r is not finite" % part)
             if len(comps) != kernel.d:
                 raise CliError("xi point %r has %d components, kernel is "
                                "d=%d" % (part, len(comps), kernel.d))
@@ -529,6 +531,8 @@ def _cmd_basis(cfg):
     if d < 2:
         raise CliError("the frame construction needs d >= 2")
     count = cfg.get_int("count", 1000)
+    if count < 1:
+        raise CliError("count must be at least 1")
     seed = cfg.get_int("seed", 0)
     out = cfg.get("out", "basis.csv")
     rng = np.random.default_rng(seed)

@@ -4,9 +4,12 @@ Hat-function gradients are evaluated semi-analytically: phi_i(x + nu t) is
 piecewise linear in t, so on every segment the integrand against the kernel
 profile is alpha + beta t and the integral is a difference of the two
 radial antiderivatives H_0 and H_1.  No inner quadrature ever touches the
-kernel singularity, which keeps dense O(n^2) assembly both tractable and
-accurate.  Unknowns are the interior nodes only; the volume constraint
-u = 0 outside the domain is enforced by that basis choice.
+kernel singularity.  A quadrature point x only sees the hats whose stencil
+meets its kernel horizon, a window of about top/h + 3 hats, so assembly
+evaluates that window for a block of points at once and adds each run of
+points with the same window as one dense Gram product.  Unknowns are the
+interior nodes only; the volume constraint u = 0 outside the domain is
+enforced by that basis choice.
 """
 
 import math
@@ -23,6 +26,11 @@ from .symbols import _nu_sign
 
 class AssemblyError(RuntimeError):
     """Assembly or factorization failed (non-SPD system, missing cutoff)."""
+
+
+# Entries per scratch array in one assembly block; bounds the memory of a
+# block when the hat window spans the whole mesh.
+_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ def _as_fn(g):
 
 
 def _hat_profiles(kernel):
-    """The two radial antiderivatives needed by the hat formulas."""
+    """Radial antiderivatives H_0, H_1, H_0 at the support top, and the top."""
     h0, h0_inf = _kern.radial_antideriv(kernel, 0)
     h1, _ = _kern.radial_antideriv(kernel, 1)
     top = _kern.support(kernel)[1]
@@ -75,23 +83,39 @@ def _hat_profiles(kernel):
         h0_top = h0_inf
         if not math.isfinite(h0_top):
             raise AssemblyError("kernel tail is not summable; cut it off")
-    return h0, h1, h0_top
+    return h0, h1, h0_top, top
 
 
-def _hat_gradients(kernel, nu_sign, mesh, x, h0, h1, h0_top):
-    """Half-space gradient of every interior hat function at the point x."""
-    top = _kern.support(kernel)[1]
+def _window_width(mesh, top):
+    """Interior hats whose stencil can meet one point's kernel horizon."""
+    return min(mesh.n_cells - 1,
+               math.ceil(min(top, mesh.length) / mesh.h) + 3)
+
+
+def _window_gradients(profiles, nu_sign, mesh, xs, width):
+    """Half-space gradients of the hats in each point's window.
+
+    Returns (first, rows): point xs[r] sees the interior hats first[r] ..
+    first[r] + width - 1, and rows[r, k] is the gradient of hat
+    first[r] + k there.  Every other hat vanishes at xs[r], because its
+    stencil [x_{i-1}, x_{i+1}] misses [x, x + top] (nu = 1) or
+    [x - top, x] (nu = -1).
+    """
+    h0, h1, h0_top, top = profiles
     h = mesh.h
-    n = mesh.n_cells
-    t_all = nu_sign * (mesh.nodes - x)
+    lo = xs if nu_sign > 0 else xs - top
+    first = np.clip(np.floor(lo / h) - 1, 1,
+                    mesh.n_cells - width).astype(int)
+    nodes = mesh.nodes[first[:, None] - 1 + np.arange(width + 2)]
+    t_all = nu_sign * (nodes - xs[:, None])
     t_clip = np.clip(t_all, 0.0, top)
     with np.errstate(invalid="ignore"):
         h0_all = h0(t_clip)
         h1_all = h1(t_clip)
     if nu_sign > 0:
-        ia, ib, ic = slice(0, n - 1), slice(1, n), slice(2, n + 1)
+        ia, ib, ic = np.s_[:, :-2], np.s_[:, 1:-1], np.s_[:, 2:]
     else:
-        ia, ib, ic = slice(2, n + 1), slice(1, n), slice(0, n - 1)
+        ia, ib, ic = np.s_[:, 2:], np.s_[:, 1:-1], np.s_[:, :-2]
     t_a, t_b, t_c = t_all[ia], t_all[ib], t_all[ic]
     phi_x = np.where(t_b >= 0.0,
                      np.where(t_a < 0.0, -t_a / h, 0.0),
@@ -109,7 +133,7 @@ def _hat_gradients(kernel, nu_sign, mesh, x, h0, h1, h0_top):
                + (h1_all[ib] - h1_all[ia]) / h
                - (h1_all[ic] - h1_all[ib]) / h
                - np.where(phi_x > 0.0, phi_x * d0_tail, 0.0))
-    return nu_sign * out
+    return first, nu_sign * out
 
 
 def hat_gradient(kernel, nu, mesh, i, x):
@@ -117,10 +141,15 @@ def hat_gradient(kernel, nu, mesh, i, x):
     _kern.moments(kernel)
     if not 1 <= i <= mesh.n_cells - 1:
         raise ValueError("hat index must name an interior node")
-    sign = _nu_sign(nu)
-    h0, h1, h0_top = _hat_profiles(kernel)
-    return float(_hat_gradients(kernel, sign, mesh, float(x),
-                                h0, h1, h0_top)[i - 1])
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("hat gradient point is NaN")
+    profiles = _hat_profiles(kernel)
+    width = _window_width(mesh, profiles[3])
+    first, rows = _window_gradients(profiles, _nu_sign(nu), mesh,
+                                    np.array([x]), width)
+    k = i - first[0]
+    return float(rows[0, k]) if 0 <= k < width else 0.0
 
 
 def _x_panels(kernel, nu_sign, mesh, max_panels):
@@ -196,16 +225,21 @@ def assemble(kernel, nu, A, f, mesh, quad=None):
     a_fn = _as_fn(A)
     xq, wq = _x_panels(kernel, sign, mesh, quad.max_panels)
     weights = wq * a_fn(xq)
-    h0, h1, h0_top = _hat_profiles(kernel)
+    profiles = _hat_profiles(kernel)
+    width = _window_width(mesh, profiles[3])
     n_int = mesh.n_cells - 1
     stiff = np.zeros((n_int, n_int))
-    block = 2048
+    block = max(1, _BLOCK_ENTRIES // (width + 2))
     for start in range(0, len(xq), block):
-        pts = xq[start:start + block]
-        rows = np.empty((len(pts), n_int))
-        for r, x in enumerate(pts):
-            rows[r] = _hat_gradients(kernel, sign, mesh, x, h0, h1, h0_top)
-        stiff += (rows * weights[start:start + block, None]).T @ rows
+        first, rows = _window_gradients(profiles, sign, mesh,
+                                        xq[start:start + block], width)
+        weighted = rows * weights[start:start + block, None]
+        # _x_panels returns sorted points, so equal window starts come in
+        # runs; each run adds one dense width x width block
+        cuts = np.flatnonzero(np.diff(first)) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
+            s = first[a] - 1
+            stiff[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
     stiff, _ = _check_spd(stiff, "stiffness")
     meta = {"kernel": repr(kernel), "nu": sign, "domain": mesh.length,
             "n_cells": mesh.n_cells}
@@ -221,18 +255,9 @@ def assemble_local(A, f, mesh):
     cells_lo = mesh.nodes[:-1]
     xq = cells_lo[:, None] + 0.5 * h * (gx[None, :] + 1.0)
     a_cell = np.sum(0.5 * h * gw[None, :] * a_fn(xq), axis=1)
-    n = mesh.n_cells - 1
-    stiff = np.zeros((n, n))
-    for c in range(mesh.n_cells):
-        k_val = a_cell[c] / h ** 2
-        li, ri = c - 1, c
-        if li >= 0:
-            stiff[li, li] += k_val
-        if ri <= n - 1:
-            stiff[ri, ri] += k_val
-        if li >= 0 and ri <= n - 1:
-            stiff[li, ri] -= k_val
-            stiff[ri, li] -= k_val
+    k = a_cell / h ** 2
+    stiff = (np.diag(k[:-1] + k[1:]) + np.diag(-k[1:-1], 1)
+             + np.diag(-k[1:-1], -1))
     stiff, _ = _check_spd(stiff, "stiffness")
     return FemSystem(stiffness=stiff, mass=_mass_matrix(mesh),
                      load=_load_vector(f, mesh),
@@ -266,7 +291,7 @@ def smallest_eigenvalue(stiff, mass, tol=1e-10, maxit=500):
         if abs(lam_new - lam) <= tol * abs(lam_new):
             return lam_new
         lam = lam_new
-    raise RuntimeError("inverse power iteration did not converge")
+    raise AssemblyError("inverse power iteration did not converge")
 
 
 def poincare_constant(kernel, nu, mesh):

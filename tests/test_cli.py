@@ -60,6 +60,20 @@ def test_bad_number_is_rejected(capsys):
     assert "xi_count" in err
 
 
+@pytest.mark.parametrize("args,point", [
+    (["--xis", "nan"], "nan"),
+    (["--xis", "0.5,inf"], "inf"),
+    (["--kernel-d", "2", "--nu", "1:0", "--xis", "1:nan"], "1:nan"),
+])
+def test_symbol_rejects_nonfinite_points(tmp_path, monkeypatch, capsys,
+                                         args, point):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["symbol"] + args, capsys)
+    assert code == 1
+    assert "xi point %r is not finite" % point in err
+    assert not (tmp_path / "symbol.csv").exists()
+
+
 def test_symbol_value_at_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(["symbol", "--xis", "1"], capsys)
@@ -250,6 +264,15 @@ def test_basis_seeded_and_tiny_defects(tmp_path, monkeypatch, capsys):
     _, _, rows = read_csv(tmp_path / "a.csv")
     assert max(row[1] for row in rows) < 1e-12
     assert max(row[2] for row in rows) < 1e-12
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_basis_count_must_be_positive(tmp_path, monkeypatch, capsys, count):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["basis", "--count", count], capsys)
+    assert code == 1
+    assert "count must be at least 1" in err
+    assert "Traceback" not in err
 
 
 def test_validate_reports_and_passes(tmp_path, monkeypatch, capsys):
