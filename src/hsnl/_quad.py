@@ -4,6 +4,10 @@ import functools
 
 import numpy as np
 
+# Entries per scratch array in one block of a batched computation (fem1d
+# assembly, the symbol engine); bounds the memory of a block.
+BLOCK_ENTRIES = 65536
+
 
 @functools.lru_cache(maxsize=16)
 def gauss_rule(n):
@@ -48,11 +52,3 @@ def merge_breaks(lo, hi, *candidate_lists):
                 pts.append(float(c))
     return np.unique(np.array(pts, dtype=float))
 
-
-def refine_breaks(breaks, offsets=(0.125, 0.25, 0.5, 0.75, 0.875)):
-    """Subdivide every panel at relative offsets, grading toward both ends."""
-    breaks = np.asarray(breaks, dtype=float)
-    a = breaks[:-1]
-    b = breaks[1:]
-    extra = [a + off * (b - a) for off in offsets]
-    return np.unique(np.concatenate([breaks] + extra))

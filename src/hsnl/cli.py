@@ -329,14 +329,15 @@ def _cmd_bounds(cfg):
     points = _sym._grid_vectors(kernel.d, nu, grid)
 
     # Hermitian symmetry of the symbol on the signed grid
+    _sym._check_standing(kernel)
+    full = _sym._symbol_values(kernel, nu, points)
+    minus = _sym._symbol_values(kernel, nu,
+                                [-np.asarray(xi, dtype=float)
+                                 for xi in points])
     defect = 0.0
     scale = 1.0
-    for xi in points:
-        plus = _sym.symbol(kernel, nu, xi).value
-        minus = _sym.symbol(kernel, nu,
-                            -np.asarray(xi, dtype=float)).value
-        defect = max(defect, float(np.max(np.abs(minus
-                                                 - np.conj(plus)))))
+    for plus, neg in zip(full, minus):
+        defect = max(defect, float(np.max(np.abs(neg - np.conj(plus)))))
         scale = max(scale, float(np.max(np.abs(plus))))
     tol = 1e-10 * scale
     rows.append(("hermitian_symmetry", float(grid[0]), float(grid[-1]),
@@ -348,11 +349,10 @@ def _cmd_bounds(cfg):
     tail = _kern.tail_mass(kernel, radius)
     if math.isfinite(tail):
         trimmed = _kern.cutoff(kernel, radius)
+        _sym._check_standing(trimmed)
         worst = 0.0
-        for xi in points:
-            full = _sym.symbol(kernel, nu, xi).value
-            cut = _sym.symbol(trimmed, nu, xi).value
-            worst = max(worst, float(np.max(np.abs(full - cut))))
+        for lam, cut in zip(full, _sym._symbol_values(trimmed, nu, points)):
+            worst = max(worst, float(np.max(np.abs(lam - cut))))
         margin = 2.0 * tail - worst
         rows.append(("cutoff_perturbation", float(grid[0]),
                      float(grid[-1]), margin, margin >= -1e-10))
@@ -360,8 +360,8 @@ def _cmd_bounds(cfg):
     if kernel.d in (1, 2):
         tau = cfg.get_float("tau", 0.01)
         margin = math.inf
-        for xi in points:
-            eta = _sym.symbol_eta(tau, nu, xi, kernel.d)
+        for xi, eta in zip(points,
+                           _sym._eta_values(tau, nu, points, kernel.d)):
             xi_norm = float(np.linalg.norm(np.atleast_1d(xi)))
             envelope = _sym.eta_bound(kernel.d, tau, xi_norm)
             margin = min(margin, envelope - float(np.max(np.abs(eta))))
@@ -652,7 +652,7 @@ def run(argv):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (_control.NonconvergenceError, _fem.AssemblyError,
-            np.linalg.LinAlgError) as exc:
+            _sym.SymbolError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (_kern.AssumptionError, ValueError) as exc:

@@ -19,18 +19,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels as _kern
-from ._quad import merge_breaks, panel_points
+from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
 from .operators import QuadratureSpec
 from .symbols import _nu_sign
 
 
 class AssemblyError(RuntimeError):
     """Assembly or factorization failed (non-SPD system, missing cutoff)."""
-
-
-# Entries per scratch array in one assembly block; bounds the memory of a
-# block when the hat window spans the whole mesh.
-_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -229,7 +224,7 @@ def assemble(kernel, nu, A, f, mesh, quad=None):
     width = _window_width(mesh, profiles[3])
     n_int = mesh.n_cells - 1
     stiff = np.zeros((n_int, n_int))
-    block = max(1, _BLOCK_ENTRIES // (width + 2))
+    block = max(1, BLOCK_ENTRIES // (width + 2))
     for start in range(0, len(xq), block):
         first, rows = _window_gradients(profiles, sign, mesh,
                                         xq[start:start + block], width)

@@ -228,7 +228,13 @@ def _min_level_pieces(pieces, n):
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def _pieces(kernel):
+    """The kernel's piece table as a tuple, built once per kernel."""
+    return tuple(_build_pieces(kernel))
+
+
+def _build_pieces(kernel):
     fam = kernel.family
     d = kernel.d
     cn = kernel.c_norm
@@ -348,7 +354,9 @@ def eval(kernel, r):
     for piece in _pieces(kernel):
         a, b = piece[1], piece[2]
         mask = (arr > a) & (arr <= b) if b < math.inf else (arr > a)
-        if np.any(mask):
+        if mask.all():
+            out[...] = _eval_piece(piece, arr)
+        elif mask.any():
             out[mask] = _eval_piece(piece, arr[mask])
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
@@ -492,6 +500,144 @@ def radial_integral(kernel, a, b, q):
     return total
 
 
+def _radial_integrals(kernel, a, b, q):
+    """radial_integral elementwise over broadcast arrays a, b and q.
+
+    Each piece adds the closed form radial_integral uses, on the entries
+    whose interval meets it, in piece order; divergent entries are
+    math.inf.  Values agree with radial_integral to roundoff (NumPy's
+    vectorized pow and log are not always correctly rounded).  Nothing is
+    memoized, so batched callers never fill the radial_integral cache.
+    """
+    a, b, q = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                  np.asarray(b, dtype=float),
+                                  np.asarray(q, dtype=float))
+    total = np.zeros(a.shape)
+    diverged = np.zeros(a.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for piece in _pieces(kernel):
+            lo, hi = np.maximum(a, piece[1]), np.minimum(b, piece[2])
+            meets = lo < hi
+            if not meets.any():
+                continue
+            lo, hi, qm = lo[meets], hi[meets], q[meets]
+            kind = piece[0]
+            if kind == "pow":
+                val = _int_pow_vec(piece[3], piece[4], qm, lo, hi)
+            elif kind == "loglin":
+                val = _int_loglin_vec(piece[3], piece[4], qm, lo, hi)
+            else:
+                val = _int_logreg_vec(piece[3], piece[4], piece[5], qm,
+                                      lo, hi)
+            diverged[meets] |= np.isinf(val)
+            total[meets] += val
+    total[diverged] = math.inf
+    return total
+
+
+def _int_pow_vec(c, p, q, a, b):
+    e = p + q
+    ep1 = e + 1.0
+
+    def primitive(t):
+        return np.where(e == -1.0, c * np.log(t), c * t ** ep1 / ep1)
+
+    val = (np.where(b < math.inf, primitive(b), 0.0)
+           - np.where(a > 0.0, primitive(a), 0.0))
+    div = ((a == 0.0) & (ep1 <= 0.0)) | ((b == math.inf) & (ep1 >= 0.0))
+    return np.where(div, math.copysign(math.inf, c) if c else 0.0, val)
+
+
+def _int_loglin_vec(u, v, q, a, b):
+    la, lb = np.log(a), np.log(b)
+    qp1 = q + 1.0
+
+    def primitive(t, lt):
+        s = t ** qp1 / qp1
+        return u * s + v * s * (lt - 1.0 / qp1)
+
+    at_minus_one = u * (lb - la) + v * (lb * lb - la * la) / 2.0
+    return np.where(q == -1.0, at_minus_one,
+                    primitive(b, lb) - primitive(a, la))
+
+
+def _int_logreg_vec(coeff, dl, dd, q, a, b):
+    """_int_logreg per entry: the series below 0.9 dl, the primitive above."""
+    m = q - 1.0
+    if np.any(np.abs(m - np.round(m)) > 1e-12):
+        raise ValueError("log_regularized integrals need integer exponents")
+    m = np.round(m).astype(int)
+    split = 0.9 * dl
+    out = np.zeros(m.shape)
+    series = np.flatnonzero(a < split)
+    if series.size:
+        top = np.minimum(b[series], split)
+        # every interval reaching past the split shares its head (0, split)
+        head = (a[series] == 0.0) & (top == split) & (m[series] >= 0)
+        for mk in np.unique(m[series][head]):
+            out[series[head & (m[series] == mk)]] = _logreg_head(int(mk), dl,
+                                                                 dd)
+        rest = series[~head]
+        if rest.size:
+            out[rest] = _logreg_series_vec(m[rest], dl, dd, a[rest],
+                                           top[~head])
+        out[series] *= coeff
+    closed = np.maximum(a, split) < b
+    if closed.any():
+        lo, hi, mc = np.maximum(a[closed], split), b[closed], m[closed]
+        b_val = np.where(hi == math.inf, 0.0,
+                         _logreg_primitive_vec(mc, dl, dd, hi))
+        val = b_val - _logreg_primitive_vec(mc, dl, dd, lo)
+        out[closed] = out[closed] + coeff * val
+    div = ((a == 0.0) & (m <= -1)) | ((b == math.inf) & (m - dd + 1 >= 0))
+    out[div] = math.inf
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _logreg_head(m, dl, dd):
+    """int_0^{0.9 dl} t^m (t+dl)^{-dd} dt, shared by every long interval."""
+    return _logreg_series_int(m, dl, dd, 0.0, 0.9 * dl)
+
+
+def _logreg_series_vec(m, dl, dd, a, b):
+    """_logreg_series_int per entry, with the same stopping rule.
+
+    An entry stops after the first term past j = 3 below 1e-17 of its sum
+    and then leaves the working arrays, so the loop costs what its slowest
+    entry needs on a shrinking set.
+    """
+    out = np.empty(m.shape)
+    idx = np.arange(m.size)
+    pref = dl ** float(-dd)
+    coeff = 1.0
+    pb = b ** (m + 1.0)
+    pa = np.where(a > 0.0, a ** (m + 1.0), 0.0)
+    xb, xa = b / dl, a / dl
+    log_ba = np.log(b / a)
+    total = np.zeros(m.shape)
+    for j in range(600):
+        e = m + 1 + j
+        term = np.where(e == 0, pref * coeff * log_ba,
+                        pref * coeff * (pb - pa) / e)
+        total = total + term
+        if j > 3:
+            done = np.abs(term) <= 1e-17 * np.abs(total)
+            if done.any():
+                out[idx[done]] = total[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                idx, m, pb, pa, xb, xa, log_ba, total = (
+                    arr[keep] for arr in (idx, m, pb, pa, xb, xa, log_ba,
+                                          total))
+        coeff *= -(dd + j) / (j + 1.0)
+        pb = pb * xb
+        pa = pa * xa
+    out[idx] = total
+    return out
+
+
 def radial_antideriv(kernel, q):
     """Vectorized H with H(y) - H(x) = int_x^y r^q profile dr, plus H(inf).
 
@@ -596,23 +742,50 @@ def _limit_at_inf(piece, q):
 
 
 def _logreg_primitive_vec(m, dl, dd, t):
+    """_logreg_primitive elementwise; m is an int or an int array like t."""
     t = np.asarray(t, dtype=float)
-    if m >= 0:
-        total = np.zeros_like(t)
-        for j in range(m + 1):
-            cj = math.comb(m, j) * (-dl) ** (m - j)
+    shape = t.shape
+    t = t.ravel()
+    m = np.broadcast_to(np.asarray(m, dtype=int), shape).ravel()
+    out = np.empty(t.shape)
+    low = m < 0
+    if low.any():
+        tl = t[low]
+        if dd == 1:
+            out[low] = np.log(tl / (tl + dl)) / dl
+        elif dd == 2:
+            out[low] = np.log(tl / (tl + dl)) / dl ** 2 + 1.0 / (dl * (tl + dl))
+        else:
+            out[low] = (np.log(tl / (tl + dl)) / dl ** 3
+                        + 1.0 / (dl ** 2 * (tl + dl))
+                        + 1.0 / (2.0 * dl * (tl + dl) ** 2))
+    high = ~low
+    if high.any():
+        th, mh = t[high], m[high]
+        top = int(mh.max())
+        binom = _logreg_binomials(top, dl)
+        total = np.zeros(th.shape)
+        # j runs in the order of the scalar sum; entries with m < j add 0
+        for j in range(top + 1):
             e = j - dd + 1
+            cj = binom[mh, j]
             if e == 0:
-                total += cj * np.log(t + dl)
+                total += cj * np.log(th + dl)
             else:
-                total += cj * (t + dl) ** e / e
-        return total
-    if dd == 1:
-        return np.log(t / (t + dl)) / dl
-    if dd == 2:
-        return np.log(t / (t + dl)) / dl ** 2 + 1.0 / (dl * (t + dl))
-    return (np.log(t / (t + dl)) / dl ** 3 + 1.0 / (dl ** 2 * (t + dl))
-            + 1.0 / (2.0 * dl * (t + dl) ** 2))
+                total += cj * (th + dl) ** e / e
+        out[high] = total
+    return out.reshape(shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _logreg_binomials(top, dl):
+    """Table of comb(m, j) (-dl)^(m-j) for 0 <= j <= m <= top, else 0."""
+    table = np.zeros((top + 1, top + 1))
+    for m in range(top + 1):
+        for j in range(m + 1):
+            table[m, j] = math.comb(m, j) * (-dl) ** (m - j)
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ import numpy as np
 
 from . import kernels as _kern
 from ._quad import geometric_breaks, merge_breaks, panel_points
-from .symbols import _nu_sign, _nu_unit2, _rotation_to, _symbol_value
+from .symbols import _nu_sign, _nu_unit2, _rotation_to, _symbol_values
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_panels: int = 16384
 
@@ -120,7 +119,7 @@ def _sup_norm_estimate(handle, center, d):
     return float(np.max(np.abs(vals)))
 
 
-def _tail_start(kernel, sup_u, abs_tol, order):
+def _tail_start(kernel, sup_u, abs_tol):
     """Quadrature upper end and whether a closed-form tail term follows."""
     hi = _kern.support(kernel)[1]
     if hi < math.inf:
@@ -174,7 +173,7 @@ def _radial_nodes(kernel, t0, top, quad):
 def _prepare_1d(kernel, handle, xs, quad):
     _kern.moments(kernel)
     sup_u = _sup_norm_estimate(handle, float(np.mean(xs)), 1)
-    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol, 0)
+    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol)
     t0 = _inner_start(kernel, handle.lipschitz, quad.abs_tol, 1, 1.0)
     t, wt = _radial_nodes(kernel, t0, top, quad)
     wbar = _kern.eval(kernel, t)
@@ -206,7 +205,7 @@ def _gradient_point_2d(kernel, nu, handle, x, quad, dot_with=None):
     rot = _rotation_to(nu2)
     x = np.asarray(x, dtype=float)
     sup_u = _sup_norm_estimate(handle, x, 2)
-    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol, 1)
+    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol)
     t0 = _inner_start(kernel, handle.lipschitz, quad.abs_tol, 2, math.pi)
     t, wt = _radial_nodes(kernel, t0, top, quad)
     radial_w = wt * _kern.eval(kernel, t) * t
@@ -268,7 +267,7 @@ def divergence_pointwise(kernel, nu, v, x, quad=None):
 
 def _symbol_line(kernel, nu, n, length):
     """Symbol values on the nonnegative fft frequencies k/L, k=0..n//2."""
-    return [_symbol_value(kernel, nu, k / length) for k in range(n // 2 + 1)]
+    return _symbol_values(kernel, nu, np.arange(n // 2 + 1) / length)[:, 0]
 
 
 def _aliasing_fraction(coeffs):
@@ -308,10 +307,8 @@ def gradient_spectral(kernel, nu, field):
                           "the energy; spectral gradient may alias")
         line = _symbol_line(kernel, nu, n, length)
         freqs = np.fft.fftfreq(n, d=length / n)
-        lam = np.empty(n, dtype=complex)
-        for k in range(n):
-            idx = min(abs(int(round(freqs[k] * length))), n // 2)
-            lam[k] = line[idx][0] if freqs[k] >= 0 else np.conj(line[idx][0])
+        idx = np.minimum(np.abs(np.rint(freqs * length)).astype(int), n // 2)
+        lam = np.where(freqs >= 0, line[idx], np.conj(line[idx]))
         out = np.fft.ifft(lam * uhat)
         assert np.max(np.abs(out.imag)) <= 1e-10 * scale
         return SampledField(field.domain, out.real, kind="vector")
@@ -329,21 +326,16 @@ def gradient_spectral(kernel, nu, field):
                       "energy; spectral gradient may alias")
     fx = np.fft.fftfreq(nx, d=lx / nx)
     fy = np.fft.fftfreq(ny, d=ly / ny)
-    cache = {}
-    out_hat = np.empty((nx, ny, 2), dtype=complex)
-    for i in range(nx):
-        for j in range(ny):
-            xi = (fx[i], fy[j])
-            if xi in cache:
-                lam = cache[xi]
-            else:
-                mirror = (-xi[0], -xi[1])
-                if mirror in cache:
-                    lam = np.conj(cache[mirror])
-                else:
-                    lam = _symbol_value(kernel, nu, np.array(xi))
-                cache[xi] = lam
-            out_hat[i, j] = lam * uhat[i, j]
+    xis = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
+    # lambda(-xi) = conj(lambda(xi)): evaluate one of each mirror pair, in
+    # one batch, and conjugate for the other
+    key = {tuple(xi): k for k, xi in enumerate(xis)}
+    mirror = np.array([key.get((-a, -b), k) for k, (a, b) in enumerate(xis)])
+    own = mirror >= np.arange(len(xis))
+    lam = np.empty(xis.shape, dtype=complex)
+    lam[own] = _symbol_values(kernel, nu, xis[own])
+    lam[~own] = np.conj(lam[mirror[~own]])
+    out_hat = lam.reshape(nx, ny, 2) * uhat[:, :, None]
     out = np.stack([np.fft.ifft2(out_hat[:, :, 0]),
                     np.fft.ifft2(out_hat[:, :, 1])], axis=-1)
     assert np.max(np.abs(out.imag)) <= 1e-10 * scale

@@ -23,18 +23,42 @@ quarter period with 16-point Gauss-Legendre, and an analytic far tail via
 the integration-by-parts asymptotic series, entered only once the phase
 exceeds 40 radians so the series converges below roundoff.  Lower-bound
 constants are fitted infima over named grids, not proved bounds.
+
+The engine takes a whole array of frequencies c at once: a d=2 symbol is
+one call over all its angle nodes, and a d=1 grid is one call over its
+points.  Each zone works on arrays with a per-entry stopping rule, so an
+entry gets the same value in any batch.  Work is blocked: the Taylor
+moments and the far-tail series are built at most 32 terms at a time for
+at most BLOCK_ENTRIES / 32 rows, and Gauss nodes are evaluated in groups
+of whole frequencies with fewer than BLOCK_ENTRIES (65536) nodes; a
+frequency with more is integrated alone, in slices of 65536 nodes from
+its first panel.  These working arrays thus hold at most 65536 entries
+whatever the batch size.  A frequency that needs more than 3e5
+quarter-period panels raises SymbolError before anything is built for
+its batch.
 """
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as _kern
-from ._quad import panel_points
+from ._quad import BLOCK_ENTRIES, gauss_rule, panel_points
 
 _TWO_PI = 2.0 * math.pi
+_GAUSS = 16            # Gauss points per quarter-period panel
+_TAYLOR_TERMS = 79     # most Taylor terms a frequency may take
+_COLUMNS = 32          # series terms built per pass (Taylor, far tail)
+_MAX_PANELS = 300000   # quarter-period panels allowed per frequency
+# panels per group of whole frequencies; a group holds fewer than twice
+# this many, so its Gauss nodes fit in one block of BLOCK_ENTRIES
+_GROUP_PANELS = BLOCK_ENTRIES // (2 * _GAUSS)
+
+
+class SymbolError(RuntimeError):
+    """A frequency needs more quadrature than the symbol engine allows."""
 
 
 @dataclass(frozen=True)
@@ -63,126 +87,293 @@ class OrthoBasis:
 
 
 # ---------------------------------------------------------------------------
-# Half-line oscillatory integral S(c) = int r^p profile (e^{2 pi i c r}-1) dr
+# Half-line oscillatory integral S(c) = int r^p profile (e^{2 pi i c r}-1) dr,
+# evaluated for a whole array of frequencies c at once.
 # ---------------------------------------------------------------------------
 
-def _osc_tail(e, w, t):
-    """int_t^inf r^e e^{i w r} dr by the integration-by-parts series.
-
-    Valid once w*t is large (callers guarantee w*t >= 40); successive terms
-    shrink by |e - k|/(w t), so the series reaches roundoff before the
-    asymptotic divergence kicks in.
-    """
-    iw = 1j * w
-    term = -t ** e * cmath.exp(iw * t) / iw
-    total = term
-    prev = abs(term)
-    for k in range(120):
-        term = term * (k - e) / (iw * t)
-        mag = abs(term)
-        if mag >= prev:
-            break
-        total += term
-        prev = mag
-        if mag <= 1e-17 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _tail_power_terms(pieces, lo_cut):
-    """Power-law terms (coeff, p, a, b) of the profile on r > lo_cut.
-
-    log_regularized pieces are expanded binomially in (delta/r), which the
-    caller guarantees is <= 1/6 on the region; loglin pieces never reach
-    here because the panel zone is extended over their support.
-    """
-    out = []
-    for piece in pieces:
-        a, b = max(piece[1], lo_cut), piece[2]
-        if a >= b:
-            continue
-        kind = piece[0]
-        if kind == "pow":
-            out.append((piece[3], piece[4], a, b))
-        elif kind == "logreg":
-            coeff, dl, dd = piece[3], piece[4], piece[5]
-            for j in range(40):
-                cj = coeff * math.comb(dd + j - 1, j) * (-dl) ** j
-                if j > 4 and abs(cj) * a ** (-1.0 - dd - j) < 1e-25:
-                    break
-                out.append((cj, -1.0 - dd - j, a, b))
-        else:
-            raise ValueError("unexpected piece kind in far tail")
-    return out
-
-
 def _half_line_symbol(kernel, c, power):
-    """S(c) = int_0^inf r^power profile(r) (e^{2 pi i c r} - 1) dr."""
-    if c == 0.0:
-        return 0.0 + 0.0j
-    if c < 0.0:
-        return np.conj(_half_line_symbol(kernel, -c, power))
-    lo, hi = _kern.support(kernel)
-    w = _TWO_PI * c
-    z1 = min(hi, 1.0, 1.0 / (4.0 * c))
+    """S(c) = int_0^inf r^power profile(r) (e^{2 pi i c r} - 1) dr per entry.
 
-    # Taylor zone (0, z1]: expand e^{i w r} - 1 and integrate the moments in
-    # closed form; the phase is at most pi/2 here so the series decays fast
-    total = 0.0 + 0.0j
-    coef = 1.0 + 0.0j
-    iw = 1j * w
-    for k in range(1, 80):
-        coef *= iw / k
-        mk = _kern.radial_integral(kernel, 0.0, z1, power + k)
-        term = coef * mk
-        total += term
-        if abs(term) <= 1e-17 * (1.0 + abs(total)) and k > 3:
-            break
+    c is an array of any shape (a scalar is a batch of one); the result is
+    a complex array of that shape, 0 where c = 0 and conj(S(|c|)) where
+    c < 0.  Every entry is computed on its own, so a frequency gets the
+    same bits whatever batch it is in.  Raises SymbolError, before any
+    quadrature array is built, when a frequency needs more than 3e5
+    quarter-period panels.
+    """
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("symbol frequencies must be finite")
+    flat = c.ravel()
+    out = np.zeros(flat.size, dtype=complex)
+    nz = np.flatnonzero(flat)
+    if nz.size:
+        mag = np.abs(flat[nz])
+        z1, r_osc, n_base = _zones(kernel, mag)
+        worst = int(np.argmax(n_base))
+        if n_base[worst] > _MAX_PANELS:
+            raise SymbolError(
+                "oscillatory quadrature would need %.6g > 3e5 panels at "
+                "frequency %.6g; frequency out of supported range"
+                % (n_base[worst], mag[worst]))
+        n_base = n_base.astype(np.int64)
+        step = BLOCK_ENTRIES // _COLUMNS
+        for s in range(0, nz.size, step):
+            blk = slice(s, s + step)
+            out[nz[blk]] = _half_line_block(kernel, mag[blk], power,
+                                            z1[blk], r_osc[blk],
+                                            n_base[blk])
+    out = np.where(flat < 0.0, np.conj(out), out)
+    return out.reshape(c.shape)
 
-    if z1 >= hi:
-        return complex(total)
 
-    # panel zone must cover tabulated pieces entirely and log_regularized
-    # pieces out to several delta so the far-tail expansion converges
+def _zones(kernel, c):
+    """Taylor end z1, panel end r_osc and quarter-period panel count.
+
+    The Taylor zone (0, z1] keeps the phase below pi/2.  The panel zone
+    must cover tabulated pieces entirely and log_regularized pieces out to
+    several delta, so the far-tail expansion converges; it always reaches
+    a phase of 40 radians.  Frequencies with z1 at the support top get no
+    panels.
+    """
     pieces = _kern._pieces(kernel)
-    r_exp = z1
+    hi = pieces[-1][2]
+    r_exp = -math.inf
     for piece in pieces:
         if piece[0] == "logreg":
             r_exp = max(r_exp, min(hi, 6.0 * piece[4]))
         elif piece[0] == "loglin":
             r_exp = max(r_exp, piece[2])
-    r_osc = min(hi, max(2.0 * z1, 40.0 / w, r_exp))
+    z1 = np.minimum(min(hi, 1.0), 1.0 / (4.0 * c))
+    r_osc = np.minimum(hi, np.maximum(np.maximum(2.0 * z1,
+                                                 40.0 / (_TWO_PI * c)),
+                                      np.maximum(z1, r_exp)))
+    quarter = 1.0 / (4.0 * c)
+    return z1, r_osc, np.where(z1 < hi, np.ceil((r_osc - z1) / quarter), 0.0)
 
-    if r_osc > z1:
-        quarter = 1.0 / (4.0 * c)
-        n_base = int(math.ceil((r_osc - z1) / quarter))
-        if n_base > 300000:
-            raise RuntimeError("oscillatory quadrature would need more than "
-                               "3e5 panels; frequency out of supported range")
-        grid = np.linspace(z1, r_osc, n_base + 1)
-        inner = [bp for bp in _kern.breakpoints(kernel) if z1 < bp < r_osc]
-        if inner:
-            grid = np.unique(np.concatenate([grid, np.array(inner)]))
-        x, wt = panel_points(grid, 16)
-        prof = _kern.eval(kernel, x)
-        theta = w * x
-        # e^{i theta} - 1 written to avoid cancellation for small theta
-        vals = prof * x ** power * (-2.0 * np.sin(0.5 * theta) ** 2
-                                    + 1j * np.sin(theta))
-        total += complex(np.sum(wt * vals))
 
-    if hi > r_osc:
-        # the "-1" part of the integrand has a closed form; the oscillatory
-        # part is summed per power term with the asymptotic series
-        neg = _kern.radial_integral(kernel, r_osc, hi, power)
-        total -= neg
-        for coeff, p, a, b in _tail_power_terms(pieces, r_osc):
-            e = p + power
-            val = _osc_tail(e, w, a)
-            if b < math.inf:
-                val -= _osc_tail(e, w, b)
-            total += coeff * val
-    return complex(total)
+def _half_line_block(kernel, c, power, z1, r_osc, n_base):
+    """S(c) for positive c, at most BLOCK_ENTRIES / _COLUMNS of them."""
+    w = _TWO_PI * c
+    total = _taylor_zone(kernel, w, z1, power)
+    hi = _kern.support(kernel)[1]
+    live = np.flatnonzero(z1 < hi)
+    if live.size:
+        total[live] += _panel_zone(kernel, w[live], z1[live], r_osc[live],
+                                   n_base[live], power)
+        tail = live[r_osc[live] < hi]
+        if tail.size:
+            total[tail] = _tail_zone(kernel, w[tail], r_osc[tail], power,
+                                     total[tail])
+    return total
+
+
+def _taylor_zone(kernel, w, z1, power):
+    """sum_k (i w)^k / k! int_0^z1 r^{power+k} profile dr per entry.
+
+    The phase is at most pi/2 on (0, z1], so the series decays fast; the
+    closed-form partial moments absorb integrable singularities at 0.  An
+    entry stops after the first term past k = 3 below 1e-17 (1 + |sum|).
+    _COLUMNS orders are taken at a time for the entries still
+    running; the running coefficient and sum lead each block's cumulative
+    product and sum, so every entry sees the operations of the
+    term-by-term loop.
+    """
+    out = np.empty(w.size, dtype=complex)
+    idx = np.arange(w.size)
+    iw = 1j * w
+    coef = np.ones(w.size, dtype=complex)
+    total = np.zeros(w.size, dtype=complex)
+    for k0 in range(1, _TAYLOR_TERMS + 1, _COLUMNS):
+        ks = np.arange(k0, min(k0 + _COLUMNS, _TAYLOR_TERMS + 1))
+        moments = _kern._radial_integrals(kernel, 0.0, z1[idx][:, None],
+                                          power + ks)
+        coefs = np.cumprod(np.column_stack([coef, iw[:, None] / ks]),
+                           axis=1)[:, 1:]
+        terms = coefs * moments
+        sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
+        stop = (np.abs(terms) <= 1e-17 * (1.0 + np.abs(sums))) & (ks > 3)
+        done = stop.any(axis=1)
+        out[idx[done]] = sums[done, np.argmax(stop[done], axis=1)]
+        keep = ~done
+        if not keep.any():
+            return out
+        idx, iw = idx[keep], iw[keep]
+        coef, total = coefs[keep, -1], sums[keep, -1]
+    out[idx] = total
+    return out
+
+
+def _panel_zone(kernel, w, z1, r_osc, n_base, power):
+    """16-point Gauss on quarter-period panels of (z1, r_osc) per entry.
+
+    Each entry's panels are np.linspace(z1, r_osc, n_base + 1), split at
+    the kernel breakpoints inside.  Entries are taken in groups of fewer
+    than 2 * _GROUP_PANELS panels; an entry with more panels than that is
+    a group of its own, integrated in slices from its first panel, so its
+    sum does not depend on its neighbours.
+    """
+    bps = np.asarray(_kern.breakpoints(kernel), dtype=float)
+    n_pan = n_base + (np.searchsorted(bps, r_osc, "left")
+                      - np.searchsorted(bps, z1, "right"))
+    starts = np.cumsum(n_pan) - n_pan
+    big = n_pan > _GROUP_PANELS
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = ((starts[1:] // _GROUP_PANELS != starts[:-1] // _GROUP_PANELS)
+                 | big[1:] | big[:-1])
+    heads = np.flatnonzero(first)
+    acc = np.zeros(w.size, dtype=complex)
+    for g0, g1 in zip(heads, np.append(heads[1:], w.size)):
+        a, b, owner = _panels(z1[g0:g1], r_osc[g0:g1], n_base[g0:g1], bps)
+        for s in range(0, a.size, 2 * _GROUP_PANELS):
+            cut = slice(s, s + 2 * _GROUP_PANELS)
+            acc[g0:g1] += _panel_sums(kernel, a[cut], b[cut], owner[cut],
+                                      w[g0:g1], power)
+    return acc
+
+
+def _panels(z1, r_osc, n_base, bps):
+    """Panel ends (a, b) and owning entry of every panel of a group."""
+    counts = n_base + 1
+    owner = np.repeat(np.arange(z1.size), counts)
+    first = np.cumsum(counts) - counts
+    step = (r_osc - z1) / n_base
+    # the arithmetic of np.linspace(z1, r_osc, n_base + 1), entry by entry
+    edges = (np.arange(owner.size) - first[owner]) * step[owner] + z1[owner]
+    edges[first + n_base] = r_osc
+    if bps.size:
+        inner = (bps[None, :] > z1[:, None]) & (bps[None, :] < r_osc[:, None])
+        if inner.any():
+            rows, cols = np.nonzero(inner)
+            owner = np.concatenate([owner, rows])
+            edges = np.concatenate([edges, bps[cols]])
+            order = np.lexsort((edges, owner))
+            owner, edges = owner[order], edges[order]
+            fresh = np.ones(owner.size, dtype=bool)
+            fresh[1:] = (owner[1:] != owner[:-1]) | (edges[1:] != edges[:-1])
+            owner, edges = owner[fresh], edges[fresh]
+    same = owner[1:] == owner[:-1]
+    return edges[:-1][same], edges[1:][same], owner[:-1][same]
+
+
+def _panel_sums(kernel, a, b, owner, w, power):
+    """Per-entry Gauss sums of r^power profile (e^{i w r} - 1) on panels."""
+    nodes, weights = gauss_rule(_GAUSS)
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + half[:, None] * nodes
+    theta = w[owner][:, None] * x
+    g = _kern.eval(kernel, x.ravel()).reshape(x.shape) * x ** power
+    # e^{i theta} - 1 written to avoid cancellation for small theta
+    re = half * ((g * (-2.0 * np.sin(0.5 * theta) ** 2)) @ weights)
+    im = half * ((g * np.sin(theta)) @ weights)
+    sums = np.empty(w.size, dtype=complex)
+    sums.real = np.bincount(owner, re, w.size)
+    sums.imag = np.bincount(owner, im, w.size)
+    return sums
+
+
+def _tail_zone(kernel, w, r_osc, power, total):
+    """Add the far tail (r_osc, hi) to total, per entry.
+
+    The "-1" part of the integrand has a closed form; the oscillatory part
+    is summed per power term with the asymptotic series, the terms of all
+    entries together in blocks of rows, and added to each entry in term
+    order.
+    """
+    hi = _kern.support(kernel)[1]
+    total = total - _kern._radial_integrals(kernel, r_osc, hi, power)
+    terms = _tail_power_terms(_kern._pieces(kernel), r_osc)
+    if not terms:
+        return total
+    owner = np.concatenate([np.flatnonzero(t[4]) for t in terms])
+    sizes = [int(np.count_nonzero(t[4])) for t in terms]
+    coeff = np.repeat([t[0] for t in terms], sizes)
+    e = np.repeat([t[1] + power for t in terms], sizes)
+    a = np.concatenate([t[2][t[4]] for t in terms])
+    b = np.repeat([t[3] for t in terms], sizes)
+    val = np.empty(owner.size, dtype=complex)
+    rows = BLOCK_ENTRIES // _COLUMNS
+    for start in range(0, owner.size, rows):
+        cut = slice(start, start + rows)
+        ws = w[owner[cut]]
+        val[cut] = _osc_tail(e[cut], ws, a[cut])
+        finite = np.flatnonzero(b[cut] < math.inf)
+        if finite.size:
+            val[start + finite] -= _osc_tail(e[cut][finite], ws[finite],
+                                             b[cut][finite])
+    np.add.at(total, owner, coeff * val)
+    return total
+
+
+def _tail_power_terms(pieces, lo_cut):
+    """Power-law terms (coeff, p, a, b, live) of the profile on r > lo_cut.
+
+    lo_cut is an array; a is the per-entry start max(piece start, lo_cut)
+    and live marks the entries a term applies to.  log_regularized pieces
+    are expanded binomially in (delta/r), which the caller guarantees is
+    <= 1/6 on the region, and each entry drops the expansion once a term
+    past j = 4 falls below 1e-25 at its own start; loglin pieces never
+    reach here because the panel zone is extended over their support.
+    """
+    out = []
+    for piece in pieces:
+        a, b = np.maximum(piece[1], lo_cut), piece[2]
+        live = a < b
+        if not live.any():
+            continue
+        kind = piece[0]
+        if kind == "pow":
+            out.append((piece[3], piece[4], a, b, live))
+        elif kind == "logreg":
+            coeff, dl, dd = piece[3], piece[4], piece[5]
+            for j in range(40):
+                cj = coeff * math.comb(dd + j - 1, j) * (-dl) ** j
+                if j > 4:
+                    live = live & ~(abs(cj) * a ** (-1.0 - dd - j) < 1e-25)
+                    if not live.any():
+                        break
+                out.append((cj, -1.0 - dd - j, a, b, live))
+        else:
+            raise ValueError("unexpected piece kind in far tail")
+    return out
+
+
+def _osc_tail(e, w, t):
+    """int_t^inf r^e e^{i w r} dr per entry by the integration-by-parts series.
+
+    Valid once w*t is large (callers guarantee w*t >= 40); successive terms
+    shrink by |e - k|/(w t), so the series reaches roundoff before the
+    asymptotic divergence kicks in.  An entry stops at the first term that
+    does not shrink (not added) or that falls below 1e-17 of its sum.
+    Terms are built as cumulative products of the ratios (k - e)/(i w t)
+    for the entries still running, 8 in the first pass, which ends most
+    entries, and _COLUMNS in each later one.
+    """
+    iwt = 1j * w * t
+    term = -t ** e * np.exp(iwt) / (1j * w)
+    total, prev = term, np.abs(term)
+    out = np.empty(w.size, dtype=complex)
+    idx = np.arange(w.size)
+    for k0, k1 in ((0, 8), (8, 40), (40, 72), (72, 104), (104, 120)):
+        ks = np.arange(k0, k1)
+        terms = np.cumprod(np.column_stack(
+            [term, (ks - e[:, None]) / iwt[:, None]]), axis=1)[:, 1:]
+        mags = np.abs(terms)
+        sums = np.cumsum(np.column_stack([total, terms]), axis=1)
+        grew = mags >= np.column_stack([prev, mags[:, :-1]])
+        small = mags <= 1e-17 * np.maximum(np.abs(sums[:, 1:]), 1e-300)
+        stop = grew | small
+        done = np.flatnonzero(stop.any(axis=1))
+        first = np.argmax(stop[done], axis=1)
+        # a term that grew is left out: the sum before it is the result
+        out[idx[done]] = sums[done, first + ~grew[done, first]]
+        keep = ~stop.any(axis=1)
+        if not keep.any():
+            return out
+        idx, e, iwt = idx[keep], e[keep], iwt[keep]
+        term, prev, total = terms[keep, -1], mags[keep, -1], sums[keep, -1]
+    out[idx] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,46 +410,89 @@ def _rotation_to(nu_unit):
     return np.array([[nu_unit[0], -nu_unit[1]], [nu_unit[1], nu_unit[0]]])
 
 
-def _symbol_e1_2d(kernel, xi):
-    xin = math.hypot(xi[0], xi[1])
-    if xin == 0.0:
-        return np.zeros(2, dtype=complex)
-    per_quadrant = max(1, int(math.ceil(xin / 4.0)))
+@functools.lru_cache(maxsize=64)
+def _angle_rule(per_quadrant):
+    """33-point Gauss rule on [-pi/2, pi/2], per_quadrant panels a side."""
     half_pi = 0.5 * math.pi
     grid = np.concatenate([np.linspace(-half_pi, 0.0, per_quadrant + 1)[:-1],
                            np.linspace(0.0, half_pi, per_quadrant + 1)])
     th, wt = panel_points(grid, 33)
-    out = np.zeros(2, dtype=complex)
-    cos_t, sin_t = np.cos(th), np.sin(th)
-    for j in range(th.size):
-        c = xi[0] * cos_t[j] + xi[1] * sin_t[j]
-        s = _half_line_symbol(kernel, c, 1)
-        out[0] += wt[j] * cos_t[j] * s
-        out[1] += wt[j] * sin_t[j] * s
+    rule = (np.cos(th), np.sin(th), wt)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return rule
+
+
+def _symbol_e1_2d(kernel, xis):
+    """Symbols for nu = e1 at the rows of xis, an (n, 2) array.
+
+    The half-plane integral is an angular Gauss rule (per_quadrant panels
+    per quarter turn, growing with |xi|) over the half-line symbols along
+    each direction.  All angle nodes of a run of rows go to the engine in
+    one call; a run closes once it holds BLOCK_ENTRIES nodes, so a single
+    row is always one call.
+    """
+    xis = np.asarray(xis, dtype=float).reshape(-1, 2)
+    out = np.zeros(xis.shape, dtype=complex)
+    run, nodes = [], 0
+    for i, xi in enumerate(xis):
+        xin = math.hypot(xi[0], xi[1])
+        if xin == 0.0:
+            continue
+        run.append((i, _angle_rule(max(1, int(math.ceil(xin / 4.0))))))
+        nodes += run[-1][1][2].size
+        if nodes >= BLOCK_ENTRIES:
+            _angle_sums(kernel, xis, run, out)
+            run, nodes = [], 0
+    if run:
+        _angle_sums(kernel, xis, run, out)
     return out
+
+
+def _angle_sums(kernel, xis, run, out):
+    """Fill out[i] with the angular rule over S(xi . theta) for (i, rule)."""
+    rows = np.concatenate([np.full(rule[2].size, i) for i, rule in run])
+    cos_t, sin_t, wt = (np.concatenate([rule[k] for _, rule in run])
+                        for k in range(3))
+    c = xis[rows, 0] * cos_t + xis[rows, 1] * sin_t
+    ws = wt * _half_line_symbol(kernel, c, 1)
+    for comp, trig in enumerate((cos_t, sin_t)):
+        part = trig * ws
+        out[:, comp].real += np.bincount(rows, part.real, len(xis))
+        out[:, comp].imag += np.bincount(rows, part.imag, len(xis))
+
+
+def _symbol_values(kernel, nu, points):
+    """Symbols at a sequence of frequencies as an (n, d) complex array.
+
+    d=1 points are scalars (or 1-vectors) and d=2 points are 2-vectors;
+    the whole sequence is one batch of the half-line engine.
+    """
+    d = kernel.d
+    if d == 1:
+        sign = _nu_sign(nu)
+        x = np.array([float(np.atleast_1d(np.asarray(p, dtype=float))[0])
+                      for p in points])
+        s = _half_line_symbol(kernel, x, 0)
+        return (s if sign > 0.0 else -np.conj(s))[:, None]
+    if d == 2:
+        u0, u1 = _nu_unit2(nu)
+        pts = [np.asarray(p, dtype=float).reshape(-1) for p in points]
+        if any(p.size != 2 for p in pts):
+            raise ValueError("d=2 frequency must be a 2-vector")
+        x0, x1 = np.reshape(pts, (-1, 2)).T
+        # rotate nu to e1 and back, written out so that every row gets
+        # the same arithmetic whatever the batch size
+        loc = _symbol_e1_2d(kernel, np.column_stack([u0 * x0 + u1 * x1,
+                                                     u0 * x1 - u1 * x0]))
+        return np.column_stack([u0 * loc[:, 0] - u1 * loc[:, 1],
+                                u1 * loc[:, 0] + u0 * loc[:, 1]])
+    raise ValueError("symbols are implemented for d in {1, 2}")
 
 
 def _symbol_value(kernel, nu, xi):
     """Symbol as a bare complex array of length d."""
-    d = kernel.d
-    if d == 1:
-        sign = _nu_sign(nu)
-        x = float(np.atleast_1d(np.asarray(xi, dtype=float))[0])
-        s = _half_line_symbol(kernel, abs(x), 0)
-        if x < 0.0:
-            s = np.conj(s)
-        if sign < 0.0:
-            s = -np.conj(s)
-        return np.array([s], dtype=complex)
-    if d == 2:
-        unit = _nu_unit2(nu)
-        rot = _rotation_to(unit)
-        xi_arr = np.asarray(xi, dtype=float).reshape(-1)
-        if xi_arr.size != 2:
-            raise ValueError("d=2 frequency must be a 2-vector")
-        local = _symbol_e1_2d(kernel, rot.T @ xi_arr)
-        return rot @ local
-    raise ValueError("symbols are implemented for d in {1, 2}")
+    return _symbol_values(kernel, nu, [xi])[0]
 
 
 def symbol(kernel, nu, xi):
@@ -278,13 +512,18 @@ def symbol_eta(tau, nu, xi, d):
     at -tau*xi.  In d=1 this collapses to the closed form
     (e^{-2 pi i tau xi} - 1)/(-2 pi i tau xi) - 1.
     """
+    return _eta_values(tau, nu, [xi], d)[0]
+
+
+def _eta_values(tau, nu, points, d):
+    """symbol_eta at a sequence of frequencies, one engine batch."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if d not in (1, 2):
         raise ValueError("eta is implemented for d in {1, 2}")
     unit = _kern.constant_ball(d, c=1.0)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _symbol_value(unit, nu, -tau * xi_arr)
+    return _symbol_values(unit, nu, [-tau * np.atleast_1d(
+        np.asarray(xi, dtype=float)) for xi in points])
 
 
 def eta_bound(d, tau, xi_norm):
@@ -311,6 +550,14 @@ def _grid_vectors(kernel_d, nu, xi_grid):
     return out
 
 
+def _ray(d, nu, ts):
+    """Frequencies t (d=1) or t * nu/|nu| (d=2) for the scalars ts."""
+    if d == 1:
+        return list(ts)
+    unit = _nu_unit2(nu)
+    return [t * unit for t in ts]
+
+
 def check_linear_bound(kernel, nu, xi_grid):
     """|lambda(xi)| <= 2 sqrt(2) pi M1 |xi| + sqrt(2) M2 over the grid.
 
@@ -322,8 +569,7 @@ def check_linear_bound(kernel, nu, xi_grid):
     mass = _kern.partial_moments(kernel, 0.0, math.inf, 0)
     pts = _grid_vectors(kernel.d, nu, xi_grid)
     lhs, rhs = [], []
-    for xi in pts:
-        lam = _symbol_value(kernel, nu, xi)
+    for xi, lam in zip(pts, _symbol_values(kernel, nu, pts)):
         mag = float(np.linalg.norm(lam))
         bound = 2.0 * math.sqrt(2.0) * math.pi * m1 * float(
             np.linalg.norm(np.atleast_1d(xi))) + math.sqrt(2.0) * m2
@@ -351,9 +597,8 @@ def check_lower_bound_small_xi(kernel, nu):
         note = "tail cut at radius 1 (infinite full first moment); "
     ts = [2.0 ** -k for k in range(21)]
     lhs, ratios = [], []
-    for t in ts:
-        xi = t if kernel.d == 1 else t * _nu_unit2(nu)
-        mag = float(np.linalg.norm(_symbol_value(work, nu, xi)))
+    for t, lam in zip(ts, _symbol_values(work, nu, _ray(kernel.d, nu, ts))):
+        mag = float(np.linalg.norm(lam))
         lhs.append(mag)
         ratios.append(mag / t)
     c1 = min(ratios)
@@ -380,9 +625,9 @@ def check_lower_bound_large_xi(kernel, nu, N=1.0, eps=None):
         note += "; profile not nonincreasing: report only, no pass/fail claim"
     ts = list(np.geomspace(N, 1e3 * N, 25))
     lhs, rhs, ratios = [], [], []
-    for t in ts:
-        xi = t if kernel.d == 1 else t * _nu_unit2(nu)
-        re_mag = float(np.linalg.norm(_symbol_value(kernel, nu, xi).real))
+    lams = _symbol_values(kernel, nu, _ray(kernel.d, nu, ts))
+    for t, lam in zip(ts, lams):
+        re_mag = float(np.linalg.norm(lam.real))
         denom = _kern.partial_moments(kernel, N * eps / t, math.inf, 0)
         lhs.append(re_mag)
         rhs.append(denom)
@@ -400,8 +645,8 @@ def check_fractional_sandwich(delta, d, xi_grid):
     nu = 1.0 if d == 1 else np.array([1.0, 0.0])
     pts = _grid_vectors(d, nu, xi_grid)
     ratios = []
-    for xi in pts:
-        mag = float(np.linalg.norm(_symbol_value(kernel, nu, xi)))
+    for xi, lam in zip(pts, _symbol_values(kernel, nu, pts)):
+        mag = float(np.linalg.norm(lam))
         xin = float(np.linalg.norm(np.atleast_1d(xi)))
         ratios.append(mag / xin ** (1.0 - delta))
     lo, hi = min(ratios), max(ratios)
@@ -427,16 +672,14 @@ def compactness_ratio_scan(kernel_family, param_list, tau_list, xi_grid):
         d = kernel.d
         nu = 1.0 if d == 1 else np.array([1.0, 0.0])
         pts = _grid_vectors(d, nu, xi_grid)
-        lam_mags = []
-        for xi in pts:
-            xin = float(np.linalg.norm(np.atleast_1d(xi)))
-            if xin == 0.0:
-                raise ValueError("xi = 0 is excluded from the ratio scan")
-            lam_mags.append(float(np.linalg.norm(_symbol_value(work, nu, xi))))
+        if any(not np.any(np.atleast_1d(xi)) for xi in pts):
+            raise ValueError("xi = 0 is excluded from the ratio scan")
+        lam_mags = [float(np.linalg.norm(lam))
+                    for lam in _symbol_values(work, nu, pts)]
         for tau in tau_list:
             sup = 0.0
-            for xi, lam_mag in zip(pts, lam_mags):
-                eta_mag = float(np.linalg.norm(symbol_eta(tau, nu, xi, d)))
+            for eta, lam_mag in zip(_eta_values(tau, nu, pts, d), lam_mags):
+                eta_mag = float(np.linalg.norm(eta))
                 ratio = eta_mag / lam_mag if lam_mag > 0.0 else math.inf
                 sup = max(sup, ratio)
             rows.append({"param": param, "tau": tau, "sup_ratio": sup,
@@ -453,11 +696,10 @@ def scaling_identity_check(base_kernel, delta_list, xi_grid):
     worst = 0.0
     for delta in delta_list:
         resc = _kern.rescaled(base_kernel, delta)
-        for xi in pts:
-            left = _symbol_value(resc, nu, xi)
-            right = _symbol_value(base_kernel, nu,
-                                  np.atleast_1d(np.asarray(xi, float))
-                                  * delta) / delta
+        lefts = _symbol_values(resc, nu, pts)
+        rights = _symbol_values(base_kernel, nu, [
+            np.atleast_1d(np.asarray(xi, float)) * delta for xi in pts])
+        for xi, left, right in zip(pts, lefts, rights / delta):
             scale = max(float(np.linalg.norm(left)),
                         float(np.linalg.norm(right)), 1e-300)
             rel = float(np.linalg.norm(left - right)) / scale
@@ -482,8 +724,7 @@ def appendix_limit_table(delta_list):
     for delta in delta_list:
         raw = _kern.fractional_vanishing(1, delta, normalize=False)
         lam = _half_line_symbol(raw, 1.0, 0)
-        cut = _kern.cutoff(raw, 1.0)
-        lam1 = _half_line_symbol(cut, 1.0, 0)
+        lam1 = _half_line_symbol(_kern.cutoff(raw, 1.0), 1.0, 0)
         rows.append({
             "delta": delta,
             "cos_integral": lam.real / 2.0,

@@ -392,3 +392,13 @@ def test_two_dimensional_symbol_points(tmp_path, monkeypatch, capsys):
     across = np.hypot(rows[0][3], rows[0][5])
     assert along > 1e-2
     assert across < 1e-10
+
+
+def test_symbol_panel_budget_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["symbol", "--kernel-family", "log_regularized",
+                            "--kernel-delta", "0.1", "--xis", "2e5"], capsys)
+    assert code == 2
+    assert err.startswith("error: oscillatory quadrature would need")
+    assert "Traceback" not in err
+    assert not (tmp_path / "symbol.csv").exists()

@@ -285,3 +285,55 @@ def test_breakpoints_collect_structure():
     rstar = (4.0) ** (-1.0 / 1.5)
     assert any(abs(b - rstar) < 1e-12 for b in bps)
     assert 1.0 in bps
+
+
+INTEGRAL_KERNELS = [
+    K.constant_ball(2),
+    K.riesz_truncated(1, 0.5),
+    K.fractional_vanishing(2, 0.2),
+    K.log_regularized(1, 0.1),
+    K.log_regularized(2, 0.2),
+    K.log_regularized(3, 0.3),
+    K.log_truncated(2, 0.05),
+    K.tabulated(1, [0.1, 0.4, 1.2], [3.0, 1.0, 0.2]),
+    K.min_level(K.riesz_truncated(2, 0.5), 5.0),
+    K.rescaled(K.log_regularized(1, 0.2), 0.5),
+    K.cutoff(K.fractional_vanishing(1, 0.3), 2.0),
+]
+
+
+@pytest.mark.parametrize("k", INTEGRAL_KERNELS, ids=repr)
+def test_batched_radial_integrals_match_scalar(k):
+    # intervals inside, across and beyond the pieces, the 0.9 delta series
+    # split of log_regularized, empty intervals and divergent ones
+    ends = [0.0, 0.01, 0.05, 0.09, 0.1, 0.3, 0.95, 1.0, 2.5, math.inf]
+    pairs = [(a, b) for a in ends for b in ends if a <= b and a < math.inf]
+    a = np.array([p[0] for p in pairs])[:, None]
+    b = np.array([p[1] for p in pairs])[:, None]
+    qs = np.arange(0, 6)
+    got = K._radial_integrals(k, a, b, qs)
+    for i, (lo, hi) in enumerate(pairs):
+        for j, q in enumerate(qs):
+            want = K.radial_integral(k, lo, hi, int(q))
+            if math.isinf(want):
+                assert got[i, j] == math.inf
+            else:
+                assert got[i, j] == pytest.approx(want, rel=1e-13,
+                                                  abs=1e-300)
+
+
+def test_logreg_primitive_takes_an_exponent_per_entry():
+    t = np.array([0.05, 0.3, 2.0, 0.05, 0.3, 2.0])
+    m = np.array([-1, 0, 3, 7, 12, 2])
+    got = K._logreg_primitive_vec(m, 0.2, 2, t)
+    for ti, mi, gi in zip(t, m, got):
+        want = K._logreg_primitive(int(mi), 0.2, 2, ti)
+        assert gi == pytest.approx(want, rel=1e-14)
+
+
+def test_piece_table_is_built_once_per_kernel():
+    k = K.cutoff(K.rescaled(K.riesz_truncated(1, 0.5), 0.3), 0.2)
+    table = K._pieces(k)
+    assert isinstance(table, tuple)
+    assert K._pieces(K.cutoff(K.rescaled(K.riesz_truncated(1, 0.5), 0.3),
+                              0.2)) is table

@@ -321,3 +321,127 @@ def test_symbol_sample_fields():
     samp = S.symbol(K.constant_ball(), 1, 0.5)
     assert np.allclose(samp.value, samp.re_part + 1j * samp.im_part)
     assert samp.xi.shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# The batched half-line engine against the scalar oracle.
+# ---------------------------------------------------------------------------
+
+ORACLE_KERNELS = {
+    "constant_ball": lambda d: K.constant_ball(d),
+    "riesz_truncated": lambda d: K.riesz_truncated(d, 0.4),
+    "fractional_vanishing": lambda d: K.fractional_vanishing(d, 0.2),
+    "log_regularized": lambda d: K.log_regularized(d, 0.1),
+    "log_truncated": lambda d: K.log_truncated(d, 0.05),
+    "tabulated": lambda d: K.tabulated(d, [0.05, 0.2, 0.6, 1.3],
+                                       [9.0, 4.0, 1.5, 0.3]),
+    "min_level": lambda d: K.min_level(K.riesz_truncated(d, 0.5), 30.0),
+    "rescaled": lambda d: K.rescaled(K.constant_ball(d), 0.1),
+    "cutoff": lambda d: K.cutoff(K.log_regularized(d, 0.2), 0.7),
+}
+
+# c = 0 and c < 0, Taylor-only frequencies (z1 at the support top), the
+# panel zone, the far tail, and log_regularized Taylor moments on both
+# sides of the 0.9 delta series split
+ORACLE_CS = np.array([0.0, -0.35, -41.0, 1e-7, 0.02, 0.2, 0.26, 0.9, 2.4,
+                      3.1, 8.0, 27.5, 140.0, 900.0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", sorted(ORACLE_KERNELS))
+def test_batched_half_line_matches_scalar_oracle(family, d):
+    import symbol_oracle
+
+    k = ORACLE_KERNELS[family](d)
+    got = S._half_line_symbol(k, ORACLE_CS, d - 1)
+    want = np.array([symbol_oracle.half_line_symbol(k, c, d - 1)
+                     for c in ORACLE_CS])
+    assert got.shape == ORACLE_CS.shape
+    assert got[0] == 0.0
+    scale = np.maximum(np.abs(want), 1e-300)
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
+def test_oracle_frequencies_reach_every_zone():
+    ball = K.constant_ball(1)
+    z1, r_osc, n_base = S._zones(ball, np.abs(ORACLE_CS[1:]))
+    assert np.any(z1 >= 1.0)                  # Taylor only
+    assert np.any((z1 < 1.0) & (r_osc == 1.0))  # panels to the support top
+    assert np.any(r_osc < 1.0)                # far tail
+    logreg = K.log_regularized(1, 0.1)
+    z1, _, _ = S._zones(logreg, np.abs(ORACLE_CS[1:]))
+    assert np.any(z1 < 0.09) and np.any(z1 > 0.09)
+
+
+def test_batch_larger_than_a_block_matches_small_batches():
+    k = K.log_regularized(1, 0.1)
+    rng = np.random.default_rng(3)
+    cs = np.concatenate([rng.uniform(-40.0, 40.0, 4500),
+                         [0.0, 1500.0, -2600.0]])
+    # more entries than one engine block; 1500 is a panel group of its
+    # own and 2600 is integrated in more than one slice
+    assert cs.size > S.BLOCK_ENTRIES // S._COLUMNS
+    n_base = S._zones(k, np.array([1500.0, 2600.0]))[2]
+    assert S._GROUP_PANELS < n_base[0] < 2 * S._GROUP_PANELS < n_base[1]
+    whole = S._half_line_symbol(k, cs, 0)
+    parts = np.concatenate([S._half_line_symbol(k, cs[i:i + 500], 0)
+                            for i in range(0, cs.size, 500)])
+    assert np.array_equal(whole, parts)
+    for i in (0, 4500, 4501, 4502):
+        assert S._half_line_symbol(k, cs[i], 0) == whole[i]
+
+
+def test_half_line_scalar_input_is_a_batch_of_one():
+    k = K.riesz_truncated(1, 0.5)
+    one = S._half_line_symbol(k, 3.7, 0)
+    assert one.shape == ()
+    assert one == S._half_line_symbol(k, np.array([1.0, 3.7]), 0)[1]
+
+
+def test_half_line_rejects_nonfinite_frequency():
+    with pytest.raises(ValueError, match="finite"):
+        S._half_line_symbol(K.constant_ball(), np.array([1.0, np.nan]), 0)
+
+
+def test_panel_budget_raises_symbol_error():
+    k = K.log_regularized(1, 0.1)
+    with pytest.raises(S.SymbolError, match="3e5 panels"):
+        S._half_line_symbol(k, np.array([2.0, 2e5]), 0)
+    assert issubclass(S.SymbolError, RuntimeError)
+
+
+def test_batched_d2_matches_pointwise_values(monkeypatch):
+    k = K.riesz_truncated(2, 0.5)
+    nu = np.array([0.6, 0.8])
+    pts = [np.array([0.7, -0.3]), np.array([0.0, 0.0]),
+           np.array([-12.0, 30.0]), np.array([55.0, 4.0])]
+    batch = S._symbol_values(k, nu, pts)
+    for xi, row in zip(pts, batch):
+        assert np.array_equal(row, S._symbol_value(k, nu, xi))
+    assert np.all(batch[1] == 0.0)
+    # tiny blocks: several engine calls and blocks per batch, same bits
+    monkeypatch.setattr(S, "BLOCK_ENTRIES", 256)
+    assert np.array_equal(S._symbol_values(k, nu, pts), batch)
+
+
+@pytest.mark.parametrize("family", ["constant_ball", "riesz_truncated",
+                                    "log_regularized", "rescaled"])
+def test_batched_d2_hermitian_and_adjoint(family):
+    k = ORACLE_KERNELS[family](2)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-30.0, 30.0, size=(6, 2))
+    nu = np.array([0.28, -0.96])
+    plus = S._symbol_values(k, nu, pts)
+    scale = np.max(np.abs(plus))
+    mirrored = S._symbol_values(k, nu, -pts)
+    assert np.max(np.abs(mirrored - np.conj(plus))) <= 1e-13 * scale
+    flipped = S._symbol_values(k, -nu, pts)
+    assert np.max(np.abs(flipped + np.conj(plus))) <= 1e-13 * scale
+
+
+def test_batched_d1_grid_checks_match_pointwise():
+    k = K.log_regularized(1, 0.1)
+    grid = np.geomspace(0.01, 100.0, 30)
+    report = S.check_linear_bound(k, -1, grid)
+    for xi, lhs in zip(grid, report.lhs):
+        assert lhs == float(np.linalg.norm(S._symbol_value(k, -1, xi)))
