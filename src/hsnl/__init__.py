@@ -7,7 +7,9 @@ volume constraint, parameter sweeps for nonlocal-to-local limits, and a
 box-constrained optimal control solver for the nonlocal state equation.
 """
 
-from . import kernels, symbols, operators, fem1d, experiments, control, cli
+import importlib
+
+from . import kernels, symbols, operators, fem1d, experiments, control
 
 __version__ = "0.1.0"
 
@@ -21,3 +23,11 @@ __all__ = [
     "cli",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # `cli` loads on first use, so `python -m hsnl.cli` runs a module that
+    # the package import has not already put in sys.modules
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -10,8 +10,16 @@ evaluates that window for a block of points at once and adds each run of
 points with the same window as one dense Gram product.  Unknowns are the
 interior nodes only; the volume constraint u = 0 outside the domain is
 enforced by that basis choice.
+
+The stiffness matrix is therefore banded, with a half-bandwidth of about
+top/h + 2 (1 for the local operator).  The SPD check that ends assembly
+reads the half-bandwidth from the matrix's nonzero pattern and factors the
+upper band once with `scipy.linalg.cholesky_banded`; the `FemSystem`
+keeps that factor, and every later solve is an O(n * bandwidth) banded
+back-substitution.  A `FemSystem` built by hand factors on first use.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,15 +60,32 @@ class Mesh1D:
         return np.arange(1, self.n_cells)
 
 
+_GX, _GW = np.polynomial.legendre.leggauss(8)
+_GS = 0.5 * (_GX + 1.0)
+
+
 @dataclass(eq=False)
 class FemSystem:
+    """Dense stiffness, mass and load of one Galerkin system.
+
+    `factor` is the banded Cholesky factor of the symmetrized stiffness,
+    in the `(cb, lower)` form `scipy.linalg.cho_solve_banded` takes.  It
+    is computed once, so build a new system rather than changing the
+    stiffness of one that has been solved.
+    """
+
     stiffness: np.ndarray
     mass: np.ndarray
     load: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def factor(self):
+        return _check_spd(self.stiffness, "stiffness")[1]
+
 
 def _as_fn(g):
+    """A callable as given, or a constant as a function of x."""
     if callable(g):
         return g
     val = float(g)
@@ -172,23 +197,39 @@ def _mass_matrix(mesh):
     return mass
 
 
+def _hat_pairing(mesh, vals, wq):
+    """Inner products with every interior hat of an integrand sampled at
+    the per-cell Gauss points (cell start + h * _GS), weights wq."""
+    right = np.sum(wq * vals * _GS, axis=1)
+    left = np.sum(wq * vals * (1.0 - _GS), axis=1)
+    out = np.zeros(mesh.n_cells + 1)
+    out[1:] += right
+    out[:-1] += left
+    return out[1:-1]
+
+
 def _load_vector(f, mesh):
-    fx = _as_fn(f)
-    cells_lo = mesh.nodes[:-1]
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    s = 0.5 * (gx + 1.0)
-    xq = cells_lo[:, None] + mesh.h * s[None, :]
-    wq = 0.5 * mesh.h * gw[None, :]
-    fv = fx(xq)
-    right = np.sum(wq * fv * s[None, :], axis=1)
-    left = np.sum(wq * fv * (1.0 - s[None, :]), axis=1)
-    load = np.zeros(mesh.n_cells + 1)
-    np.add.at(load, np.arange(mesh.n_cells) + 1, right)
-    np.add.at(load, np.arange(mesh.n_cells), left)
-    return load[1:-1]
+    xq = mesh.nodes[:-1, None] + mesh.h * _GS
+    return _hat_pairing(mesh, _as_fn(f)(xq), 0.5 * mesh.h * _GW)
+
+
+def _half_bandwidth(sym):
+    """Largest j - i over the nonzero entries sym[i, j]."""
+    n = sym.shape[0]
+    last = n - 1 - np.argmax(sym[:, ::-1] != 0.0, axis=1)
+    return max(int(np.max(last - np.arange(n))), 0)
+
+
+def _upper_band(sym, bw):
+    """Upper band of sym in the row layout `cholesky_banded` reads."""
+    band = np.zeros((bw + 1, sym.shape[0]))
+    for k in range(bw + 1):
+        band[bw - k, k:] = np.diagonal(sym, k)
+    return band
 
 
 def _check_spd(matrix, what):
+    """Symmetrized matrix and its banded Cholesky factor (cb, lower)."""
     asym = np.abs(matrix - matrix.T).max()
     scale = max(np.abs(matrix).max(), 1e-300)
     if asym > 1e-12 * scale:
@@ -196,12 +237,21 @@ def _check_spd(matrix, what):
                             % (what, asym / scale))
     sym = 0.5 * (matrix + matrix.T)
     try:
-        factor = sla.cho_factor(sym)
+        cb = sla.cholesky_banded(_upper_band(sym, _half_bandwidth(sym)))
     except sla.LinAlgError:
         eigs = sla.eigvalsh(sym)
         raise AssemblyError("%s is not positive definite (smallest "
                             "eigenvalue %.3e)" % (what, eigs[0]))
-    return sym, factor
+    return sym, (cb, False)
+
+
+def _system(stiff, mesh, f, meta):
+    """FemSystem holding the factor its SPD check computed."""
+    sym, factor = _check_spd(stiff, "stiffness")
+    system = FemSystem(stiffness=sym, mass=_mass_matrix(mesh),
+                       load=_load_vector(f, mesh), meta=meta)
+    system.factor = factor
+    return system
 
 
 def assemble(kernel, nu, A, f, mesh, quad=None):
@@ -235,35 +285,35 @@ def assemble(kernel, nu, A, f, mesh, quad=None):
         for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
             s = first[a] - 1
             stiff[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
-    stiff, _ = _check_spd(stiff, "stiffness")
     meta = {"kernel": repr(kernel), "nu": sign, "domain": mesh.length,
             "n_cells": mesh.n_cells}
-    return FemSystem(stiffness=stiff, mass=_mass_matrix(mesh),
-                     load=_load_vector(f, mesh), meta=meta)
+    return _system(stiff, mesh, f, meta)
 
 
 def assemble_local(A, f, mesh):
     """Standard local P1 system for -(A u')' with zero boundary values."""
-    a_fn = _as_fn(A)
-    gx, gw = np.polynomial.legendre.leggauss(8)
     h = mesh.h
-    cells_lo = mesh.nodes[:-1]
-    xq = cells_lo[:, None] + 0.5 * h * (gx[None, :] + 1.0)
-    a_cell = np.sum(0.5 * h * gw[None, :] * a_fn(xq), axis=1)
+    xq = mesh.nodes[:-1, None] + 0.5 * h * (_GX + 1.0)
+    a_cell = np.sum(0.5 * h * _GW * _as_fn(A)(xq), axis=1)
     k = a_cell / h ** 2
-    stiff = (np.diag(k[:-1] + k[1:]) + np.diag(-k[1:-1], 1)
-             + np.diag(-k[1:-1], -1))
-    stiff, _ = _check_spd(stiff, "stiffness")
-    return FemSystem(stiffness=stiff, mass=_mass_matrix(mesh),
-                     load=_load_vector(f, mesh),
-                     meta={"local": True, "n_cells": mesh.n_cells})
+    n = mesh.n_cells - 1
+    idx = np.arange(n)
+    stiff = np.zeros((n, n))
+    stiff[idx, idx] = k[:-1] + k[1:]
+    stiff[idx[:-1], idx[1:]] = -k[1:-1]
+    stiff[idx[1:], idx[:-1]] = -k[1:-1]
+    return _system(stiff, mesh, f, {"local": True, "n_cells": mesh.n_cells})
 
 
 def solve_state(system):
-    """Cholesky solve of the Galerkin system, with a residual check."""
-    sym, factor = _check_spd(system.stiffness, "stiffness")
-    u = sla.cho_solve(factor, system.load)
-    residual = np.linalg.norm(sym @ u - system.load)
+    """Banded Cholesky solve of the Galerkin system, with a residual check.
+
+    The system's factor is reused; a hand-built system factors here once.
+    """
+    u = sla.cho_solve_banded(system.factor, system.load)
+    # residual against the symmetric part, which is what was factored
+    stiff = system.stiffness
+    residual = np.linalg.norm(0.5 * (stiff @ u + u @ stiff) - system.load)
     scale = max(np.linalg.norm(system.load), 1e-300)
     if residual > 1e-10 * scale:
         raise AssemblyError("solver residual %.3e exceeds tolerance"
@@ -274,12 +324,17 @@ def solve_state(system):
 def smallest_eigenvalue(stiff, mass, tol=1e-10, maxit=500):
     """Smallest generalized eigenvalue of (stiff, mass) by inverse power."""
     sym, factor = _check_spd(stiff, "stiffness")
+    return _inverse_power(sym, factor, mass, tol, maxit)
+
+
+def _inverse_power(sym, factor, mass, tol=1e-10, maxit=500):
+    """Inverse power iteration against the banded factor of sym."""
     rng = np.random.default_rng(0)
     y = rng.standard_normal(sym.shape[0])
     y /= math.sqrt(y @ mass @ y)
     lam = y @ sym @ y
     for _ in range(maxit):
-        z = sla.cho_solve(factor, mass @ y)
+        z = sla.cho_solve_banded(factor, mass @ y)
         z /= math.sqrt(z @ mass @ z)
         lam_new = z @ sym @ z
         y = z
@@ -298,7 +353,7 @@ def poincare_constant(kernel, nu, mesh):
         system = assemble_local(1.0, 0.0, mesh)
     else:
         system = assemble(kernel, nu, 1.0, 0.0, mesh)
-    lam = smallest_eigenvalue(system.stiffness, system.mass)
+    lam = _inverse_power(system.stiffness, system.factor, system.mass)
     if lam <= 0.0:
         raise AssemblyError("nonpositive smallest eigenvalue %.3e "
                             "violates coercivity" % lam)

@@ -361,6 +361,8 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "sin_gap=" in proc.stdout
     assert (tmp_path / "appendix.csv").exists()
+    # the package must not import cli before runpy executes it
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_floats_echo_with_full_precision(tmp_path, monkeypatch, capsys):

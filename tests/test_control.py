@@ -90,6 +90,38 @@ def test_adjoint_matches_explicit_transpose_solve():
     assert p == pytest.approx(oracle, rel=1e-10)
 
 
+def test_coupling_stencils_match_the_dense_matrix():
+    mesh = F.Mesh1D(1.0, 13)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(13)
+    p = rng.standard_normal(12)
+    coup = C._coupling_matrix(mesh)
+    assert C._couple(mesh, g) == pytest.approx(coup @ g, rel=1e-15,
+                                               abs=1e-16)
+    assert C._couple_t(mesh, p) == pytest.approx(coup.T @ p, rel=1e-15,
+                                                 abs=1e-16)
+
+
+def test_control_solves_reuse_one_factor_per_system(factor_count):
+    mesh = F.Mesh1D(1.0, 16)
+    prob = ball_problem(mesh)
+    triple = C.solve_optimal(prob, tol=1e-10, max_iter=2000)
+    assert triple.iterations > 3
+    assert len(factor_count) == 1
+    system = F.assemble(prob.kernel, 1, 1.0, 0.0, mesh)
+    assert len(factor_count) == 2
+    p = C.solve_adjoint(system, triple.u, prob)
+    assert len(factor_count) == 2
+    assert p == pytest.approx(triple.p, rel=1e-10, abs=1e-14)
+
+
+def test_nonfinite_target_is_rejected_before_iterating():
+    mesh = F.Mesh1D(1.0, 8)
+    prob = ball_problem(mesh, u_des=lambda x: np.full(np.shape(x), np.nan))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        C.solve_optimal(prob)
+
+
 def test_objective_zeros_and_hand_value():
     mesh = F.Mesh1D(1.0, 2)
     prob = C.ControlProblem(mesh=mesh, lam_reg=0.8, u_des=0.0)
@@ -130,8 +162,8 @@ def test_inactive_bounds_match_the_dense_kkt_solve():
     stiff = 0.5 * (system.stiffness + system.stiffness.T)
     coup = C._coupling_matrix(mesh)
     xq, wq = C._cell_quad(mesh)
-    target = C._hat_pairing(mesh, u_des_parabola(xq), wq)
-    gamma_int = np.diag(C._as_xfn(prob.gamma)(xq) @ wq)
+    target = F._hat_pairing(mesh, u_des_parabola(xq), wq)
+    gamma_int = np.diag(F._as_fn(prob.gamma)(xq) @ wq)
     ni, n = 15, 16
     zero = np.zeros
     kkt = np.block([

@@ -262,6 +262,116 @@ def test_local_solution_is_nodally_exact_for_constant_load():
     assert np.abs(u - 0.5 * x * (1.0 - x)).max() <= 1e-13
 
 
+def test_load_vector_matches_the_scatter_formula():
+    # reference: the per-cell sums scattered into the nodes with add.at
+    mesh = F.Mesh1D(1.0, 37)
+    for f in (1.0, lambda x: np.sin(3.0 * x) + x ** 2):
+        gx, gw = np.polynomial.legendre.leggauss(8)
+        s = 0.5 * (gx + 1.0)
+        xq = mesh.nodes[:-1][:, None] + mesh.h * s[None, :]
+        wq = 0.5 * mesh.h * gw[None, :]
+        fv = F._as_fn(f)(xq)
+        right = np.sum(wq * fv * s[None, :], axis=1)
+        left = np.sum(wq * fv * (1.0 - s[None, :]), axis=1)
+        want = np.zeros(mesh.n_cells + 1)
+        np.add.at(want, np.arange(mesh.n_cells) + 1, right)
+        np.add.at(want, np.arange(mesh.n_cells), left)
+        assert np.array_equal(F._load_vector(f, mesh), want[1:-1])
+
+
+# local operator, constant ball, singular profile, variable A, and a
+# horizon wider than the domain (the window clamps to every interior hat)
+BANDED_CASES = {
+    "local": (None, 1.0, 16),
+    "ball0.2": (BALL02, 1.0, 16),
+    "riesz": (K.riesz_truncated(1, 0.5), 1.0, 13),
+    "ball0.2_one_plus_x": (BALL02, lambda x: 1.0 + x, 16),
+    "ball2": (K.rescaled(K.constant_ball(), 2.0), 1.0, 8),
+}
+
+
+def banded_case(name):
+    kern, a_fn, n = BANDED_CASES[name]
+    mesh = F.Mesh1D(1.0, n)
+    f = lambda x: np.cos(2.0 * x) + 0.5  # noqa: E731
+    if kern is None:
+        return F.assemble_local(a_fn, f, mesh), 2
+    width = F._window_width(mesh, K.support(kern)[1])
+    return F.assemble(kern, 1, a_fn, f, mesh), width
+
+
+@pytest.mark.parametrize("name", list(BANDED_CASES))
+def test_banded_solve_matches_the_dense_solve(name):
+    system, width = banded_case(name)
+    want = np.linalg.solve(system.stiffness, system.load)
+    got = F.solve_state(system)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", list(BANDED_CASES))
+def test_detected_bandwidth_is_tight_and_inside_the_window(name):
+    system, width = banded_case(name)
+    bw = system.factor[0].shape[0] - 1
+    assert bw <= width - 1
+    assert not np.triu(system.stiffness, bw + 1).any()
+    assert np.diagonal(system.stiffness, bw).any()
+    if name == "ball2":
+        assert bw == system.stiffness.shape[0] - 1
+
+
+def test_solve_state_factors_once(factor_count):
+    system, _ = banded_case("ball0.2")
+    assert len(factor_count) == 1
+    F.solve_state(system)
+    F.solve_state(system)
+    assert len(factor_count) == 1
+
+
+def test_hand_built_system_factors_on_first_use(factor_count):
+    system, _ = banded_case("ball0.2_one_plus_x")
+    del factor_count[:]
+    built = F.FemSystem(system.stiffness.copy(), system.mass, system.load)
+    assert len(factor_count) == 0
+    u = F.solve_state(built)
+    assert np.array_equal(F.solve_state(built), u)
+    assert len(factor_count) == 1
+    assert np.array_equal(u, F.solve_state(system))
+
+
+@pytest.mark.parametrize("kern", [None, BALL02], ids=["local", "ball0.2"])
+def test_poincare_constant_factors_once(factor_count, kern):
+    mesh = F.Mesh1D(1.0, 16)
+    cp = F.poincare_constant(kern, 1, mesh)
+    assert len(factor_count) == 1
+    # the refactoring path gives the same eigenvalue bit for bit
+    if kern is None:
+        system = F.assemble_local(1.0, 0.0, mesh)
+    else:
+        system = F.assemble(kern, 1, 1.0, 0.0, mesh)
+    lam = F.smallest_eigenvalue(system.stiffness, system.mass)
+    assert cp == lam ** -0.5
+
+
+def test_nonsymmetric_system_is_rejected():
+    stiff = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    system = F.FemSystem(stiff, np.eye(3), np.ones(3))
+    with pytest.raises(F.AssemblyError, match="not symmetric"):
+        F.solve_state(system)
+
+
+def test_indefinite_banded_system_reports_its_smallest_eigenvalue():
+    # tridiag(2, 1, 2) has eigenvalues 1 + 4 cos(k pi / 6), k = 1..5
+    n = 5
+    stiff = (np.eye(n) + np.diag(np.full(n - 1, 2.0), 1)
+             + np.diag(np.full(n - 1, 2.0), -1))
+    system = F.FemSystem(stiff, np.eye(n), np.ones(n))
+    lowest = 1.0 - 4.0 * math.cos(math.pi / 6.0)
+    with pytest.raises(F.AssemblyError,
+                       match="not positive definite") as info:
+        F.solve_state(system)
+    assert "smallest eigenvalue %.3e" % lowest in str(info.value)
+
+
 def test_smallest_eigenvalue_matches_local_closed_form():
     # generalized eigenvalue of (tridiag(-1,2,-1)/h, mass): the lowest
     # mode is lam_h = 6 (1 - cos(pi h)) / (h^2 (2 + cos(pi h)))
