@@ -102,7 +102,7 @@ class Config:
             self.resolved[key] = str(value)
         return value
 
-    def get_float(self, key, default=None, required=False):
+    def get_float(self, key, default=None, required=False, allow_inf=False):
         raw = self.get(key, default, required)
         if raw is None:
             return None
@@ -110,6 +110,7 @@ class Config:
             value = float(raw)
         except (TypeError, ValueError):
             raise CliError("key %s expects a number, got %r" % (key, raw))
+        _check_finite(key, (value,), allow_inf)
         self.resolved[key] = _fmt(value)
         return value
 
@@ -133,6 +134,7 @@ class Config:
         except ValueError:
             raise CliError("key %s expects comma-separated numbers, got %r"
                            % (key, raw))
+        _check_finite(key, values)
         self.resolved[key] = ",".join(_fmt(v) for v in values)
         return values
 
@@ -142,6 +144,14 @@ class Config:
             raise CliError("key %s must be one of %s, got %r"
                            % (key, "/".join(sorted(choices)), value))
         return value
+
+
+def _check_finite(key, values, allow_inf=False):
+    """NaN is never a setting; an infinity only where a key allows one."""
+    for value in values:
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            raise CliError("key %s expects finite numbers, got %s"
+                           % (key, _fmt(value)))
 
 
 def _echo_lines(cfg):
@@ -483,8 +493,9 @@ def _cmd_control(cfg):
     tol = cfg.get_float("tol", 1e-8)
     max_iter = cfg.get_int("max_iter", 500)
     lam = cfg.get_float("lam", 0.01)
-    alpha = cfg.get_float("alpha", -1.0)
-    beta = cfg.get_float("beta", 1.0)
+    # infinite box bounds leave the control unconstrained
+    alpha = cfg.get_float("alpha", -1.0, allow_inf=True)
+    beta = cfg.get_float("beta", 1.0, allow_inf=True)
     raw_gamma = cfg.get("gamma", "const:1")
     if not raw_gamma.startswith("const:"):
         raise CliError("gamma supports const:<number> only")

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem1d as _fem
-from .experiments import _l2_error, parallel_map
+from .experiments import _diagonal, _l2_error, parallel_map
 from .fem1d import _GS, _GW, _GX, _as_fn, _hat_pairing
 
 # the acceptance suite's KKT oracle reads the helper under this name
@@ -326,11 +326,7 @@ class ControlSweepTable:
     rows: tuple
 
     def diagonal(self):
-        params = list(dict.fromkeys(r[0] for r in self.rows))
-        hs = list(dict.fromkeys(r[1] for r in self.rows))
-        m = min(len(params), len(hs))
-        cells = {(r[0], r[1]): r for r in self.rows}
-        return [cells[params[k], hs[k]] for k in range(m)]
+        return _diagonal(self.rows)
 
 
 def control_ac_sweep(make_problem, params, hs, length=1.0, reference_h=None,

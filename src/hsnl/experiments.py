@@ -34,11 +34,15 @@ class RateTable:
         return [r[2] for r in self.rows if r[0] == param]
 
     def diagonal(self):
-        params = list(dict.fromkeys(r[0] for r in self.rows))
-        hs = list(dict.fromkeys(r[1] for r in self.rows))
-        m = min(len(params), len(hs))
-        cells = {(r[0], r[1]): r[2] for r in self.rows}
-        return [(params[k], hs[k], cells[params[k], hs[k]]) for k in range(m)]
+        return _diagonal(self.rows)
+
+
+def _diagonal(rows):
+    """The rows pairing the k-th parameter with the k-th h, in grid order."""
+    params = list(dict.fromkeys(r[0] for r in rows))
+    hs = list(dict.fromkeys(r[1] for r in rows))
+    cells = {(r[0], r[1]): r for r in rows}
+    return [cells[key] for key in zip(params, hs)]
 
 
 @dataclass(frozen=True)
@@ -165,15 +169,15 @@ def parallel_map(fn, items):
 
 
 def _l2_error(u_fn, ref_fn, length, n_cells):
-    # 8-point Gauss per cell; exact for piecewise polynomials up to
-    # degree 7 on cells aligned with both functions
-    gx, gw = np.polynomial.legendre.leggauss(8)
+    # the 8-point Gauss rule of fem1d per cell; exact for piecewise
+    # polynomials up to degree 7 on cells aligned with both functions
     nodes = np.linspace(0.0, length, n_cells + 1)
     h = length / n_cells
-    xq = nodes[:-1, None] + 0.5 * h * (gx[None, :] + 1.0)
+    xq = nodes[:-1, None] + 0.5 * h * (_fem._GX[None, :] + 1.0)
     diff = np.asarray(u_fn(xq), dtype=float) - np.asarray(ref_fn(xq),
                                                           dtype=float)
-    return float(math.sqrt(0.5 * h * np.sum(gw[None, :] * diff * diff)))
+    weighted = _fem._GW[None, :] * diff * diff
+    return float(math.sqrt(0.5 * h * np.sum(weighted)))
 
 
 def _reference(config):

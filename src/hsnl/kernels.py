@@ -21,10 +21,11 @@ Families:
                        range defines the support (no extrapolation)
 
 The radial profiles are piecewise analytic (powers, linear-in-log-r
-segments, or the log_regularized shape), so all moment integrals are done
-with closed-form antiderivatives rather than quadrature.  Integrals that
-diverge are reported as math.inf, which callers can tell apart from a
-numerical failure.
+segments, or the log_regularized shape).  Each piece kind has one
+vectorized antiderivative of r^q * profile and one divergence rule, and
+every moment integral (batched, memoized or as an antiderivative) is built
+on them, never on quadrature; tests/kernel_oracle.py keeps scalar closed
+forms to check them against.  Divergent integrals are math.inf.
 
 Kernels are immutable; every operation is a pure function of its inputs.
 """
@@ -34,6 +35,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._quad import BLOCK_ENTRIES
 
 _DELTA_LADDER = (0.2, 0.1, 0.05, 0.025)
 _MOMENT_RADII = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -191,14 +194,10 @@ def tabulated(d, radii, values):
 # ---------------------------------------------------------------------------
 
 def _scale_piece(piece, factor):
-    kind, a, b = piece[0], piece[1], piece[2]
-    if kind == "pow":
-        return ("pow", a, b, piece[3] * factor, piece[4])
-    if kind == "loglin":
-        return ("loglin", a, b, piece[3] * factor, piece[4] * factor)
-    if kind == "logreg":
-        return ("logreg", a, b, piece[3] * factor, piece[4], piece[5])
-    raise ValueError(kind)
+    # the coefficient, and for loglin pieces both u and v, take the factor
+    kind, a, b, x, y = piece[:5]
+    y = y * factor if kind == "loglin" else y
+    return (kind, a, b, x * factor, y) + piece[5:]
 
 
 def _min_level_pieces(pieces, n):
@@ -358,160 +357,68 @@ def eval(kernel, r):
             out[...] = _eval_piece(piece, arr)
         elif mask.any():
             out[mask] = _eval_piece(piece, arr[mask])
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# Closed-form integrals int_a^b r^q * profile(r) dr.
+# Closed-form integrals int_a^b r^q * profile(r) dr, all built on one
+# antiderivative (_primitive) and one divergence rule (_divergent_ends) per
+# piece kind.  A scalar q stays a scalar, so t ** (p + q + 1) takes NumPy's
+# scalar-exponent path in every caller that passes one.
 # ---------------------------------------------------------------------------
 
-def _pow_primitive(c, e, t):
-    """Antiderivative of c * t^e at t (e is the combined exponent)."""
-    if e == -1.0:
-        return c * math.log(t)
-    return c * t ** (e + 1.0) / (e + 1.0)
-
-
-def _int_pow(c, p, q, a, b):
-    e = p + q
-    if (a == 0.0 and e + 1.0 <= 0.0) or (b == math.inf and e + 1.0 >= 0.0):
-        if c == 0.0:
-            return 0.0
-        return math.inf if c > 0.0 else -math.inf
-    hi = _pow_primitive(c, e, b) if b < math.inf else 0.0
-    lo = _pow_primitive(c, e, a) if a > 0.0 else 0.0
-    return hi - lo
-
-
-def _loglin_primitive(u, v, q, t):
-    # antiderivative of t^q (u + v log t), valid for q != -1
-    s = t ** (q + 1.0) / (q + 1.0)
-    return u * s + v * s * (math.log(t) - 1.0 / (q + 1.0))
-
-
-def _int_loglin(u, v, q, a, b):
-    if q == -1.0:
-        lb, la = math.log(b), math.log(a)
-        return u * (lb - la) + v * (lb * lb - la * la) / 2.0
-    return _loglin_primitive(u, v, q, b) - _loglin_primitive(u, v, q, a)
-
-
-def _logreg_primitive(m, dl, dd, t):
-    """Antiderivative of t^m (t+dl)^{-dd} for integer m >= -1, t > 0."""
-    if m >= 0:
-        total = 0.0
-        for j in range(m + 1):
-            cj = math.comb(m, j) * (-dl) ** (m - j)
-            e = j - dd + 1
-            if e == 0:
-                total += cj * math.log(t + dl)
-            else:
-                total += cj * (t + dl) ** e / e
-        return total
-    if dd == 1:
-        return math.log(t / (t + dl)) / dl
-    if dd == 2:
-        return math.log(t / (t + dl)) / dl ** 2 + 1.0 / (dl * (t + dl))
-    if dd == 3:
-        return (math.log(t / (t + dl)) / dl ** 3 + 1.0 / (dl ** 2 * (t + dl))
-                + 1.0 / (2.0 * dl * (t + dl) ** 2))
-    raise ValueError("log_regularized antiderivative needs d in {1,2,3}")
-
-
-def _logreg_series_int(m, dl, dd, a, b):
-    """int_a^b t^m (t+dl)^{-dd} dt for b well below dl, via a series in t/dl.
-
-    The binomial primitive in (t+dl) cancels catastrophically when the
-    interval sits far inside (0, dl); expanding (1 + t/dl)^{-dd} instead
-    keeps every term at the scale of the result.
-    """
-    pref = dl ** float(-dd)
-    coeff = 1.0
-    pb = b ** (m + 1.0)
-    pa = a ** (m + 1.0) if a > 0.0 else 0.0
-    xb = b / dl
-    xa = a / dl
-    total = 0.0
-    for j in range(600):
-        e = m + 1 + j
-        if e == 0:
-            term = pref * coeff * math.log(b / a)
-        else:
-            term = pref * coeff * (pb - pa) / e
-        total += term
-        if j > 3 and abs(term) <= 1e-17 * abs(total):
-            break
-        coeff *= -(dd + j) / (j + 1.0)
-        pb *= xb
-        pa *= xa
-    return total
-
-
-def _int_logreg(coeff, dl, dd, q, a, b):
-    m = q - 1
-    if abs(m - round(m)) > 1e-12:
-        raise ValueError("log_regularized integrals need integer exponents")
-    m = int(round(m))
-    if a == 0.0 and m <= -1:
-        return math.inf
-    if b == math.inf and m - dd + 1 >= 0:
-        return math.inf
-    split = 0.9 * dl
-    if a < split < b:
-        return (_int_logreg(coeff, dl, dd, q, a, split)
-                + _int_logreg(coeff, dl, dd, q, split, b))
-    if b <= split:
-        return coeff * _logreg_series_int(m, dl, dd, a, b)
-    # for m >= 0 the primitive only involves powers and logs of (t + dl),
-    # so it is continuous at t = 0 and vanishes as t -> inf when convergent
-    a_val = _logreg_primitive(m, dl, dd, a)
-    b_val = 0.0 if b == math.inf else _logreg_primitive(m, dl, dd, b)
-    return coeff * (b_val - a_val)
-
-
-@functools.lru_cache(maxsize=262144)
-def radial_integral(kernel, a, b, q):
-    """Closed-form int_a^b r^q * profile(r) dr (math.inf when divergent).
-
-    Kernels are immutable and hashable, so results are memoized; symbol and
-    moment scans hit the same integrals thousands of times.
-    """
-    if a < 0 or b < a:
-        raise ValueError("need 0 <= a <= b")
-    if a == b:
-        return 0.0
-    total = 0.0
-    for piece in _pieces(kernel):
-        lo, hi = max(a, piece[1]), min(b, piece[2])
-        if lo >= hi:
-            continue
-        kind = piece[0]
+def _primitive(piece, q, t):
+    """Antiderivative of t^q * profile of one piece at t, elementwise."""
+    kind = piece[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "pow":
-            val = _int_pow(piece[3], piece[4], q, lo, hi)
-        elif kind == "loglin":
-            val = _int_loglin(piece[3], piece[4], q, lo, hi)
-        else:
-            val = _int_logreg(piece[3], piece[4], piece[5], q, lo, hi)
-        if math.isinf(val):
-            return math.inf
-        total += val
-    return total
+            c, ep1 = piece[3], piece[4] + q + 1.0
+            out = c * t ** ep1 / ep1
+            at_log = ep1 == 0.0
+            return np.where(at_log, c * np.log(t), out) \
+                if np.count_nonzero(at_log) else out
+        if kind == "loglin":
+            u, v, qp1 = piece[3], piece[4], q + 1.0
+            lt = np.log(t)
+            s = t ** qp1 / qp1
+            return np.where(qp1 == 0.0, u * lt + v * lt * lt / 2.0,
+                            u * s + v * s * (lt - 1.0 / qp1))
+        return piece[3] * _logreg_primitive(_logreg_order(q), piece[4],
+                                            piece[5], t)
+
+
+def _divergent_ends(piece, q):
+    """Whether int t^q * profile of the piece diverges at 0 and at inf.
+
+    Where it converges, the primitive tends to 0 at inf (and at 0 for pow).
+    """
+    if piece[0] == "logreg":
+        m = _logreg_order(q)
+        return m <= -1, m - piece[5] + 1 >= 0
+    ep1 = piece[4] + q + 1.0 if piece[0] == "pow" else q + 1.0
+    return ep1 <= 0.0, ep1 >= 0.0
+
+
+def _logreg_order(q):
+    """The integer m = q - 1 >= -1 of t^m (t + dl)^{-dd}; raises otherwise."""
+    m = np.asarray(q, dtype=float) - 1.0
+    if np.any((np.abs(m - np.round(m)) > 1e-12) | (m < -1.5)):
+        raise ValueError("log_regularized integrals need integers q >= 0")
+    return np.round(m).astype(int)
 
 
 def _radial_integrals(kernel, a, b, q):
-    """radial_integral elementwise over broadcast arrays a, b and q.
+    """int_a^b r^q profile(r) dr elementwise over broadcast a, b and q.
 
-    Each piece adds the closed form radial_integral uses, on the entries
-    whose interval meets it, in piece order; divergent entries are
-    math.inf.  Values agree with radial_integral to roundoff (NumPy's
-    vectorized pow and log are not always correctly rounded).  Nothing is
-    memoized, so batched callers never fill the radial_integral cache.
+    Each piece adds primitive(hi) - primitive(lo) where the interval meets
+    it, in piece order; divergent entries are math.inf.  An entry's value
+    does not depend on the rest of the batch.  Nothing is memoized.
     """
-    a, b, q = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                  np.asarray(b, dtype=float),
-                                  np.asarray(q, dtype=float))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    q = np.asarray(q, dtype=float)
+    if q.ndim:
+        a, b, q = np.broadcast_arrays(a, b, q)
     total = np.zeros(a.shape)
     diverged = np.zeros(a.shape, dtype=bool)
     with np.errstate(all="ignore"):
@@ -520,229 +427,123 @@ def _radial_integrals(kernel, a, b, q):
             meets = lo < hi
             if not meets.any():
                 continue
-            lo, hi, qm = lo[meets], hi[meets], q[meets]
-            kind = piece[0]
-            if kind == "pow":
-                val = _int_pow_vec(piece[3], piece[4], qm, lo, hi)
-            elif kind == "loglin":
-                val = _int_loglin_vec(piece[3], piece[4], qm, lo, hi)
+            lo, hi = lo[meets], hi[meets]
+            qm = q[meets] if q.ndim else q
+            at0, at_inf = _divergent_ends(piece, qm)
+            diverged[meets] |= (lo == 0.0) & at0 | (hi == math.inf) & at_inf
+            if piece[0] == "logreg":
+                total[meets] += _logreg_integrals(piece, qm, lo, hi)
             else:
-                val = _int_logreg_vec(piece[3], piece[4], piece[5], qm,
-                                      lo, hi)
-            diverged[meets] |= np.isinf(val)
-            total[meets] += val
+                total[meets] += (
+                    np.where(hi < math.inf, _primitive(piece, qm, hi), 0.0)
+                    - np.where(lo > 0.0, _primitive(piece, qm, lo), 0.0))
     total[diverged] = math.inf
     return total
 
 
-def _int_pow_vec(c, p, q, a, b):
-    e = p + q
-    ep1 = e + 1.0
+@functools.lru_cache(maxsize=262144)
+def radial_integral(kernel, a, b, q):
+    """Closed-form int_a^b r^q profile(r) dr (math.inf when divergent).
 
-    def primitive(t):
-        return np.where(e == -1.0, c * np.log(t), c * t ** ep1 / ep1)
-
-    val = (np.where(b < math.inf, primitive(b), 0.0)
-           - np.where(a > 0.0, primitive(a), 0.0))
-    div = ((a == 0.0) & (ep1 <= 0.0)) | ((b == math.inf) & (ep1 >= 0.0))
-    return np.where(div, math.copysign(math.inf, c) if c else 0.0, val)
-
-
-def _int_loglin_vec(u, v, q, a, b):
-    la, lb = np.log(a), np.log(b)
-    qp1 = q + 1.0
-
-    def primitive(t, lt):
-        s = t ** qp1 / qp1
-        return u * s + v * s * (lt - 1.0 / qp1)
-
-    at_minus_one = u * (lb - la) + v * (lb * lb - la * la) / 2.0
-    return np.where(q == -1.0, at_minus_one,
-                    primitive(b, lb) - primitive(a, la))
+    _radial_integrals on one interval, memoized: kernels are immutable and
+    hashable, and moment scans hit the same integrals many times.
+    """
+    if a < 0 or b < a:
+        raise ValueError("need 0 <= a <= b")
+    if a == b:
+        return 0.0
+    return float(_radial_integrals(kernel, [a], [b], q)[0])
 
 
-def _int_logreg_vec(coeff, dl, dd, q, a, b):
-    """_int_logreg per entry: the series below 0.9 dl, the primitive above."""
-    m = q - 1.0
-    if np.any(np.abs(m - np.round(m)) > 1e-12):
-        raise ValueError("log_regularized integrals need integer exponents")
-    m = np.round(m).astype(int)
+def _logreg_integrals(piece, q, a, b):
+    """A logreg piece's integrals: series below 0.9 dl, primitive above."""
+    coeff, dl, dd = piece[3], piece[4], piece[5]
+    m = np.broadcast_to(_logreg_order(q), a.shape)
     split = 0.9 * dl
-    out = np.zeros(m.shape)
+    out = np.zeros(a.shape)
     series = np.flatnonzero(a < split)
     if series.size:
-        top = np.minimum(b[series], split)
+        ms, top = m[series], np.minimum(b[series], split)
         # every interval reaching past the split shares its head (0, split)
-        head = (a[series] == 0.0) & (top == split) & (m[series] >= 0)
-        for mk in np.unique(m[series][head]):
-            out[series[head & (m[series] == mk)]] = _logreg_head(int(mk), dl,
-                                                                 dd)
+        head = (a[series] == 0.0) & (top == split) & (ms >= 0)
+        for mk in np.unique(ms[head]):
+            out[series[head & (ms == mk)]] = _logreg_head(int(mk), dl, dd)
         rest = series[~head]
         if rest.size:
-            out[rest] = _logreg_series_vec(m[rest], dl, dd, a[rest],
-                                           top[~head])
+            out[rest] = _logreg_series(ms[~head], dl, dd, a[rest], top[~head])
         out[series] *= coeff
     closed = np.maximum(a, split) < b
     if closed.any():
         lo, hi, mc = np.maximum(a[closed], split), b[closed], m[closed]
         b_val = np.where(hi == math.inf, 0.0,
-                         _logreg_primitive_vec(mc, dl, dd, hi))
-        val = b_val - _logreg_primitive_vec(mc, dl, dd, lo)
+                         _logreg_primitive(mc, dl, dd, hi))
+        val = b_val - _logreg_primitive(mc, dl, dd, lo)
         out[closed] = out[closed] + coeff * val
-    div = ((a == 0.0) & (m <= -1)) | ((b == math.inf) & (m - dd + 1 >= 0))
-    out[div] = math.inf
     return out
 
 
 @functools.lru_cache(maxsize=1024)
 def _logreg_head(m, dl, dd):
     """int_0^{0.9 dl} t^m (t+dl)^{-dd} dt, shared by every long interval."""
-    return _logreg_series_int(m, dl, dd, 0.0, 0.9 * dl)
+    return float(_logreg_series(np.array([m]), dl, dd, np.zeros(1),
+                                np.array([0.9 * dl]))[0])
 
 
-def _logreg_series_vec(m, dl, dd, a, b):
-    """_logreg_series_int per entry, with the same stopping rule.
+_SERIES_TERMS = 600
 
-    An entry stops after the first term past j = 3 below 1e-17 of its sum
-    and then leaves the working arrays, so the loop costs what its slowest
-    entry needs on a shrinking set.
+
+def _logreg_series(m, dl, dd, a, b):
+    """int_a^b t^m (t+dl)^{-dd} dt per entry, for b <= 0.9 dl.
+
+    Term j of the expansion of (1 + t/dl)^{-dd} is
+    dl^{-dd} c_j (b^e - a^e) / e with e = m + 1 + j (log(b/a) at e = 0).
+    An entry stops after the first term past j = 3 below 1e-17 of its sum.
+    Running entries take blocks of terms whose cumulative products and sums
+    start from the carried powers and sum: the operations of a term-by-term
+    loop, whatever the batch.
     """
     out = np.empty(m.shape)
     idx = np.arange(m.size)
-    pref = dl ** float(-dd)
-    coeff = 1.0
-    pb = b ** (m + 1.0)
-    pa = np.where(a > 0.0, a ** (m + 1.0), 0.0)
-    xb, xa = b / dl, a / dl
-    log_ba = np.log(b / a)
+    # c_{j+1} = c_j * (-(dd + j) / (j + 1)), as a running product
+    j = np.arange(_SERIES_TERMS - 1)
+    scaled = dl ** float(-dd) * np.cumprod(np.append(1.0, -(dd + j)
+                                                     / (j + 1.0)))
+    # b^e and a^e (0 when a = 0) at the next term, and their ratios
+    pows = np.stack([b ** (m + 1.0), np.where(a > 0.0, a ** (m + 1.0), 0.0)])
+    ratios = np.stack([b, a]) / dl
+    ratio = b / a  # overflows when a is subnormal
+    log_ba = np.where(np.isinf(ratio) & (a > 0.0), np.log(b) - np.log(a),
+                      np.log(ratio))
     total = np.zeros(m.shape)
-    for j in range(600):
-        e = m + 1 + j
-        term = np.where(e == 0, pref * coeff * log_ba,
-                        pref * coeff * (pb - pa) / e)
-        total = total + term
-        if j > 3:
-            done = np.abs(term) <= 1e-17 * np.abs(total)
-            if done.any():
-                out[idx[done]] = total[done]
-                keep = ~done
-                if not keep.any():
-                    return out
-                idx, m, pb, pa, xb, xa, log_ba, total = (
-                    arr[keep] for arr in (idx, m, pb, pa, xb, xa, log_ba,
-                                          total))
-        coeff *= -(dd + j) / (j + 1.0)
-        pb = pb * xb
-        pa = pa * xa
+    width = min(128, max(4, BLOCK_ENTRIES // m.size))
+    for j0 in range(0, _SERIES_TERMS, width):
+        js = np.arange(j0, min(j0 + width, _SERIES_TERMS))
+        steps = np.broadcast_to(ratios[:, :, None], (2, idx.size, js.size - 1))
+        chain = np.cumprod(np.concatenate([pows[:, :, None], steps], axis=2),
+                           axis=2)
+        e = m[:, None] + 1 + js
+        terms = np.where(e == 0, scaled[js] * log_ba[:, None],
+                         scaled[js] * (chain[0] - chain[1]) / e)
+        sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
+        stop = (np.abs(terms) <= 1e-17 * np.abs(sums)) & (js > 3)
+        done = stop.any(axis=1)
+        out[idx[done]] = sums[done, np.argmax(stop[done], axis=1)]
+        keep = ~done
+        if not keep.any():
+            return out
+        idx, m, log_ba = idx[keep], m[keep], log_ba[keep]
+        total, ratios = sums[keep, -1], ratios[:, keep]
+        pows = chain[:, keep, -1] * ratios
     out[idx] = total
     return out
 
 
-def radial_antideriv(kernel, q):
-    """Vectorized H with H(y) - H(x) = int_x^y r^q profile dr, plus H(inf).
+def _logreg_primitive(m, dl, dd, t):
+    """Antiderivative of t^m (t+dl)^{-dd} for integer m >= -1 (int or array).
 
-    Returns (H, H_inf) where H maps an ndarray of radii to antiderivative
-    values (up to an arbitrary global constant; only differences carry
-    meaning) and H_inf is the value at infinity, or math.inf when the tail
-    integral diverges.  H(0) is -inf when the integrand is not integrable
-    at the origin.
+    It cancels catastrophically far inside (0, dl), where the integrals
+    take the series instead.
     """
-    pieces = _pieces(kernel)
-
-    def piece_F(piece):
-        kind = piece[0]
-        if kind == "pow":
-            c, p = piece[3], piece[4]
-            e = p + q
-            if e == -1.0:
-                return lambda t: c * np.log(t)
-            return lambda t: c * t ** (e + 1.0) / (e + 1.0)
-        if kind == "loglin":
-            u, v = piece[3], piece[4]
-            if q == -1.0:
-                return lambda t: u * np.log(t) + v * np.log(t) ** 2 / 2.0
-            s = q + 1.0
-            return lambda t: t ** s / s * (u + v * (np.log(t) - 1.0 / s))
-        c, dl, dd = piece[3], piece[4], piece[5]
-        m = int(round(q - 1))
-        return lambda t: c * _logreg_primitive_vec(m, dl, dd, t)
-
-    funcs = [piece_F(p) for p in pieces]
-    starts = np.array([p[1] for p in pieces])
-    last_b = pieces[-1][2]
-
-    def f_at(i, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(funcs[i](np.asarray(t, dtype=float)))
-
-    # continuity constants; anchor the global constant at an interior point
-    # of the first piece when the integral diverges at the lower edge
-    consts = [0.0] * len(pieces)
-    a0, b0 = pieces[0][1], pieces[0][2]
-    lim0 = _limit_at_zero(pieces[0], q) if a0 == 0.0 else f_at(0, a0)
-    if lim0 == -math.inf:
-        anchor = b0 if b0 < math.inf else max(2.0 * a0, 1.0)
-        consts[0] = -f_at(0, anchor)
-    else:
-        consts[0] = -lim0
-    for i in range(len(pieces) - 1):
-        e = pieces[i][2]
-        consts[i + 1] = consts[i] + f_at(i, e) - f_at(i + 1, e)
-    if last_b == math.inf:
-        tail_lim = _limit_at_inf(pieces[-1], q)
-        h_inf = math.inf if tail_lim == math.inf else consts[-1] + tail_lim
-        h_top = h_inf
-    else:
-        h_top = consts[-1] + f_at(len(pieces) - 1, last_b)
-        h_inf = h_top
-
-    def H(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        idx = np.clip(np.searchsorted(starts, x, side="right") - 1,
-                      0, len(funcs) - 1)
-        with np.errstate(divide="ignore"):
-            for i, f in enumerate(funcs):
-                m = idx == i
-                if np.any(m):
-                    out[m] = f(x[m]) + consts[i]
-        if starts[0] > 0.0:
-            out[x <= starts[0]] = 0.0
-        if last_b < math.inf:
-            out[x >= last_b] = h_top
-        return out
-
-    return H, h_inf
-
-
-def _limit_at_zero(piece, q):
-    """Limit of the piece antiderivative of t^q * profile at t -> 0+."""
-    kind = piece[0]
-    if kind == "pow":
-        e = piece[4] + q
-        return 0.0 if e + 1.0 > 0.0 else -math.inf
-    if kind == "logreg":
-        m = int(round(q - 1))
-        if m <= -1:
-            return -math.inf
-        return piece[3] * _logreg_primitive(m, piece[4], piece[5], 0.0)
-    return 0.0  # loglin pieces never start at 0
-
-
-def _limit_at_inf(piece, q):
-    """Limit of the piece antiderivative at t -> inf (math.inf if divergent)."""
-    kind = piece[0]
-    if kind == "pow":
-        e = piece[4] + q
-        return math.inf if e + 1.0 >= 0.0 else 0.0
-    if kind == "logreg":
-        m = int(round(q - 1))
-        return math.inf if m - piece[5] + 1 >= 0 else 0.0
-    raise ValueError("unbounded support requires a power or logreg tail")
-
-
-def _logreg_primitive_vec(m, dl, dd, t):
-    """_logreg_primitive elementwise; m is an int or an int array like t."""
     t = np.asarray(t, dtype=float)
     shape = t.shape
     t = t.ravel()
@@ -750,22 +551,19 @@ def _logreg_primitive_vec(m, dl, dd, t):
     out = np.empty(t.shape)
     low = m < 0
     if low.any():
+        # log(t/(t+dl)) / dl^dd + sum_{0<k<dd} 1 / (k dl^(dd-k) (t+dl)^k)
         tl = t[low]
-        if dd == 1:
-            out[low] = np.log(tl / (tl + dl)) / dl
-        elif dd == 2:
-            out[low] = np.log(tl / (tl + dl)) / dl ** 2 + 1.0 / (dl * (tl + dl))
-        else:
-            out[low] = (np.log(tl / (tl + dl)) / dl ** 3
-                        + 1.0 / (dl ** 2 * (tl + dl))
-                        + 1.0 / (2.0 * dl * (tl + dl) ** 2))
+        acc = np.log(tl / (tl + dl)) / dl ** dd
+        for k in range(1, dd):
+            acc = acc + 1.0 / (k * dl ** (dd - k) * (tl + dl) ** k)
+        out[low] = acc
     high = ~low
     if high.any():
         th, mh = t[high], m[high]
         top = int(mh.max())
         binom = _logreg_binomials(top, dl)
         total = np.zeros(th.shape)
-        # j runs in the order of the scalar sum; entries with m < j add 0
+        # j runs in the order of the binomial sum; entries with m < j add 0
         for j in range(top + 1):
             e = j - dd + 1
             cj = binom[mh, j]
@@ -786,6 +584,56 @@ def _logreg_binomials(top, dl):
             table[m, j] = math.comb(m, j) * (-dl) ** (m - j)
     table.flags.writeable = False  # shared by every caller of the cache
     return table
+
+
+def radial_antideriv(kernel, q):
+    """Vectorized H with H(y) - H(x) = int_x^y r^q profile dr, plus H(inf).
+
+    Returns (H, H_inf) where H maps an ndarray of radii to antiderivative
+    values (up to an arbitrary global constant; only differences carry
+    meaning) and H_inf is the value at infinity, or math.inf when the tail
+    integral diverges.  H(0) is -inf when the integrand is not integrable
+    at the origin.
+    """
+    pieces = _pieces(kernel)
+    starts = np.array([p[1] for p in pieces])
+    last_b = pieces[-1][2]
+
+    def f_at(i, t):
+        return float(_primitive(pieces[i], q, np.asarray(t, dtype=float)))
+
+    # continuity constants; H vanishes at the lower edge, or at an interior
+    # point of the first piece when the integral diverges at the origin
+    anchor, b0 = pieces[0][1], pieces[0][2]
+    if anchor == 0.0 and _divergent_ends(pieces[0], q)[0]:
+        anchor = b0 if b0 < math.inf else 1.0
+    consts = [-f_at(0, anchor)]
+    for i in range(len(pieces) - 1):
+        e = pieces[i][2]
+        consts.append(consts[i] + f_at(i, e) - f_at(i + 1, e))
+    if last_b < math.inf:
+        h_inf = consts[-1] + f_at(len(pieces) - 1, last_b)
+    elif _divergent_ends(pieces[-1], q)[1]:
+        h_inf = math.inf
+    else:
+        h_inf = consts[-1] + 0.0  # the primitive vanishes at infinity
+
+    def H(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        idx = np.clip(np.searchsorted(starts, x, side="right") - 1,
+                      0, len(pieces) - 1)
+        for i, piece in enumerate(pieces):
+            m = idx == i
+            if np.any(m):
+                out[m] = _primitive(piece, q, x[m]) + consts[i]
+        if starts[0] > 0.0:
+            out[x <= starts[0]] = 0.0
+        if last_b < math.inf:
+            out[x >= last_b] = h_inf
+        return out
+
+    return H, h_inf
 
 
 # ---------------------------------------------------------------------------
@@ -880,14 +728,9 @@ def normalize_first_moment(kernel):
 
 
 def _rebuild_with_delta(kernel, delta):
-    fam = kernel.family
-    if fam == "fractional_vanishing":
-        return Kernel(fam, kernel.d, (("delta", float(delta)),), kernel.c_norm)
-    if fam in ("log_regularized", "log_truncated"):
-        return Kernel(fam, kernel.d, (("delta", float(delta)),), kernel.c_norm)
-    if fam == "rescaled":
-        return Kernel(fam, kernel.d, (("delta", float(delta)),), kernel.c_norm,
-                      kernel.base)
+    if kernel.family in ("fractional_vanishing", "log_regularized",
+                         "log_truncated", "rescaled"):
+        return replace(kernel, params=(("delta", float(delta)),))
     return None
 
 

@@ -144,11 +144,14 @@ def _zones(kernel, c):
             r_exp = max(r_exp, min(hi, 6.0 * piece[4]))
         elif piece[0] == "loglin":
             r_exp = max(r_exp, piece[2])
-    z1 = np.minimum(min(hi, 1.0), 1.0 / (4.0 * c))
-    r_osc = np.minimum(hi, np.maximum(np.maximum(2.0 * z1,
-                                                 40.0 / (_TWO_PI * c)),
-                                      np.maximum(z1, r_exp)))
-    quarter = 1.0 / (4.0 * c)
+    # periods of subnormal frequencies overflow to inf; the support top or
+    # 1 clips them
+    with np.errstate(over="ignore"):
+        quarter = 1.0 / (4.0 * c)
+        z1 = np.minimum(min(hi, 1.0), quarter)
+        r_osc = np.minimum(hi, np.maximum(np.maximum(2.0 * z1,
+                                                     40.0 / (_TWO_PI * c)),
+                                          np.maximum(z1, r_exp)))
     return z1, r_osc, np.where(z1 < hi, np.ceil((r_osc - z1) / quarter), 0.0)
 
 

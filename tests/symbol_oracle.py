@@ -6,7 +6,7 @@ This is the one-frequency-at-a-time evaluation of
 
 that `hsnl.symbols._half_line_symbol` replaced: the same three zones
 (Taylor, quarter-period panels, integration-by-parts tail) with Python
-scalars and the memoized `kernels.radial_integral` for every moment.
+scalars and the scalar closed forms of `kernel_oracle` for every moment.
 """
 
 import cmath
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+import kernel_oracle
 from hsnl import kernels as _kern
 from hsnl._quad import panel_points
 
@@ -75,7 +76,7 @@ def half_line_symbol(kernel, c, power):
     iw = 1j * w
     for k in range(1, 80):
         coef *= iw / k
-        mk = _kern.radial_integral(kernel, 0.0, z1, power + k)
+        mk = kernel_oracle.radial_integral(kernel, 0.0, z1, power + k)
         term = coef * mk
         total += term
         if abs(term) <= 1e-17 * (1.0 + abs(total)) and k > 3:
@@ -111,7 +112,7 @@ def half_line_symbol(kernel, c, power):
         total += complex(np.sum(wt * vals))
 
     if hi > r_osc:
-        neg = _kern.radial_integral(kernel, r_osc, hi, power)
+        neg = kernel_oracle.radial_integral(kernel, r_osc, hi, power)
         total -= neg
         for coeff, p, a, b in tail_power_terms(pieces, r_osc):
             e = p + power

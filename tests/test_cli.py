@@ -74,6 +74,57 @@ def test_symbol_rejects_nonfinite_points(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "symbol.csv").exists()
 
 
+KERNEL_SUBCOMMANDS = ("symbol", "bounds", "localize", "solve", "poincare",
+                      "ac", "validate")
+FLOAT_KEYS = [(cmd, key) for cmd in KERNEL_SUBCOMMANDS
+              for key in ("kernel-delta", "kernel-s", "kernel-level",
+                          "kernel-cutoff")] + [
+    ("symbol", "xi-min"), ("symbol", "xi-max"), ("bounds", "xi-min"),
+    ("bounds", "xi-max"), ("bounds", "cutoff-radius"), ("bounds", "tau"),
+    ("localize", "deltas"), ("solve", "length"), ("poincare", "cap"),
+    ("poincare", "h"), ("poincare", "levels"), ("poincare", "deltas"),
+    ("poincare", "hs"), ("ac", "hs"), ("ac", "deltas"), ("ac", "levels"),
+    ("ac", "reference-h"), ("control", "delta"), ("control", "tol"),
+    ("control", "lam"), ("control", "alpha"), ("control", "beta"),
+    ("control", "udes-scale"), ("appendix", "deltas")]
+# what a subcommand needs before it reads the key
+KEY_CONTEXT = {"kernel-s": ["--kernel-family", "riesz_truncated"],
+               "cutoff-radius": ["--xi-count", "2"],
+               "tau": ["--xi-count", "2"]}
+CMD_CONTEXT = {("poincare", "hs"): ["--kernel-family", "local"],
+               ("ac", "levels"): ["--mode", "nonlocal"]}
+
+
+@pytest.mark.parametrize("cmd,key,value", [
+    (cmd, key, value) for cmd, key in FLOAT_KEYS
+    for value in ("nan", "inf", "-inf", "0.5,nan")
+    # infinite control bounds mean no bound; lists are for list keys only
+    if not (key in ("alpha", "beta") and "inf" in value)
+    and ("," not in value or key in ("deltas", "levels", "hs"))])
+def test_nonfinite_float_settings_exit_1(tmp_path, monkeypatch, capsys, cmd,
+                                         key, value):
+    monkeypatch.chdir(tmp_path)
+    args = ([cmd] + KEY_CONTEXT.get(key, []) + CMD_CONTEXT.get((cmd, key), [])
+            + ["--" + key, value])
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert "key %s expects finite numbers" % cli._canon(key) in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_control_with_infinite_bounds_is_unconstrained(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["control", "--alpha", "-inf", "--beta", "inf"],
+                           capsys)
+    assert code == 0
+    comments, _, rows = read_csv(tmp_path / "control.csv")
+    assert (comments["alpha"], comments["beta"]) == ("-inf", "inf")
+    assert all(math.isfinite(g) for _, g in rows)
+    objective = out.split(",")[0].split("=")[1]
+    assert math.isfinite(float(objective))
+
+
 def test_symbol_value_at_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(["symbol", "--xis", "1"], capsys)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+import kernel_oracle as oracle
 from hsnl import kernels as K
 
 
@@ -211,10 +212,10 @@ def test_radial_antideriv_matches_integrals():
         xs = np.array([0.05, 0.3, 0.7, 1.1, 1.9, 3.0])
         vals = H(xs)
         for i in range(len(xs) - 1):
-            exact = K.radial_integral(k, xs[i], xs[i + 1], q)
+            exact = oracle.radial_integral(k, xs[i], xs[i + 1], q)
             assert vals[i + 1] - vals[i] == pytest.approx(exact, rel=1e-11,
                                                           abs=1e-14)
-        tail = K.radial_integral(k, xs[-1], math.inf, q)
+        tail = oracle.radial_integral(k, xs[-1], math.inf, q)
         if math.isinf(tail):
             assert math.isinf(h_inf)
         else:
@@ -304,6 +305,7 @@ INTEGRAL_KERNELS = [
 
 @pytest.mark.parametrize("k", INTEGRAL_KERNELS, ids=repr)
 def test_batched_radial_integrals_match_scalar(k):
+    # against the scalar closed forms of the oracle
     # intervals inside, across and beyond the pieces, the 0.9 delta series
     # split of log_regularized, empty intervals and divergent ones
     ends = [0.0, 0.01, 0.05, 0.09, 0.1, 0.3, 0.95, 1.0, 2.5, math.inf]
@@ -314,7 +316,7 @@ def test_batched_radial_integrals_match_scalar(k):
     got = K._radial_integrals(k, a, b, qs)
     for i, (lo, hi) in enumerate(pairs):
         for j, q in enumerate(qs):
-            want = K.radial_integral(k, lo, hi, int(q))
+            want = oracle.radial_integral(k, lo, hi, int(q))
             if math.isinf(want):
                 assert got[i, j] == math.inf
             else:
@@ -325,10 +327,31 @@ def test_batched_radial_integrals_match_scalar(k):
 def test_logreg_primitive_takes_an_exponent_per_entry():
     t = np.array([0.05, 0.3, 2.0, 0.05, 0.3, 2.0])
     m = np.array([-1, 0, 3, 7, 12, 2])
-    got = K._logreg_primitive_vec(m, 0.2, 2, t)
-    for ti, mi, gi in zip(t, m, got):
-        want = K._logreg_primitive(int(mi), 0.2, 2, ti)
-        assert gi == pytest.approx(want, rel=1e-14)
+    for dd in (1, 2, 3):
+        got = K._logreg_primitive(m, 0.2, dd, t)
+        for ti, mi, gi in zip(t, m, got):
+            want = oracle.logreg_primitive(int(mi), 0.2, dd, ti)
+            assert gi == pytest.approx(want, rel=1e-14)
+
+
+def test_logreg_series_survives_a_subnormal_lower_end():
+    # b / a overflows for a subnormal a; the integral itself is finite
+    k = K.log_regularized(1, 0.1)
+    whole = K.radial_integral(k, 5e-324, 1.0, 0)
+    parts = (K.radial_integral(k, 5e-324, 1e-100, 0)
+             + K.radial_integral(k, 1e-100, 1.0, 0))
+    assert math.isfinite(whole)
+    assert whole == pytest.approx(parts, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [-1, -2, 0.5])
+def test_logreg_integrals_reject_orders_without_a_closed_form(q):
+    # the primitive covers t^m (t + delta)^{-d} for integers m >= -1 only
+    k = K.log_regularized(1, 0.1)
+    with pytest.raises(ValueError):
+        K.radial_integral(k, 0.5, 1.0, q)
+    with pytest.raises(ValueError):
+        K.radial_antideriv(k, q)
 
 
 def test_piece_table_is_built_once_per_kernel():
@@ -337,3 +360,76 @@ def test_piece_table_is_built_once_per_kernel():
     assert isinstance(table, tuple)
     assert K._pieces(K.cutoff(K.rescaled(K.riesz_truncated(1, 0.5), 0.3),
                               0.2)) is table
+
+
+# interval ends: anywhere in [0, 3], or exactly on a piece edge, the 0.9
+# delta series split of log_regularized, the origin or infinity
+ENDS = st.one_of(st.floats(min_value=0.0, max_value=3.0),
+                 st.sampled_from([0.0, 0.09, 0.1, 0.4, 1.0, 1.2, 2.0,
+                                  math.inf]))
+KERNEL = st.sampled_from(INTEGRAL_KERNELS)
+ORDER = st.integers(min_value=0, max_value=5)
+
+
+def _close(got, want, scale=0.0, rel=1e-12):
+    if math.isinf(want):
+        return got == math.inf
+    return abs(got - want) <= rel * (abs(want) + scale) + 1e-300
+
+
+@given(KERNEL, st.tuples(ENDS, ENDS, ENDS), ORDER)
+def test_radial_integral_is_additive_over_intervals(k, ends, q):
+    a, b, c = sorted(ends)
+    whole = K.radial_integral(k, a, c, q)
+    left, right = K.radial_integral(k, a, b, q), K.radial_integral(k, b, c,
+                                                                    q)
+    if math.isinf(left) or math.isinf(right):
+        assert whole == math.inf
+    else:
+        assert _close(whole, left + right, abs(left) + abs(right))
+
+
+@given(KERNEL, st.tuples(ENDS, ENDS), ORDER,
+       st.floats(min_value=0.05, max_value=20.0))
+def test_radial_integral_rescales_with_the_horizon(k, ends, q, delta):
+    # int_{delta a}^{delta b} r^q w_delta = delta^{q-d} int_a^b r^q w
+    a, b = sorted(ends)
+    scaled = K.radial_integral(K.rescaled(k, delta), delta * a, delta * b, q)
+    want = K.radial_integral(k, a, b, q)
+    if math.isinf(want):
+        assert scaled == math.inf
+    else:
+        assert _close(scaled, delta ** (q - k.d) * want)
+
+
+@given(KERNEL, st.tuples(st.floats(min_value=1e-3, max_value=3.0),
+                         st.floats(min_value=1e-3, max_value=3.0)),
+       st.integers(min_value=0, max_value=2))
+def test_radial_antideriv_differences_match_the_oracle(k, ends, q):
+    x, y = sorted(ends)
+    H, _ = K.radial_antideriv(k, q)
+    hx, hy = H(np.array([x, y]))
+    # H is a sum of closed forms of size |H|, so the difference carries
+    # their roundoff
+    assert _close(hy - hx, oracle.radial_integral(k, x, y, q),
+                  abs(hx) + abs(hy), rel=1e-11)
+
+
+@given(KERNEL, ENDS, ENDS, ORDER, st.integers(min_value=0, max_value=2999))
+def test_one_integral_equals_its_entry_in_a_batch(k, e0, e1, q, at):
+    # the batch is large enough to take the log_regularized series in
+    # narrower blocks of terms than a single entry does
+    a, b = sorted((e0, e1))
+    rng = np.random.default_rng(at)
+    lo = rng.uniform(0.0, 0.2, 3000)
+    lo[::7] = 0.0
+    hi = lo + rng.uniform(0.0, 2.0, 3000)
+    hi[::11] = math.inf
+    qs = rng.integers(0, 6, 3000)
+    lo[at], hi[at], qs[at] = a, b, q
+    alone = K._radial_integrals(k, [a], [b], [q])[0]
+    assert K._radial_integrals(k, lo, hi, qs)[at] == alone
+    # a scalar q stays scalar, alone or for the whole batch
+    assert (K._radial_integrals(k, lo, hi, q)[at]
+            == K._radial_integrals(k, a, b, q) == K.radial_integral(k, a, b,
+                                                                    q))
