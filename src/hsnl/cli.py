@@ -106,11 +106,7 @@ class Config:
         raw = self.get(key, default, required)
         if raw is None:
             return None
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise CliError("key %s expects a number, got %r" % (key, raw))
-        _check_finite(key, (value,), allow_inf)
+        value = _number(key, raw, allow_inf)
         self.resolved[key] = _fmt(value)
         return value
 
@@ -129,12 +125,7 @@ class Config:
         raw = self.get(key, default, required)
         if raw is None:
             return None
-        try:
-            values = tuple(float(part) for part in str(raw).split(","))
-        except ValueError:
-            raise CliError("key %s expects comma-separated numbers, got %r"
-                           % (key, raw))
-        _check_finite(key, values)
+        values = tuple(_number(key, part) for part in str(raw).split(","))
         self.resolved[key] = ",".join(_fmt(v) for v in values)
         return values
 
@@ -146,12 +137,16 @@ class Config:
         return value
 
 
-def _check_finite(key, values, allow_inf=False):
-    """NaN is never a setting; an infinity only where a key allows one."""
-    for value in values:
-        if math.isnan(value) or (math.isinf(value) and not allow_inf):
-            raise CliError("key %s expects finite numbers, got %s"
-                           % (key, _fmt(value)))
+def _number(key, text, allow_inf=False):
+    """A number in key's value: never NaN, infinite only if allow_inf."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise CliError("key %s expects a number, got %r" % (key, text))
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise CliError("key %s expects finite numbers, got %s"
+                       % (key, _fmt(value)))
+    return value
 
 
 def _echo_lines(cfg):
@@ -208,11 +203,7 @@ def _build_kernel(cfg, default_family="constant_ball", allow_local=False):
 def _parse_nu(cfg, d):
     raw = cfg.get("nu", "+1")
     if ":" in raw:
-        try:
-            vec = tuple(float(p) for p in raw.split(":"))
-        except ValueError:
-            raise CliError("nu expects +1, -1, or colon-separated "
-                           "components")
+        vec = tuple(_number("nu", p) for p in raw.split(":"))
         if len(vec) != d:
             raise CliError("nu has %d components but the kernel lives in "
                            "d=%d" % (len(vec), d))
@@ -241,17 +232,15 @@ def _named_function(name):
     return table[name]
 
 
-def _parse_field(spec, what):
+def _parse_field(cfg, key):
     """const:c or func:name, as used by the coefficient and load flags."""
+    spec = cfg.get(key, "const:1")
     if spec.startswith("const:"):
-        try:
-            return float(spec[len("const:"):])
-        except ValueError:
-            raise CliError("%s: bad constant %r" % (what, spec))
+        return _number(key, spec[len("const:"):])
     if spec.startswith("func:"):
         return _named_function(spec[len("func:"):])
     raise CliError("%s expects const:<number> or func:<name>, got %r"
-                   % (what, spec))
+                   % (key, spec))
 
 
 def _xi_grid(cfg):
@@ -290,15 +279,18 @@ def _cmd_symbol(cfg):
         raw = cfg.get("xis")
         points = []
         for part in raw.split(","):
-            comps = tuple(float(p) for p in part.split(":"))
+            try:
+                comps = tuple(float(p) for p in part.split(":"))
+            except ValueError:
+                raise CliError("key xis expects numbers, got %r" % part)
             if not all(math.isfinite(c) for c in comps):
-                raise CliError("xi point %r is not finite" % part)
+                raise CliError("key xis: xi point %r is not finite" % part)
             if len(comps) != kernel.d:
                 raise CliError("xi point %r has %d components, kernel is "
                                "d=%d" % (part, len(comps), kernel.d))
-            points.append(comps[0] if kernel.d == 1 else np.asarray(comps))
-        cfg.resolved["xis"] = ",".join(
-            ":".join(_fmt(c) for c in np.atleast_1d(p)) for p in points)
+            points.append(comps)
+        cfg.resolved["xis"] = ",".join(":".join(_fmt(c) for c in p)
+                                       for p in points)
     else:
         if kernel.d != 1:
             raise CliError("the default grid is one-dimensional; pass "
@@ -308,11 +300,7 @@ def _cmd_symbol(cfg):
     rows = []
     for point in points:
         sample = _sym.symbol(kernel, nu, point)
-        xi = np.atleast_1d(np.asarray(point, dtype=float))
-        val = np.atleast_1d(sample.value)
-        rows.append(tuple(float(c) for c in xi)
-                    + tuple(float(v) for v in val.real)
-                    + tuple(float(v) for v in val.imag))
+        rows.append((*sample.xi, *sample.re_part, *sample.im_part))
     d = kernel.d
     header = ",".join(["xi_%d" % (k + 1) for k in range(d)]
                       + ["re_%d" % (k + 1) for k in range(d)]
@@ -321,63 +309,23 @@ def _cmd_symbol(cfg):
     return "points=%d out=%s" % (len(rows), out)
 
 
-def _report_row(report):
-    norms = [float(np.linalg.norm(np.atleast_1d(g))) for g in report.grid]
-    return (report.name, min(norms), max(norms), report.margin,
-            report.passed)
-
-
 def _cmd_bounds(cfg):
     kernel = _build_kernel(cfg)
     nu = _parse_nu(cfg, kernel.d)
     grid = _xi_grid(cfg)
     out = cfg.get("out", "bounds.csv")
-    rows = [_report_row(_sym.check_linear_bound(kernel, nu, grid)),
-            _report_row(_sym.check_lower_bound_small_xi(kernel, nu)),
-            _report_row(_sym.check_lower_bound_large_xi(kernel, nu))]
-
-    points = _sym._grid_vectors(kernel.d, nu, grid)
-
-    # Hermitian symmetry of the symbol on the signed grid
-    _sym._check_standing(kernel)
-    full = _sym._symbol_values(kernel, nu, points)
-    minus = _sym._symbol_values(kernel, nu,
-                                [-np.asarray(xi, dtype=float)
-                                 for xi in points])
-    defect = 0.0
-    scale = 1.0
-    for plus, neg in zip(full, minus):
-        defect = max(defect, float(np.max(np.abs(neg - np.conj(plus)))))
-        scale = max(scale, float(np.max(np.abs(plus))))
-    tol = 1e-10 * scale
-    rows.append(("hermitian_symmetry", float(grid[0]), float(grid[-1]),
-                 tol - defect, defect <= tol))
-
-    # cutting the tail at the chosen radius moves the symbol by at most
-    # twice the discarded mass
     radius = cfg.get_float("cutoff_radius", 1.0)
-    tail = _kern.tail_mass(kernel, radius)
-    if math.isfinite(tail):
-        trimmed = _kern.cutoff(kernel, radius)
-        _sym._check_standing(trimmed)
-        worst = 0.0
-        for lam, cut in zip(full, _sym._symbol_values(trimmed, nu, points)):
-            worst = max(worst, float(np.max(np.abs(lam - cut))))
-        margin = 2.0 * tail - worst
-        rows.append(("cutoff_perturbation", float(grid[0]),
-                     float(grid[-1]), margin, margin >= -1e-10))
-
-    if kernel.d in (1, 2):
-        tau = cfg.get_float("tau", 0.01)
-        margin = math.inf
-        for xi, eta in zip(points,
-                           _sym._eta_values(tau, nu, points, kernel.d)):
-            xi_norm = float(np.linalg.norm(np.atleast_1d(xi)))
-            envelope = _sym.eta_bound(kernel.d, tau, xi_norm)
-            margin = min(margin, envelope - float(np.max(np.abs(eta))))
-        rows.append(("eta_envelope", float(grid[0]), float(grid[-1]),
-                     margin, margin >= -1e-10))
-
+    tau = cfg.get_float("tau", 0.01)
+    reports = [_sym.check_linear_bound(kernel, nu, grid),
+               _sym.check_lower_bound_small_xi(kernel, nu),
+               _sym.check_lower_bound_large_xi(kernel, nu),
+               _sym.check_hermitian_symmetry(kernel, nu, grid)]
+    # an infinite tail mass bounds nothing, so that row is left out
+    if math.isfinite(_kern.tail_mass(kernel, radius)):
+        reports.append(_sym.check_cutoff_perturbation(kernel, nu, grid,
+                                                      radius))
+    reports.append(_sym.check_eta_envelope(kernel.d, nu, tau, grid))
+    rows = [(r.name, *r.grid_span(), r.margin, r.passed) for r in reports]
     _write_csv(out, cfg, "name,grid_min,grid_max,margin,pass", rows)
     failures = sum(1 for r in rows if not r[4])
     return "checks=%d failures=%d out=%s" % (len(rows), failures, out)
@@ -405,8 +353,8 @@ def _cmd_solve(cfg):
         raise CliError("the solver is one-dimensional")
     n = cfg.get_int("n", 64)
     length = cfg.get_float("length", 1.0)
-    coef = _parse_field(cfg.get("coef", "const:1"), "coef")
-    rhs = _parse_field(cfg.get("rhs", "const:1"), "rhs")
+    coef = _parse_field(cfg, "coef")
+    rhs = _parse_field(cfg, "rhs")
     out = cfg.get("out", "solve.csv")
     mesh = _fem.Mesh1D(length, n)
     if kernel is None:
@@ -455,8 +403,8 @@ def _cmd_ac(cfg):
     mode = cfg.get_choice("mode", ("local", "nonlocal"), "local")
     out = cfg.get("out", "ac.csv")
     hs = cfg.get_floats("hs", "0.0625,0.03125,0.015625,0.0078125")
-    coef = _parse_field(cfg.get("coef", "const:1"), "coef")
-    rhs = _parse_field(cfg.get("rhs", "const:1"), "rhs")
+    coef = _parse_field(cfg, "coef")
+    rhs = _parse_field(cfg, "rhs")
     if mode == "local":
         base = _build_kernel(cfg)
         deltas = cfg.get_floats("deltas", "0.2,0.1,0.05,0.025")
@@ -499,7 +447,7 @@ def _cmd_control(cfg):
     raw_gamma = cfg.get("gamma", "const:1")
     if not raw_gamma.startswith("const:"):
         raise CliError("gamma supports const:<number> only")
-    gamma = float(raw_gamma[len("const:"):])
+    gamma = _number("gamma", raw_gamma[len("const:"):])
     scale = cfg.get_float("udes_scale", 1.0)
     target = _named_function(cfg.get_choice(
         "udes", ("zero", "parabola", "sine"), "parabola"))

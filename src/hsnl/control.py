@@ -14,11 +14,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem1d as _fem
-from .experiments import _diagonal, _l2_error, parallel_map
-from .fem1d import _GS, _GW, _GX, _as_fn, _hat_pairing
+from .experiments import (_cells_for, _diagonal, _l2_error, _reference_h,
+                          parallel_map)
+from .fem1d import _GS, _as_fn, _hat_pairing
 
-# the acceptance suite's KKT oracle reads the helper under this name
+# the acceptance suite's KKT oracle reads these helpers under these names
 _as_xfn = _as_fn
+_cell_quad = _fem._cell_rule
 
 
 class NonconvergenceError(RuntimeError):
@@ -87,12 +89,6 @@ class OptimalTriple:
     residual: float
     objective_value: float
     iterations: int
-
-
-def _cell_quad(mesh):
-    xq = mesh.nodes[:-1, None] + 0.5 * mesh.h * (_GX[None, :] + 1.0)
-    wq = 0.5 * mesh.h * _GW
-    return xq, wq
 
 
 def _cell_bounds(mesh, alpha, beta):
@@ -341,12 +337,8 @@ def control_ac_sweep(make_problem, params, hs, length=1.0, reference_h=None,
 
     params = tuple(float(p) for p in params)
     hs = tuple(float(h) for h in hs)
-    if reference_h is None:
-        reference_h = min(hs) / 4.0
-    if reference_h > min(hs) / 4.0 + 1e-12:
-        raise ValueError("reference mesh must be at least four times "
-                         "finer than the finest h")
-    n_ref = int(round(length / reference_h))
+    n_ref = _cells_for(_reference_h(hs, reference_h, length), length)
+    meshes = {h: _fem.Mesh1D(length, _cells_for(h, length)) for h in hs}
     fine = _fem.Mesh1D(length, n_ref)
     ref_problem = make_problem(0.0, fine)
     if ref_problem.kernel is not None:
@@ -358,7 +350,7 @@ def control_ac_sweep(make_problem, params, hs, length=1.0, reference_h=None,
 
     def one_cell(cell):
         param, h = cell
-        mesh = _fem.Mesh1D(length, int(round(length / h)))
+        mesh = meshes[h]
         problem = make_problem(param, mesh)
         try:
             triple = solve_optimal(problem, tol, max_iter)

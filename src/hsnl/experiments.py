@@ -129,14 +129,8 @@ class SweepConfig:
         if self.reference not in _REFERENCES:
             raise ValueError("unknown reference kind %r" % (self.reference,))
         if self.reference != "analytic_local":
-            ref_h = self.reference_h
-            if ref_h is None:
-                ref_h = min(self.hs) / 4.0
-                object.__setattr__(self, "reference_h", ref_h)
-            if ref_h > min(self.hs) / 4.0 + 1e-12:
-                raise ValueError("reference mesh must be at least four "
-                                 "times finer than the finest h")
-            _cells_for(ref_h, self.length)
+            object.__setattr__(self, "reference_h", _reference_h(
+                self.hs, self.reference_h, self.length))
 
 
 def _strictly_monotone(seq):
@@ -155,6 +149,18 @@ def _cells_for(h, length):
     return cells
 
 
+def _reference_h(hs, reference_h, length):
+    """reference_h, by default a quarter of the finest h; it must be at
+    least four times finer than every h and divide the domain length."""
+    finest = min(hs) / 4.0
+    ref_h = finest if reference_h is None else reference_h
+    if ref_h > finest + 1e-12:
+        raise ValueError("reference mesh must be at least four times "
+                         "finer than the finest h")
+    _cells_for(ref_h, length)
+    return ref_h
+
+
 def parallel_map(fn, items):
     """Map preserving order; threads only when HSNL_THREADS asks for them."""
     items = list(items)
@@ -171,13 +177,11 @@ def parallel_map(fn, items):
 def _l2_error(u_fn, ref_fn, length, n_cells):
     # the 8-point Gauss rule of fem1d per cell; exact for piecewise
     # polynomials up to degree 7 on cells aligned with both functions
-    nodes = np.linspace(0.0, length, n_cells + 1)
-    h = length / n_cells
-    xq = nodes[:-1, None] + 0.5 * h * (_fem._GX[None, :] + 1.0)
+    mesh = _fem.Mesh1D(length, n_cells)
+    xq, _ = _fem._cell_rule(mesh)
     diff = np.asarray(u_fn(xq), dtype=float) - np.asarray(ref_fn(xq),
                                                           dtype=float)
-    weighted = _fem._GW[None, :] * diff * diff
-    return float(math.sqrt(0.5 * h * np.sum(weighted)))
+    return float(math.sqrt(0.5 * mesh.h * np.sum(_fem._GW * diff * diff)))
 
 
 def _reference(config):

@@ -28,8 +28,9 @@ import scipy.linalg as sla
 
 from . import kernels as _kern
 from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
-from .operators import QuadratureSpec
 from .symbols import _nu_sign
+
+_MAX_PANELS = 16384     # x-panels allowed per assembly (dense n x n matrix)
 
 
 class AssemblyError(RuntimeError):
@@ -62,6 +63,11 @@ class Mesh1D:
 
 _GX, _GW = np.polynomial.legendre.leggauss(8)
 _GS = 0.5 * (_GX + 1.0)
+
+
+def _cell_rule(mesh):
+    """8-point Gauss points of every cell, (n_cells, 8), and their weights."""
+    return mesh.nodes[:-1, None] + mesh.h * _GS, 0.5 * mesh.h * _GW
 
 
 @dataclass(eq=False)
@@ -141,7 +147,10 @@ def _window_gradients(profiles, nu_sign, mesh, xs, width):
                      np.where(t_a < 0.0, -t_a / h, 0.0),
                      np.where(t_c > 0.0, t_c / h, 0.0))
     coef_rise = -t_a / h - phi_x
-    coef_fall = t_c / h - phi_x
+    # a point on the hat's node (t_b = 0, in panels a few ulps wide) has
+    # an exactly zero fall coefficient, which roundoff in t_c / h - 1
+    # misses; it would meet H0(0), infinite for kernels of infinite mass
+    coef_fall = np.where(t_b == 0.0, 0.0, t_c / h - phi_x)
     live_rise = (coef_rise != 0.0) & (t_clip[ib] > t_clip[ia])
     live_fall = (coef_fall != 0.0) & (t_clip[ic] > t_clip[ib])
     with np.errstate(invalid="ignore"):
@@ -172,7 +181,7 @@ def hat_gradient(kernel, nu, mesh, i, x):
     return float(rows[0, k]) if 0 <= k < width else 0.0
 
 
-def _x_panels(kernel, nu_sign, mesh, max_panels):
+def _x_panels(kernel, nu_sign, mesh):
     top = _kern.support(kernel)[1]
     if nu_sign > 0:
         lo, hi = -top, mesh.length
@@ -181,7 +190,7 @@ def _x_panels(kernel, nu_sign, mesh, max_panels):
     offsets = [0.0, top] + [b for b in _kern.breakpoints(kernel)]
     cand = [node - nu_sign * b for node in mesh.nodes for b in offsets]
     breaks = merge_breaks(lo, hi, cand, mesh.nodes)
-    if len(breaks) - 1 > max_panels:
+    if len(breaks) - 1 > _MAX_PANELS:
         raise AssemblyError("assembly panel budget exceeded")
     return panel_points(breaks, 8)
 
@@ -209,8 +218,8 @@ def _hat_pairing(mesh, vals, wq):
 
 
 def _load_vector(f, mesh):
-    xq = mesh.nodes[:-1, None] + mesh.h * _GS
-    return _hat_pairing(mesh, _as_fn(f)(xq), 0.5 * mesh.h * _GW)
+    xq, wq = _cell_rule(mesh)
+    return _hat_pairing(mesh, _as_fn(f)(xq), wq)
 
 
 def _half_bandwidth(sym):
@@ -254,21 +263,20 @@ def _system(stiff, mesh, f, meta):
     return system
 
 
-def assemble(kernel, nu, A, f, mesh, quad=None):
+def assemble(kernel, nu, A, f, mesh):
     """Galerkin system for the bilinear form int A (G phi_i)(G phi_j) dx.
 
     The kernel must have compact support (apply cutoff first); the
     x-integration runs over the extended support of all hat gradients,
     so the coefficient A is evaluated slightly outside the domain too.
     """
-    quad = quad or QuadratureSpec()
     _kern.moments(kernel)
     if _kern.support(kernel)[1] == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
     sign = _nu_sign(nu)
     a_fn = _as_fn(A)
-    xq, wq = _x_panels(kernel, sign, mesh, quad.max_panels)
+    xq, wq = _x_panels(kernel, sign, mesh)
     weights = wq * a_fn(xq)
     profiles = _hat_profiles(kernel)
     width = _window_width(mesh, profiles[3])
@@ -292,10 +300,8 @@ def assemble(kernel, nu, A, f, mesh, quad=None):
 
 def assemble_local(A, f, mesh):
     """Standard local P1 system for -(A u')' with zero boundary values."""
-    h = mesh.h
-    xq = mesh.nodes[:-1, None] + 0.5 * h * (_GX + 1.0)
-    a_cell = np.sum(0.5 * h * _GW * _as_fn(A)(xq), axis=1)
-    k = a_cell / h ** 2
+    xq, wq = _cell_rule(mesh)
+    k = np.sum(wq * _as_fn(A)(xq), axis=1) / mesh.h ** 2
     n = mesh.n_cells - 1
     idx = np.arange(n)
     stiff = np.zeros((n, n))

@@ -27,13 +27,11 @@ import numpy as np
 
 from . import kernels as _kern
 from ._quad import geometric_breaks, merge_breaks, panel_points
+from .experiments import RateTable, estimate_rate
 from .symbols import _nu_sign, _nu_unit2, _rotation_to, _symbol_values
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    max_panels: int = 16384
+_ABS_TOL = 1e-10        # error allowed for the dropped origin and far tail
+_MAX_PANELS = 16384     # radial quadrature panels allowed per evaluation
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,12 @@ def _sup_norm_estimate(handle, center, d):
     return float(np.max(np.abs(vals)))
 
 
-def _tail_start(kernel, sup_u, abs_tol):
+def _tail_start(kernel, sup_u):
     """Quadrature upper end and whether a closed-form tail term follows."""
     hi = _kern.support(kernel)[1]
     if hi < math.inf:
         return hi, False
-    target = abs_tol / (2.0 * max(sup_u, 1e-30))
+    target = _ABS_TOL / (2.0 * max(sup_u, 1e-30))
     radius = 2.0
     for _ in range(120):
         if _kern.tail_mass(kernel, radius) <= target:
@@ -133,7 +131,7 @@ def _tail_start(kernel, sup_u, abs_tol):
     raise _kern.AssumptionError("kernel tail mass does not decay")
 
 
-def _inner_start(kernel, lipschitz, abs_tol, order, angular):
+def _inner_start(kernel, lipschitz, order, angular):
     """Lower quadrature end; the dropped bit is bounded through lipschitz."""
     if not _kern.is_singular(kernel):
         return 0.0
@@ -144,7 +142,7 @@ def _inner_start(kernel, lipschitz, abs_tol, order, angular):
         return 0.0
     hi = _kern.support(kernel)[1]
     t0 = min(1e-3, min(hi, 1.0) / 16.0)
-    target = abs_tol / (16.0 * angular * lipschitz)
+    target = _ABS_TOL / (16.0 * angular * lipschitz)
     for _ in range(200):
         if _kern.radial_integral(kernel, 0.0, t0, order) <= target:
             return t0
@@ -152,7 +150,7 @@ def _inner_start(kernel, lipschitz, abs_tol, order, angular):
     return t0
 
 
-def _radial_nodes(kernel, t0, top, quad):
+def _radial_nodes(kernel, t0, top):
     """Gauss nodes/weights on (t0, top), graded toward t0 and split at
     every kernel breakpoint."""
     lo = t0 if t0 > 0.0 else min(1.0, top) * 1e-3
@@ -165,28 +163,28 @@ def _radial_nodes(kernel, t0, top, quad):
     breaks = np.unique(np.concatenate(edges))
     breaks = merge_breaks(breaks[0], breaks[-1], breaks,
                           _kern.breakpoints(kernel))
-    if len(breaks) - 1 > quad.max_panels:
+    if len(breaks) - 1 > _MAX_PANELS:
         raise ValueError("quadrature panel budget exceeded")
     return panel_points(breaks, 24)
 
 
-def _prepare_1d(kernel, handle, xs, quad):
+def _prepare_1d(kernel, handle, xs):
     _kern.moments(kernel)
     sup_u = _sup_norm_estimate(handle, float(np.mean(xs)), 1)
-    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol)
-    t0 = _inner_start(kernel, handle.lipschitz, quad.abs_tol, 1, 1.0)
-    t, wt = _radial_nodes(kernel, t0, top, quad)
+    top, closed_tail = _tail_start(kernel, sup_u)
+    t0 = _inner_start(kernel, handle.lipschitz, 1, 1.0)
+    t, wt = _radial_nodes(kernel, t0, top)
     wbar = _kern.eval(kernel, t)
     tail = _kern.radial_integral(kernel, top, math.inf, 0) if closed_tail \
         else 0.0
     return t, wt * wbar, tail
 
 
-def _gradient_values_1d(kernel, nu, handle, xs, quad):
+def _gradient_values_1d(kernel, nu, handle, xs):
     """Half-space gradient of a scalar handle at each point of xs (1-D)."""
     sign = _nu_sign(nu)
     xs = np.asarray(xs, dtype=float)
-    t, weights, tail = _prepare_1d(kernel, handle, xs, quad)
+    t, weights, tail = _prepare_1d(kernel, handle, xs)
     ux = np.asarray(handle(xs), dtype=float)
     diff = handle(xs[:, None] + sign * t[None, :]) - ux[:, None]
     out = diff @ weights
@@ -199,15 +197,15 @@ def _theta_rule(panels=8, order=16):
     return panel_points(edges, order)
 
 
-def _gradient_point_2d(kernel, nu, handle, x, quad, dot_with=None):
+def _gradient_point_2d(kernel, nu, handle, x, dot_with=None):
     _kern.moments(kernel)
     nu2 = _nu_unit2(nu)
     rot = _rotation_to(nu2)
     x = np.asarray(x, dtype=float)
     sup_u = _sup_norm_estimate(handle, x, 2)
-    top, closed_tail = _tail_start(kernel, sup_u, quad.abs_tol)
-    t0 = _inner_start(kernel, handle.lipschitz, quad.abs_tol, 2, math.pi)
-    t, wt = _radial_nodes(kernel, t0, top, quad)
+    top, closed_tail = _tail_start(kernel, sup_u)
+    t0 = _inner_start(kernel, handle.lipschitz, 2, math.pi)
+    t, wt = _radial_nodes(kernel, t0, top)
     radial_w = wt * _kern.eval(kernel, t) * t
     theta, wtheta = _theta_rule()
     dirs = (rot @ np.stack([np.cos(theta), np.sin(theta)])).T
@@ -229,28 +227,26 @@ def _gradient_point_2d(kernel, nu, handle, x, quad, dot_with=None):
     return out
 
 
-def gradient_pointwise(kernel, nu, u, x, quad=None):
+def gradient_pointwise(kernel, nu, u, x):
     """Half-space nonlocal gradient of u at the point x.
 
     Returns a length-d vector.  u may be a bare vectorized callable or a
     SmoothFunction; singular kernels require the Lipschitz constant.
     """
-    quad = quad or QuadratureSpec()
     handle = as_handle(u)
     if kernel.d == 1:
         val = _gradient_values_1d(kernel, nu, handle,
-                                  np.array([float(x)]), quad)[0]
+                                  np.array([float(x)]))[0]
         return np.array([val])
-    return _gradient_point_2d(kernel, nu, handle, x, quad)
+    return _gradient_point_2d(kernel, nu, handle, x)
 
 
-def divergence_pointwise(kernel, nu, v, x, quad=None):
+def divergence_pointwise(kernel, nu, v, x):
     """Half-space nonlocal divergence of a vector field handle at x."""
-    quad = quad or QuadratureSpec()
     handle = as_handle(v)
     if kernel.d == 1:
         val = _gradient_values_1d(kernel, nu, handle,
-                                  np.array([float(x)]), quad)[0]
+                                  np.array([float(x)]))[0]
         return float(val)
     total = 0.0
     for j in range(2):
@@ -261,13 +257,8 @@ def divergence_pointwise(kernel, nu, v, x, quad=None):
             sup_norm=handle.sup_norm)
         e = np.zeros(2)
         e[j] = 1.0
-        total += _gradient_point_2d(kernel, nu, comp, x, quad, dot_with=e)
+        total += _gradient_point_2d(kernel, nu, comp, x, dot_with=e)
     return total
-
-
-def _symbol_line(kernel, nu, n, length):
-    """Symbol values on the nonnegative fft frequencies k/L, k=0..n//2."""
-    return _symbol_values(kernel, nu, np.arange(n // 2 + 1) / length)[:, 0]
 
 
 def _aliasing_fraction(coeffs):
@@ -305,7 +296,8 @@ def gradient_spectral(kernel, nu, field):
         if _aliasing_fraction(uhat) > 0.01:
             warnings.warn("top-third Fourier modes carry more than 1% of "
                           "the energy; spectral gradient may alias")
-        line = _symbol_line(kernel, nu, n, length)
+        # the symbol on the nonnegative frequencies k/L, k = 0..n/2
+        line = _symbol_values(kernel, nu, np.arange(n // 2 + 1) / length)[:, 0]
         freqs = np.fft.fftfreq(n, d=length / n)
         idx = np.minimum(np.abs(np.rint(freqs * length)).astype(int), n // 2)
         lam = np.where(freqs >= 0, line[idx], np.conj(line[idx]))
@@ -328,10 +320,13 @@ def gradient_spectral(kernel, nu, field):
     fy = np.fft.fftfreq(ny, d=ly / ny)
     xis = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
     # lambda(-xi) = conj(lambda(xi)): evaluate one of each mirror pair, in
-    # one batch, and conjugate for the other
-    key = {tuple(xi): k for k, xi in enumerate(xis)}
-    mirror = np.array([key.get((-a, -b), k) for k, (a, b) in enumerate(xis)])
-    own = mirror >= np.arange(len(xis))
+    # one batch, and conjugate for the other.  -xi sits at the negated
+    # indices mod the grid size, except in a Nyquist row or column, whose
+    # frequency -n/2 has no positive partner on the grid.
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    mirror = np.where((i == nx // 2) | (j == ny // 2), i * ny + j,
+                      (-i) % nx * ny + (-j) % ny)
+    own = mirror >= np.arange(nx * ny)
     lam = np.empty(xis.shape, dtype=complex)
     lam[own] = _symbol_values(kernel, nu, xis[own])
     lam[~own] = np.conj(lam[mirror[~own]])
@@ -350,8 +345,6 @@ def localization_study(base_kernel, u, delta_list, p=2):
     whose single column fit is the observed order in delta; gridless rows
     store h = 0.
     """
-    from .experiments import RateTable, estimate_rate
-
     if base_kernel.d != 1:
         raise ValueError("the localization study is one-dimensional")
     handle = as_handle(u)
@@ -361,11 +354,10 @@ def localization_study(base_kernel, u, delta_list, p=2):
         else 1.0
     grid = np.linspace(-radius - 0.25, radius + 0.25, 241)
     spacing = grid[1] - grid[0]
-    quad = QuadratureSpec()
     errors = []
     for delta in delta_list:
         scaled = _kern.rescaled(base_kernel, delta)
-        grad = _gradient_values_1d(scaled, 1, handle, grid, quad)
+        grad = _gradient_values_1d(scaled, 1, handle, grid)
         residual = grad - np.asarray(handle.derivative(grid), dtype=float)
         if p == 2:
             errors.append(float(np.sqrt(spacing * np.sum(residual ** 2))))

@@ -71,13 +71,25 @@ class SymbolSample:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One check over a frequency grid.
+
+    grid holds the frequencies, (n,) in d=1 and (n, 2) in d=2, or the
+    scalar grid along nu they were built from; lhs and rhs hold the two
+    sides of the checked relation, one entry per frequency.
+    """
+
     name: str
-    grid: list
-    lhs: list
-    rhs: list
+    grid: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     margin: float
     passed: bool
     note: str = ""
+
+    def grid_span(self):
+        """Smallest and largest |xi| over the grid."""
+        norms = _norms(self.grid)
+        return norms.min(), norms.max()
 
 
 @dataclass(frozen=True)
@@ -465,25 +477,25 @@ def _angle_sums(kernel, xis, run, out):
         out[:, comp].imag += np.bincount(rows, part.imag, len(xis))
 
 
-def _symbol_values(kernel, nu, points):
-    """Symbols at a sequence of frequencies as an (n, d) complex array.
+def _symbol_values(kernel, nu, xis):
+    """Symbols at an array of frequencies as an (n, d) complex array.
 
-    d=1 points are scalars (or 1-vectors) and d=2 points are 2-vectors;
-    the whole sequence is one batch of the half-line engine.
+    xis is (n,) in d=1 and (n, 2) in d=2; the whole array is one batch of
+    the half-line engine.
     """
+    xis = np.asarray(xis, dtype=float)
     d = kernel.d
     if d == 1:
         sign = _nu_sign(nu)
-        x = np.array([float(np.atleast_1d(np.asarray(p, dtype=float))[0])
-                      for p in points])
-        s = _half_line_symbol(kernel, x, 0)
+        if xis.ndim != 1:
+            raise ValueError("d=1 frequencies must be an (n,) array")
+        s = _half_line_symbol(kernel, xis, 0)
         return (s if sign > 0.0 else -np.conj(s))[:, None]
     if d == 2:
         u0, u1 = _nu_unit2(nu)
-        pts = [np.asarray(p, dtype=float).reshape(-1) for p in points]
-        if any(p.size != 2 for p in pts):
-            raise ValueError("d=2 frequency must be a 2-vector")
-        x0, x1 = np.reshape(pts, (-1, 2)).T
+        if xis.ndim != 2 or xis.shape[1] != 2:
+            raise ValueError("d=2 frequencies must be an (n, 2) array")
+        x0, x1 = xis.T
         # rotate nu to e1 and back, written out so that every row gets
         # the same arithmetic whatever the batch size
         loc = _symbol_e1_2d(kernel, np.column_stack([u0 * x0 + u1 * x1,
@@ -493,17 +505,17 @@ def _symbol_values(kernel, nu, points):
     raise ValueError("symbols are implemented for d in {1, 2}")
 
 
-def _symbol_value(kernel, nu, xi):
-    """Symbol as a bare complex array of length d."""
-    return _symbol_values(kernel, nu, [xi])[0]
+def _one_row(d, xi):
+    """One frequency as a batch of one: (1,) in d=1, (1, d) otherwise."""
+    return np.reshape(np.asarray(xi, dtype=float), (1, -1) if d > 1 else 1)
 
 
 def symbol(kernel, nu, xi):
     """Fourier symbol lambda_w^nu(xi) as a SymbolSample."""
     _check_standing(kernel)
-    value = _symbol_value(kernel, nu, xi)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return SymbolSample(xi=xi_arr, value=value,
+    value = _symbol_values(kernel, nu, _one_row(kernel.d, xi))[0]
+    return SymbolSample(xi=np.atleast_1d(np.asarray(xi, dtype=float)),
+                        value=value,
                         re_part=value.real.copy(), im_part=value.imag.copy())
 
 
@@ -515,50 +527,49 @@ def symbol_eta(tau, nu, xi, d):
     at -tau*xi.  In d=1 this collapses to the closed form
     (e^{-2 pi i tau xi} - 1)/(-2 pi i tau xi) - 1.
     """
-    return _eta_values(tau, nu, [xi], d)[0]
+    return _eta_values(tau, nu, _one_row(d, xi), d)[0]
 
 
-def _eta_values(tau, nu, points, d):
-    """symbol_eta at a sequence of frequencies, one engine batch."""
+def _eta_values(tau, nu, xis, d):
+    """symbol_eta at an array of frequencies, one engine batch."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    if d not in (1, 2):
-        raise ValueError("eta is implemented for d in {1, 2}")
     unit = _kern.constant_ball(d, c=1.0)
-    return _symbol_values(unit, nu, [-tau * np.atleast_1d(
-        np.asarray(xi, dtype=float)) for xi in points])
+    return _symbol_values(unit, nu, -tau * np.asarray(xis, dtype=float))
 
 
 def eta_bound(d, tau, xi_norm):
-    """The linear-capped envelope V_d * min(sqrt(2) pi tau |xi|, 1)."""
+    """The envelope V_d * min(sqrt(2) pi tau |xi|, 1), for arrays too."""
     half_ball = {1: 1.0, 2: math.pi / 2.0, 3: 2.0 * math.pi / 3.0}[d]
-    return 2.0 * half_ball * min(math.sqrt(2.0) * math.pi * tau * xi_norm, 1.0)
+    return 2.0 * half_ball * np.minimum(
+        math.sqrt(2.0) * math.pi * tau * xi_norm, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Bound checks: fitted constants over named grids.
 # ---------------------------------------------------------------------------
 
-def _grid_vectors(kernel_d, nu, xi_grid):
-    """Expand scalar grid entries to frequency vectors along nu."""
-    out = []
-    if kernel_d == 1:
-        for g in xi_grid:
-            out.append(float(np.atleast_1d(np.asarray(g, float))[0]))
-        return out
-    unit = _nu_unit2(nu)
-    for g in xi_grid:
-        arr = np.asarray(g, dtype=float).reshape(-1)
-        out.append(float(arr[0]) * unit if arr.size == 1 else arr)
-    return out
+def _along(d, nu, ts):
+    """The scalars ts as frequencies: t (d=1) or t nu/|nu| (d=2)."""
+    ts = np.asarray(ts, dtype=float)
+    return ts if d == 1 else ts[:, None] * _nu_unit2(nu)
 
 
-def _ray(d, nu, ts):
-    """Frequencies t (d=1) or t * nu/|nu| (d=2) for the scalars ts."""
-    if d == 1:
-        return list(ts)
-    unit = _nu_unit2(nu)
-    return [t * unit for t in ts]
+def _norms(values):
+    """np.linalg.norm of each row of an (n,) or (n, d) array, to the bit:
+    dot products of the real parts, plus those of the imaginary parts."""
+    rows = np.asarray(values).reshape(len(values), 1, -1)
+    squares = (rows.real @ rows.real.transpose(0, 2, 1)).ravel()
+    if np.iscomplexobj(rows):
+        squares = squares + (rows.imag @ rows.imag.transpose(0, 2, 1)).ravel()
+    return np.sqrt(squares)
+
+
+def _report(name, grid, lhs, rhs, slack, note=""):
+    """lhs <= rhs + slack at every frequency; the margin is min(rhs - lhs)."""
+    margin = float(np.min(rhs - lhs))
+    return BoundReport(name=name, grid=grid, lhs=lhs, rhs=rhs, margin=margin,
+                       passed=margin >= -slack, note=note)
 
 
 def check_linear_bound(kernel, nu, xi_grid):
@@ -570,20 +581,14 @@ def check_linear_bound(kernel, nu, xi_grid):
     m1 = _kern.partial_moments(kernel, 0.0, 1.0, 1)
     m2 = _kern.tail_mass(kernel, 1.0)
     mass = _kern.partial_moments(kernel, 0.0, math.inf, 0)
-    pts = _grid_vectors(kernel.d, nu, xi_grid)
-    lhs, rhs = [], []
-    for xi, lam in zip(pts, _symbol_values(kernel, nu, pts)):
-        mag = float(np.linalg.norm(lam))
-        bound = 2.0 * math.sqrt(2.0) * math.pi * m1 * float(
-            np.linalg.norm(np.atleast_1d(xi))) + math.sqrt(2.0) * m2
-        if not math.isinf(mass):
-            bound = min(bound, 2.0 * mass)
-        lhs.append(mag)
-        rhs.append(bound)
-    margin = min(r - l for l, r in zip(lhs, rhs))
-    return BoundReport(name="linear_upper_bound", grid=list(pts), lhs=lhs,
-                       rhs=rhs, margin=margin, passed=margin >= -1e-8,
-                       note=f"M1={m1:.6g} M2={m2:.6g}")
+    xis = _along(kernel.d, nu, xi_grid)
+    lhs = _norms(_symbol_values(kernel, nu, xis))
+    rhs = (2.0 * math.sqrt(2.0) * math.pi * m1 * _norms(xis)
+           + math.sqrt(2.0) * m2)
+    if not math.isinf(mass):
+        rhs = np.minimum(rhs, 2.0 * mass)
+    return _report("linear_upper_bound", xis, lhs, rhs, 1e-8,
+                   f"M1={m1:.6g} M2={m2:.6g}")
 
 
 def check_lower_bound_small_xi(kernel, nu):
@@ -598,15 +603,11 @@ def check_lower_bound_small_xi(kernel, nu):
     if math.isinf(_kern.partial_moments(kernel, 0.0, math.inf, 1)):
         work = _kern.cutoff(kernel, 1.0)
         note = "tail cut at radius 1 (infinite full first moment); "
-    ts = [2.0 ** -k for k in range(21)]
-    lhs, ratios = [], []
-    for t, lam in zip(ts, _symbol_values(work, nu, _ray(kernel.d, nu, ts))):
-        mag = float(np.linalg.norm(lam))
-        lhs.append(mag)
-        ratios.append(mag / t)
-    c1 = min(ratios)
+    ts = np.ldexp(1.0, -np.arange(21))
+    lhs = _norms(_symbol_values(work, nu, _along(kernel.d, nu, ts)))
+    c1 = float(np.min(lhs / ts))
     return BoundReport(name="lower_bound_small_xi", grid=ts, lhs=lhs,
-                       rhs=[c1 * t for t in ts], margin=c1, passed=c1 > 0.0,
+                       rhs=c1 * ts, margin=c1, passed=c1 > 0.0,
                        note=note + f"C1={c1:.8g} N1=1")
 
 
@@ -621,39 +622,65 @@ def check_lower_bound_large_xi(kernel, nu, N=1.0, eps=None):
     """
     if eps is None:
         eps = _kern.moments(kernel).epsilon0
-    claim = True
     note = f"N={N:g} eps={eps:g}"
-    if kernel.d == 1 and not _kern.declared_monotone(kernel):
-        claim = False
+    claim = kernel.d != 1 or _kern.declared_monotone(kernel)
+    if not claim:
         note += "; profile not nonincreasing: report only, no pass/fail claim"
-    ts = list(np.geomspace(N, 1e3 * N, 25))
-    lhs, rhs, ratios = [], [], []
-    lams = _symbol_values(kernel, nu, _ray(kernel.d, nu, ts))
-    for t, lam in zip(ts, lams):
-        re_mag = float(np.linalg.norm(lam.real))
-        denom = _kern.partial_moments(kernel, N * eps / t, math.inf, 0)
-        lhs.append(re_mag)
-        rhs.append(denom)
-        ratios.append(re_mag / denom if denom > 0.0 else math.inf)
-    fitted = min(ratios)
+    ts = np.geomspace(N, 1e3 * N, 25)
+    lhs = _norms(_symbol_values(kernel, nu, _along(kernel.d, nu, ts)).real)
+    # partial_moments(kernel, N eps / t, inf, 0) for every t at once
+    rhs = _kern.surface_measure(kernel.d) * _kern._radial_integrals(
+        kernel, N * eps / ts, math.inf, kernel.d - 1)
+    ratios = np.divide(lhs, rhs, out=np.full(ts.shape, math.inf),
+                       where=rhs > 0.0)
+    fitted = float(np.min(ratios))
     passed = (fitted > 0.0) if claim else True
     return BoundReport(name="lower_bound_large_xi", grid=ts, lhs=lhs, rhs=rhs,
                        margin=fitted, passed=passed,
                        note=note + f"; fitted C={fitted:.8g}")
 
 
+def check_hermitian_symmetry(kernel, nu, xi_grid):
+    """|lambda(-xi) - conj lambda(xi)| <= 1e-10 max(1, |lambda|) per entry."""
+    _check_standing(kernel)
+    xis = _along(kernel.d, nu, xi_grid)
+    plus = _symbol_values(kernel, nu, xis)
+    lhs = np.max(np.abs(_symbol_values(kernel, nu, -xis) - np.conj(plus)),
+                 axis=1)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(plus))))
+    return _report("hermitian_symmetry", np.asarray(xi_grid), lhs,
+                   np.full(lhs.shape, tol), 0.0)
+
+
+def check_cutoff_perturbation(kernel, nu, xi_grid, radius):
+    """Cutting w at radius moves each entry of lambda by <= 2 tail_mass."""
+    bound = 2.0 * _kern.tail_mass(kernel, radius)
+    trimmed = _kern.cutoff(kernel, radius)
+    _check_standing(trimmed)
+    xis = _along(kernel.d, nu, xi_grid)
+    lhs = np.max(np.abs(_symbol_values(kernel, nu, xis)
+                        - _symbol_values(trimmed, nu, xis)), axis=1)
+    return _report("cutoff_perturbation", np.asarray(xi_grid), lhs,
+                   np.full(lhs.shape, bound), 1e-10)
+
+
+def check_eta_envelope(d, nu, tau, xi_grid):
+    """Each entry of eta_tau(xi) stays below eta_bound(d, tau, |xi|)."""
+    xis = _along(d, nu, xi_grid)
+    lhs = np.max(np.abs(_eta_values(tau, nu, xis, d)), axis=1)
+    return _report("eta_envelope", np.asarray(xi_grid), lhs,
+                   eta_bound(d, tau, _norms(xis)), 1e-10)
+
+
 def check_fractional_sandwich(delta, d, xi_grid):
     """c <= |lambda(xi)| / |xi|^{1-delta} <= C for the raw fractional kernel."""
     kernel = _kern.fractional_vanishing(d, delta, normalize=False)
     nu = 1.0 if d == 1 else np.array([1.0, 0.0])
-    pts = _grid_vectors(d, nu, xi_grid)
-    ratios = []
-    for xi, lam in zip(pts, _symbol_values(kernel, nu, pts)):
-        mag = float(np.linalg.norm(lam))
-        xin = float(np.linalg.norm(np.atleast_1d(xi)))
-        ratios.append(mag / xin ** (1.0 - delta))
-    lo, hi = min(ratios), max(ratios)
-    return BoundReport(name="fractional_sandwich", grid=list(pts), lhs=ratios,
+    xis = _along(d, nu, xi_grid)
+    ratios = (_norms(_symbol_values(kernel, nu, xis))
+              / _norms(xis) ** (1.0 - delta))
+    lo, hi = float(np.min(ratios)), float(np.max(ratios))
+    return BoundReport(name="fractional_sandwich", grid=xis, lhs=ratios,
                        rhs=[lo, hi], margin=lo, passed=lo > 0.0,
                        note=f"c={lo:.8g} C={hi:.8g} spread={hi / lo:.8g}")
 
@@ -674,44 +701,41 @@ def compactness_ratio_scan(kernel_family, param_list, tau_list, xi_grid):
             work = _kern.cutoff(kernel, 1.0)
         d = kernel.d
         nu = 1.0 if d == 1 else np.array([1.0, 0.0])
-        pts = _grid_vectors(d, nu, xi_grid)
-        if any(not np.any(np.atleast_1d(xi)) for xi in pts):
+        xis = _along(d, nu, xi_grid)
+        if np.any(np.all(xis.reshape(len(xis), -1) == 0.0, axis=1)):
             raise ValueError("xi = 0 is excluded from the ratio scan")
-        lam_mags = [float(np.linalg.norm(lam))
-                    for lam in _symbol_values(work, nu, pts)]
+        lam_mags = _norms(_symbol_values(work, nu, xis))
         for tau in tau_list:
-            sup = 0.0
-            for eta, lam_mag in zip(_eta_values(tau, nu, pts, d), lam_mags):
-                eta_mag = float(np.linalg.norm(eta))
-                ratio = eta_mag / lam_mag if lam_mag > 0.0 else math.inf
-                sup = max(sup, ratio)
+            eta_mags = _norms(_eta_values(tau, nu, xis, d))
+            ratios = np.divide(eta_mags, lam_mags,
+                               out=np.full(lam_mags.shape, math.inf),
+                               where=lam_mags > 0.0)
+            sup = max(0.0, float(np.max(ratios)))
             rows.append({"param": param, "tau": tau, "sup_ratio": sup,
                          "passed": math.isfinite(sup)})
     return rows
 
 
 def scaling_identity_check(base_kernel, delta_list, xi_grid):
-    """lambda_{w_delta}(xi) = delta^{-1} lambda_w(delta xi) to 1e-6 relative."""
+    """lambda_{w_delta}(xi) = delta^{-1} lambda_w(delta xi) to 1e-6 relative.
+
+    lhs and rhs hold |lambda_{w_delta}(xi)| and |lambda_w(delta xi)|/delta,
+    one row per delta.
+    """
     d = base_kernel.d
     nu = 1.0 if d == 1 else np.array([1.0, 0.0])
-    pts = _grid_vectors(d, nu, xi_grid)
-    grid, lhs, rhs = [], [], []
+    xis = _along(d, nu, xi_grid)
+    lhs, rhs = [], []
     worst = 0.0
     for delta in delta_list:
-        resc = _kern.rescaled(base_kernel, delta)
-        lefts = _symbol_values(resc, nu, pts)
-        rights = _symbol_values(base_kernel, nu, [
-            np.atleast_1d(np.asarray(xi, float)) * delta for xi in pts])
-        for xi, left, right in zip(pts, lefts, rights / delta):
-            scale = max(float(np.linalg.norm(left)),
-                        float(np.linalg.norm(right)), 1e-300)
-            rel = float(np.linalg.norm(left - right)) / scale
-            worst = max(worst, rel)
-            grid.append((delta, xi))
-            lhs.append(float(np.linalg.norm(left)))
-            rhs.append(float(np.linalg.norm(right)))
-    return BoundReport(name="scaling_identity", grid=grid, lhs=lhs, rhs=rhs,
-                       margin=worst, passed=worst <= 1e-6,
+        left = _symbol_values(_kern.rescaled(base_kernel, delta), nu, xis)
+        right = _symbol_values(base_kernel, nu, xis * delta) / delta
+        lhs.append(_norms(left))
+        rhs.append(_norms(right))
+        scale = np.maximum(np.maximum(lhs[-1], rhs[-1]), 1e-300)
+        worst = max(worst, float(np.max(_norms(left - right) / scale)))
+    return BoundReport(name="scaling_identity", grid=xis, lhs=np.array(lhs),
+                       rhs=np.array(rhs), margin=worst, passed=worst <= 1e-6,
                        note=f"max relative deviation {worst:.3g}")
 
 

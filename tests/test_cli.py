@@ -112,6 +112,43 @@ def test_nonfinite_float_settings_exit_1(tmp_path, monkeypatch, capsys, cmd,
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,key", [
+    (["solve", "--coef", "const:nan"], "coef"),
+    (["solve", "--rhs", "const:inf"], "rhs"),
+    (["ac", "--coef", "const:-inf"], "coef"),
+    (["solve", "--rhs", "const:abc"], "rhs"),
+    (["control", "--gamma", "const:abc"], "gamma"),
+    (["control", "--gamma", "const:nan"], "gamma"),
+    (["symbol", "--kernel-d", "2", "--xis", "1:abc"], "xis"),
+    (["bounds", "--kernel-d", "2", "--nu", "nan:1"], "nu"),
+    (["bounds", "--kernel-d", "2", "--nu", "inf:1"], "nu"),
+    (["solve", "--nu", "1:x"], "nu"),
+])
+def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
+                                                args, key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert "key %s" % key in err and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--kernel-family", "log_regularized", "--kernel-delta", "0.2",
+     "--kernel-cutoff", "0.2", "--n", "40"],
+    ["--kernel-family", "fractional_vanishing", "--kernel-delta", "0.3",
+     "--kernel-cutoff", "0.5", "--n", "48"],
+])
+def test_solve_with_gauss_points_on_nodes(tmp_path, monkeypatch, capsys,
+                                          args):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["solve"] + args, capsys)
+    assert code == 0 and err == ""
+    _, names, rows = read_csv(tmp_path / "solve.csv")
+    assert names == ["x", "u"] and len(rows) == int(args[-1]) + 1
+    assert all(math.isfinite(u) for _, u in rows)
+
+
 def test_control_with_infinite_bounds_is_unconstrained(tmp_path, monkeypatch,
                                                        capsys):
     monkeypatch.chdir(tmp_path)

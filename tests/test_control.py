@@ -323,6 +323,17 @@ def test_control_sweep_marks_failed_cells():
     assert math.isnan(table.rows[0][4])
 
 
+@pytest.mark.parametrize("hs,reference_h,match", [
+    ((0.3,), None, "divide"),               # 3.33 cells
+    ((1 / 8,), 0.03, "divide"),             # 33.3 reference cells
+    ((1 / 8,), 1 / 16, "four times finer"),
+])
+def test_control_sweep_rejects_h_that_does_not_fit(hs, reference_h, match):
+    with pytest.raises(ValueError, match=match):
+        C.control_ac_sweep(make_sweep_problem, (0.2,), hs,
+                           reference_h=reference_h)
+
+
 def test_vanishing_horizon_recovers_the_local_discrete_pair():
     mesh = F.Mesh1D(1.0, 16)
     local = C.solve_optimal(make_sweep_problem(0.0, mesh), tol=1e-11,

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from hsnl import kernels as K
 from hsnl import fem1d as F
-from hsnl.operators import QuadratureSpec
 
 
 BALL02 = K.rescaled(K.constant_ball(), 0.2)
@@ -161,7 +160,33 @@ def test_two_directions_give_same_galerkin_matrix(kern, n):
 
 
 def quadrature_points(kern, nu, mesh):
-    return F._x_panels(kern, nu, mesh, QuadratureSpec().max_panels)
+    return F._x_panels(kern, nu, mesh)
+
+
+# kernels of infinite mass whose breakpoint is a multiple of h: some node
+# minus a breakpoint meets another node up to roundoff, and the panel
+# between the two puts Gauss points exactly on a node, where H0 = -inf
+LOGREG_CUT = K.cutoff(K.log_regularized(1, 0.2), 0.2)
+FRACTIONAL_CUT = K.cutoff(K.fractional_vanishing(1, 0.3), 0.5)
+
+
+@pytest.mark.parametrize("kern,n,nu", [
+    (LOGREG_CUT, 40, 1), (LOGREG_CUT, 35, -1),
+    (FRACTIONAL_CUT, 48, 1), (FRACTIONAL_CUT, 48, -1),
+], ids=["logreg_cut-40", "logreg_cut-35-minus", "fractional_cut-48",
+        "fractional_cut-48-minus"])
+def test_gauss_points_on_nodes_give_finite_spd_stiffness(kern, n, nu):
+    mesh = F.Mesh1D(1.0, n)
+    xq, _ = quadrature_points(kern, nu, mesh)
+    assert np.isin(xq, mesh.nodes[1:-1]).any()
+    system = F.assemble(kern, nu, 1.0, 1.0, mesh)
+    assert np.all(np.isfinite(system.stiffness))
+    assert np.all(np.linalg.eigvalsh(system.stiffness) > 0.0)
+    assert np.all(np.isfinite(F.solve_state(system)))
+    for i in (1, n // 2, n - 1):
+        x = mesh.nodes[i]
+        assert F.hat_gradient(kern, nu, mesh, i, x) == pytest.approx(
+            quad_hat_gradient(kern, nu, mesh, i, x), rel=5e-9, abs=5e-9)
 
 
 def test_window_width_clamps_to_the_interior_hats():

@@ -6,7 +6,7 @@ import pytest
 
 from hsnl import kernels as K
 from hsnl import operators as O
-from hsnl.symbols import _symbol_value
+from hsnl.symbols import _symbol_values, symbol
 
 
 def window_linear(x):
@@ -90,15 +90,14 @@ VF = O.SmoothFunction(fn=vfield, lipschitz=1.0, support_radius=1.0,
                                     K.riesz_truncated(1, 0.5)])
 def test_integration_by_parts(kernel):
     # <G u, v> = -<u, D^{-nu} v> over a window covering both supports
-    quad = O.QuadratureSpec()
     edges = np.linspace(-2.0, 2.0, 65)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     gx, gw = np.polynomial.legendre.leggauss(8)
     xs = (mid[:, None] + half * gx[None, :]).ravel()
     ws = np.tile(half * gw, len(mid))
-    gu = O._gradient_values_1d(kernel, 1, BUMP, xs, quad)
-    dv = O._gradient_values_1d(kernel, -1, VF, xs, quad)
+    gu = O._gradient_values_1d(kernel, 1, BUMP, xs)
+    dv = O._gradient_values_1d(kernel, -1, VF, xs)
     lhs = float(np.sum(ws * gu * vfield(xs)))
     rhs = -float(np.sum(ws * bump(xs) * dv))
     assert lhs == pytest.approx(rhs, abs=1e-6)
@@ -172,14 +171,31 @@ def test_spectral_sine_mode():
     u = np.sin(2.0 * np.pi * x / length)
     out = O.gradient_spectral(k, 1, O.SampledField(length, u))
     assert out.kind == "vector"
-    lam = _symbol_value(k, 1, 1.0 / length)[0]
+    lam = symbol(k, 1, 1.0 / length).value[0]
     closed = (lam.real * np.sin(2 * np.pi * x / length)
               + lam.imag * np.cos(2 * np.pi * x / length))
     assert np.abs(out.values - closed).max() <= 1e-12
     handle = O.SmoothFunction(fn=lambda t: np.sin(2 * np.pi * t / length),
                               lipschitz=np.pi, sup_norm=1.0)
-    pw = O._gradient_values_1d(k, 1, handle, x[:16], O.QuadratureSpec())
+    pw = O._gradient_values_1d(k, 1, handle, x[:16])
     assert np.abs(out.values[:16] - pw).max() <= 1e-6
+
+
+def test_spectral_2d_matches_the_symbol_on_every_frequency():
+    # one of each mirror pair is evaluated and the other conjugated
+    k = K.rescaled(K.constant_ball(2), 0.3)
+    nu = np.array([0.6, 0.8])
+    nx, ny, lx, ly = 8, 16, 1.0, 2.0
+    x = np.arange(nx)[:, None] * (lx / nx)
+    y = np.arange(ny)[None, :] * (ly / ny)
+    u = (np.cos(2 * np.pi * x / lx) * np.sin(2 * np.pi * y / ly)
+         + 0.3 * np.sin(4 * np.pi * y / ly - 2 * np.pi * x / lx))
+    out = O.gradient_spectral(k, nu, O.SampledField((lx, ly), u))
+    fx, fy = np.fft.fftfreq(nx, d=lx / nx), np.fft.fftfreq(ny, d=ly / ny)
+    xis = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1)
+    lam = _symbol_values(k, nu, xis.reshape(-1, 2)).reshape(nx, ny, 2)
+    want = np.fft.ifft2(lam * np.fft.fft2(u)[:, :, None], axes=(0, 1))
+    assert np.abs(out.values - want.real).max() <= 1e-12
 
 
 def test_spectral_constant_is_zero():
@@ -195,8 +211,8 @@ def test_spectral_parseval():
     u = np.sin(2 * np.pi * x / length) + 0.3 * np.cos(6 * np.pi * x / length)
     out = O.gradient_spectral(k, 1, O.SampledField(length, u))
     uhat = np.fft.fft(u)
-    lam = np.array([_symbol_value(k, 1, f)[0] if f >= 0
-                    else np.conj(_symbol_value(k, 1, -f)[0])
+    lam = np.array([symbol(k, 1, f).value[0] if f >= 0
+                    else np.conj(symbol(k, 1, -f).value[0])
                     for f in np.fft.fftfreq(n, d=length / n)])
     lhs = np.sum(np.abs(out.values) ** 2) * (length / n)
     rhs = np.sum(np.abs(lam * uhat) ** 2) / n * (length / n)

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hsnl import kernels as K
 from hsnl import symbols as S
@@ -30,7 +31,7 @@ def test_constant_ball_symbol_closed_form_points():
 @given(st.floats(min_value=-200.0, max_value=200.0))
 def test_constant_ball_symbol_matches_closed_form(xi):
     k = K.constant_ball()
-    got = S._symbol_value(k, 1, xi)[0]
+    got = S.symbol(k, 1, xi).value[0]
     want = closed_form_ball(xi)
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -52,7 +53,7 @@ def test_riesz_symbol_oracle_values():
         50.0: -42.428844578414136373 + 44.425646403645785445j,
     }
     for xi, want in cases.items():
-        assert S._symbol_value(k, 1, xi)[0] == pytest.approx(want, rel=1e-11)
+        assert S.symbol(k, 1, xi).value[0] == pytest.approx(want, rel=1e-11)
 
 
 def test_fractional_symbol_oracle_values():
@@ -65,36 +66,36 @@ def test_fractional_symbol_oracle_values():
     }
     for dl, want in cases.items():
         k = K.fractional_vanishing(1, dl, normalize=False)
-        assert S._symbol_value(k, 1, 1.0)[0] == pytest.approx(want, rel=1e-11)
+        assert S.symbol(k, 1, 1.0).value[0] == pytest.approx(want, rel=1e-11)
 
 
 def test_log_regularized_symbol_oracle_value():
     # frozen from a QAWO/Fourier-weight adaptive quadrature reference
     k = K.log_regularized(1, 0.2)
     want = -4.979018396941246 + 3.8357433436508193j
-    assert S._symbol_value(k, 1, 2.0)[0] == pytest.approx(want, rel=2e-8)
+    assert S.symbol(k, 1, 2.0).value[0] == pytest.approx(want, rel=2e-8)
 
 
 def test_hermitian_symmetry_d1():
     k = K.riesz_truncated(1, 0.5)
     rng = np.random.default_rng(11)
     for xi in rng.uniform(-50.0, 50.0, size=1000):
-        a = S._symbol_value(k, 1, xi)[0]
-        b = S._symbol_value(k, 1, -xi)[0]
+        a = S.symbol(k, 1, xi).value[0]
+        b = S.symbol(k, 1, -xi).value[0]
         assert abs(b - np.conj(a)) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_direction_reflection_d1():
     k = K.log_regularized(1, 0.1)
     for xi in (0.3, 2.0, 17.5):
-        plus = S._symbol_value(k, 1, xi)[0]
-        minus = S._symbol_value(k, -1, xi)[0]
+        plus = S.symbol(k, 1, xi).value[0]
+        minus = S.symbol(k, -1, xi).value[0]
         assert minus == pytest.approx(-np.conj(plus), rel=1e-14)
 
 
 def test_symbol_d2_oracle():
     k = K.constant_ball(2)
-    v = S._symbol_value(k, np.array([1.0, 0.0]), np.array([0.7, -0.3]))
+    v = S.symbol(k, np.array([1.0, 0.0]), np.array([0.7, -0.3])).value
     assert v[0] == pytest.approx(-2.4402935900328305673
                                  + 0.4654263127074497104j, rel=1e-10)
     assert v[1] == pytest.approx(0.83044049793756450051
@@ -106,12 +107,12 @@ def test_rotation_covariance_d2():
     rng = np.random.default_rng(23)
     xi = np.array([1.1, -0.4])
     nu = np.array([0.6, 0.8])
-    base = S._symbol_value(k, nu, xi)
+    base = S.symbol(k, nu, xi).value
     for _ in range(100):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
-        lhs = S._symbol_value(k, rot @ nu, rot @ xi)
+        lhs = S.symbol(k, rot @ nu, rot @ xi).value
         assert np.linalg.norm(lhs - rot @ base) <= 1e-8
 
 
@@ -121,8 +122,8 @@ def test_hermitian_symmetry_d2():
     nu = np.array([1.0, 0.0])
     for _ in range(25):
         xi = rng.uniform(-8.0, 8.0, size=2)
-        a = S._symbol_value(k, nu, xi)
-        b = S._symbol_value(k, nu, -xi)
+        a = S.symbol(k, nu, xi).value
+        b = S.symbol(k, nu, -xi).value
         assert np.linalg.norm(b - np.conj(a)) <= 1e-10
 
 
@@ -219,7 +220,7 @@ def test_riesz_scaled_ratio_bounded():
     grid = list(np.geomspace(1.0, 100.0, 21))
     for s in (0.5, 0.7, 0.9):
         k = K.riesz_truncated(1, s)
-        ratios = [abs(S._symbol_value(k, 1, t)[0]) / t ** s for t in grid]
+        ratios = [abs(S.symbol(k, 1, t).value[0]) / t ** s for t in grid]
         spread = max(ratios) / min(ratios)
         assert min(ratios) > 0.0
         assert spread < 50.0
@@ -245,7 +246,7 @@ def test_scaling_identity():
     rep = S.scaling_identity_check(K.constant_ball(), [0.25, 1.0, 2.0],
                                    [0.5, 2.0, 11.0])
     assert rep.passed and rep.margin <= 1e-6
-    got = S._symbol_value(K.rescaled(K.constant_ball(), 0.25), 1, 2.0)[0]
+    got = S.symbol(K.rescaled(K.constant_ball(), 0.25), 1, 2.0).value[0]
     assert got == pytest.approx(4.0 * closed_form_ball(0.5), rel=1e-10)
 
 
@@ -306,8 +307,8 @@ def test_cutoff_perturbation_bounded_by_tail_mass():
     kc = K.cutoff(k, 1.0)
     m2 = K.tail_mass(k, 1.0)
     for xi in (0.5, 3.0, 20.0):
-        a = S._symbol_value(k, 1, xi)[0]
-        b = S._symbol_value(kc, 1, xi)[0]
+        a = S.symbol(k, 1, xi).value[0]
+        b = S.symbol(kc, 1, xi).value[0]
         assert abs(a - b) <= 2.0 * m2 + 1e-8
 
 
@@ -417,7 +418,7 @@ def test_batched_d2_matches_pointwise_values(monkeypatch):
            np.array([-12.0, 30.0]), np.array([55.0, 4.0])]
     batch = S._symbol_values(k, nu, pts)
     for xi, row in zip(pts, batch):
-        assert np.array_equal(row, S._symbol_value(k, nu, xi))
+        assert np.array_equal(row, S.symbol(k, nu, xi).value)
     assert np.all(batch[1] == 0.0)
     # tiny blocks: several engine calls and blocks per batch, same bits
     monkeypatch.setattr(S, "BLOCK_ENTRIES", 256)
@@ -444,4 +445,123 @@ def test_batched_d1_grid_checks_match_pointwise():
     grid = np.geomspace(0.01, 100.0, 30)
     report = S.check_linear_bound(k, -1, grid)
     for xi, lhs in zip(grid, report.lhs):
-        assert lhs == float(np.linalg.norm(S._symbol_value(k, -1, xi)))
+        assert lhs == float(np.linalg.norm(S.symbol(k, -1, xi).value))
+
+
+# ---------------------------------------------------------------------------
+# The three bounds rows of `hsnl bounds` that need the symbol on the signed
+# grid, the cut-off kernel and eta, against point-by-point evaluation.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel,nu", [
+    (K.fractional_vanishing(1, 0.1), -1),
+    (K.riesz_truncated(2, 0.5), np.array([0.6, 0.8])),
+], ids=["fractional_vanishing-d1", "riesz_truncated-d2"])
+def test_moved_bounds_rows_match_pointwise(kernel, nu):
+    grid = np.geomspace(0.01, 30.0, 7)
+    unit = 1.0 if kernel.d == 1 else nu / np.linalg.norm(nu)
+    points = [t * unit for t in grid]
+    plus = [S.symbol(kernel, nu, xi).value for xi in points]
+
+    defect = max(float(np.max(np.abs(S.symbol(kernel, nu, -xi).value
+                                     - np.conj(lam))))
+                 for xi, lam in zip(points, plus))
+    tol = 1e-10 * max(1.0, max(float(np.max(np.abs(lam))) for lam in plus))
+    rep = S.check_hermitian_symmetry(kernel, nu, grid)
+    assert rep.margin == tol - defect and rep.passed
+    assert rep.grid_span() == (grid[0], grid[-1])
+
+    trimmed = K.cutoff(kernel, 0.5)
+    worst = max(float(np.max(np.abs(lam - S.symbol(trimmed, nu, xi).value)))
+                for xi, lam in zip(points, plus))
+    rep = S.check_cutoff_perturbation(kernel, nu, grid, 0.5)
+    assert rep.margin == 2.0 * K.tail_mass(kernel, 0.5) - worst
+    assert rep.passed
+
+    margin = min(S.eta_bound(kernel.d, 0.05, float(np.linalg.norm(xi)))
+                 - float(np.max(np.abs(S.symbol_eta(0.05, nu, xi,
+                                                    kernel.d))))
+                 for xi in points)
+    rep = S.check_eta_envelope(kernel.d, nu, 0.05, grid)
+    assert rep.margin == margin and rep.passed
+
+
+def test_symbol_values_check_the_array_shape():
+    with pytest.raises(ValueError, match=r"\(n,\) array"):
+        S._symbol_values(K.constant_ball(1), 1, np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+        S._symbol_values(K.constant_ball(2), np.array([1.0, 0.0]),
+                         np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# Identities of the symbol on the array entry point, over random batches.
+# ---------------------------------------------------------------------------
+
+# fractional_vanishing and log_regularized have unbounded support, so
+# their panel zone starts at z1 = 1 with quarter periods 1/(4|c|) much
+# wider than 1 at small |c|; 16 Gauss points then miss the origin
+# singularity's pull, and at |c| = 0.01 a symbol is off by 5e-5.  A d=2
+# symbol meets such |c| at angles near perpendicular to xi.
+PANEL_DEFECT = pytest.mark.xfail(
+    raises=AssertionError, reason="panel zone too coarse at small |c|")
+INVARIANT_FAMILIES = [
+    "constant_ball", "riesz_truncated", "rescaled", "cutoff",
+    pytest.param("log_regularized", marks=PANEL_DEFECT),
+    pytest.param("fractional_vanishing", marks=PANEL_DEFECT)]
+
+
+def frequencies(bound):
+    """0 or a magnitude in [1e-300, bound] of either sign.
+
+    Below about 3e-308 the engine fails for some kernels; that defect is
+    pinned by test_symbol_at_a_subnormal_frequency, not drawn here.
+    """
+    mag = st.floats(1e-300, bound)
+    return st.just(0.0) | mag | mag.map(lambda x: -x)
+
+
+def assert_rows_close(got, want, rtol):
+    """Each row of got within rtol of the largest entry of want's row."""
+    err = np.max(np.abs(got - want), axis=1)
+    assert np.all(err <= rtol * np.max(np.abs(want), axis=1))
+
+
+def check_identities(kernel, nu, xis, delta, rtol):
+    """lambda(-xi) = conj lambda(xi), lambda^{-nu} = -conj lambda^{nu} and
+    lambda_{w_delta}(xi) = lambda_w(delta xi) / delta, row by row."""
+    both = S._symbol_values(kernel, nu, np.concatenate([xis, -xis]))
+    plus, minus = both[:len(xis)], both[len(xis):]
+    assert_rows_close(minus, np.conj(plus), rtol)
+    assert_rows_close(S._symbol_values(kernel, -nu, xis), -np.conj(plus),
+                      rtol)
+    assert_rows_close(S._symbol_values(K.rescaled(kernel, delta), nu, xis),
+                      S._symbol_values(kernel, nu, delta * xis) / delta,
+                      rtol)
+
+
+@pytest.mark.parametrize("family", INVARIANT_FAMILIES)
+@settings(max_examples=30)
+@example(xis=np.array([0.01, 3.0]), nu=1.0, delta=0.5)
+@given(xis=hnp.arrays(float, st.integers(1, 6), elements=frequencies(1e3)),
+       nu=st.sampled_from([1.0, -1.0]), delta=st.floats(0.25, 4.0))
+def test_symbol_identities_d1(family, xis, nu, delta):
+    check_identities(ORACLE_KERNELS[family](1), nu, xis, delta, 1e-13)
+
+
+@pytest.mark.parametrize("family", INVARIANT_FAMILIES)
+@settings(max_examples=10)
+@example(xis=np.array([[0.0, 1.0]]), angle=0.0, delta=0.5)
+@given(xis=hnp.arrays(float, (1, 2), elements=frequencies(70.0)),
+       angle=st.floats(0.0, 2.0 * math.pi), delta=st.floats(0.25, 1.0))
+def test_symbol_identities_d2(family, xis, angle, delta):
+    nu = np.array([math.cos(angle), math.sin(angle)])
+    check_identities(ORACLE_KERNELS[family](2), nu, xis, delta, 1e-10)
+
+
+@pytest.mark.xfail(raises=S.SymbolError, reason="the panel zone's end "
+                   "40/(2 pi c) overflows to inf below about 3e-308")
+def test_symbol_at_a_subnormal_frequency():
+    k = K.fractional_vanishing(1, 0.1)
+    got = S._half_line_symbol(k, np.array([1.1125369292536007e-308]), 0)
+    assert np.all(np.isfinite(got))
