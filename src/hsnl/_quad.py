@@ -45,10 +45,6 @@ def geometric_breaks(lo, hi, ratio=4.0):
 
 def merge_breaks(lo, hi, *candidate_lists):
     """Sorted unique break points on [lo, hi] including both endpoints."""
-    pts = [lo, hi]
-    for cand in candidate_lists:
-        for c in cand:
-            if lo < c < hi:
-                pts.append(float(c))
-    return np.unique(np.array(pts, dtype=float))
+    pts = np.concatenate([[lo, hi], *candidate_lists], dtype=float)
+    return np.unique(pts[(lo <= pts) & (pts <= hi)])
 

@@ -7,21 +7,23 @@ radial antiderivatives H_0 and H_1.  No inner quadrature ever touches the
 kernel singularity.  A quadrature point x only sees the hats whose stencil
 meets its kernel horizon, a window of about top/h + 3 hats, so assembly
 evaluates that window for a block of points at once and adds each run of
-points with the same window as one dense Gram product.  Unknowns are the
-interior nodes only; the volume constraint u = 0 outside the domain is
-enforced by that basis choice.
+points with the same window as one Gram product to a dense strip of hats
+that joins the band when the points pass it.  Unknowns are the interior
+nodes, which enforces the volume constraint u = 0 outside the domain.
 
-The stiffness matrix is therefore banded, with a half-bandwidth of about
-top/h + 2 (1 for the local operator).  The SPD check that ends assembly
-reads the half-bandwidth from the matrix's nonzero pattern and factors the
-upper band once with `scipy.linalg.cholesky_banded`; the `FemSystem`
-keeps that factor, and every later solve is an O(n * bandwidth) banded
-back-substitution.  A `FemSystem` built by hand factors on first use.
+The stiffness and mass matrices are therefore banded, and a `FemSystem`
+stores only their upper bands, in the `(width, n)` row layout that
+`scipy.linalg.cholesky_banded` reads: `width` is the window width (2 for
+the local operator and the mass).  Assembly factors the stiffness band
+once and the `FemSystem` keeps that factor, so every later solve is an
+O(n * width) banded back-substitution; band products go through BLAS
+`dsbmv`.  A `FemSystem` built by hand factors on first use, and its
+`stiffness` and `mass` properties build dense copies for checks.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,7 +32,7 @@ from . import kernels as _kern
 from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
 from .symbols import _nu_sign
 
-_MAX_PANELS = 16384     # x-panels allowed per assembly (dense n x n matrix)
+_MAX_PANELS = 16384     # x-panels per assembly, all held at once
 
 
 class AssemblyError(RuntimeError):
@@ -72,22 +74,33 @@ def _cell_rule(mesh):
 
 @dataclass(eq=False)
 class FemSystem:
-    """Dense stiffness, mass and load of one Galerkin system.
+    """Upper-band stiffness and mass and the load of one Galerkin system.
 
-    `factor` is the banded Cholesky factor of the symmetrized stiffness,
-    in the `(cb, lower)` form `scipy.linalg.cho_solve_banded` takes.  It
-    is computed once, so build a new system rather than changing the
+    Row width - 1 - k of a band holds the k-th superdiagonal, ending in
+    the last column (the layout of `scipy.linalg.cholesky_banded`).
+    `factor` is the banded Cholesky factor of the stiffness, in the
+    `(cb, lower)` form `scipy.linalg.cho_solve_banded` takes.  It is
+    computed once, so build a new system rather than changing the
     stiffness of one that has been solved.
     """
 
-    stiffness: np.ndarray
-    mass: np.ndarray
+    stiffness_band: np.ndarray
+    mass_band: np.ndarray
     load: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @functools.cached_property
     def factor(self):
-        return _check_spd(self.stiffness, "stiffness")[1]
+        return _factor(self.stiffness_band)
+
+    @property
+    def stiffness(self):
+        """Dense symmetric stiffness, built from the band on each access."""
+        return _dense(self.stiffness_band)
+
+    @property
+    def mass(self):
+        """Dense symmetric mass, built from the band on each access."""
+        return _dense(self.mass_band)
 
 
 def _as_fn(g):
@@ -187,23 +200,12 @@ def _x_panels(kernel, nu_sign, mesh):
         lo, hi = -top, mesh.length
     else:
         lo, hi = 0.0, mesh.length + top
-    offsets = [0.0, top] + [b for b in _kern.breakpoints(kernel)]
-    cand = [node - nu_sign * b for node in mesh.nodes for b in offsets]
+    offsets = np.array([0.0, top, *_kern.breakpoints(kernel)])
+    cand = (mesh.nodes[:, None] - nu_sign * offsets).ravel()
     breaks = merge_breaks(lo, hi, cand, mesh.nodes)
     if len(breaks) - 1 > _MAX_PANELS:
         raise AssemblyError("assembly panel budget exceeded")
     return panel_points(breaks, 8)
-
-
-def _mass_matrix(mesh):
-    n = mesh.n_cells - 1
-    h = mesh.h
-    mass = np.zeros((n, n))
-    idx = np.arange(n)
-    mass[idx, idx] = 4.0 * h / 6.0
-    mass[idx[:-1], idx[:-1] + 1] = h / 6.0
-    mass[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    return mass
 
 
 def _hat_pairing(mesh, vals, wq):
@@ -222,44 +224,46 @@ def _load_vector(f, mesh):
     return _hat_pairing(mesh, _as_fn(f)(xq), wq)
 
 
-def _half_bandwidth(sym):
-    """Largest j - i over the nonzero entries sym[i, j]."""
-    n = sym.shape[0]
-    last = n - 1 - np.argmax(sym[:, ::-1] != 0.0, axis=1)
-    return max(int(np.max(last - np.arange(n))), 0)
-
-
-def _upper_band(sym, bw):
-    """Upper band of sym in the row layout `cholesky_banded` reads."""
-    band = np.zeros((bw + 1, sym.shape[0]))
+def _add_strip(band, s0, strip):
+    """Add the upper band of strip's symmetric part (its two triangles
+    differ by rounding) to band, from band column s0 on."""
+    sym, bw = 0.5 * (strip + strip.T), len(band) - 1
     for k in range(bw + 1):
-        band[bw - k, k:] = np.diagonal(sym, k)
-    return band
+        band[bw - k, s0 + k:s0 + len(sym)] += np.diagonal(sym, k)
 
 
-def _check_spd(matrix, what):
-    """Symmetrized matrix and its banded Cholesky factor (cb, lower)."""
-    asym = np.abs(matrix - matrix.T).max()
-    scale = max(np.abs(matrix).max(), 1e-300)
-    if asym > 1e-12 * scale:
-        raise AssemblyError("%s is not symmetric (relative asymmetry %.3e)"
-                            % (what, asym / scale))
-    sym = 0.5 * (matrix + matrix.T)
+def _dense(band):
+    """Symmetric matrix whose upper band is band."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((n, n))
+    for k in range(bw + 1):
+        idx = np.arange(n - k)
+        out[idx, idx + k] = out[idx + k, idx] = band[bw - k, k:]
+    return out
+
+
+def _band_product(band, x):
+    """band @ x for the symmetric matrix whose upper band is band."""
+    return sla.blas.dsbmv(band.shape[0] - 1, 1.0, band, x)
+
+
+def _factor(band):
+    """Banded Cholesky factor (cb, lower) of the symmetric upper band."""
     try:
-        cb = sla.cholesky_banded(_upper_band(sym, _half_bandwidth(sym)))
+        return sla.cholesky_banded(band), False
     except sla.LinAlgError:
-        eigs = sla.eigvalsh(sym)
-        raise AssemblyError("%s is not positive definite (smallest "
-                            "eigenvalue %.3e)" % (what, eigs[0]))
-    return sym, (cb, False)
+        low = sla.eigvals_banded(band, select="i", select_range=(0, 0))[0]
+        raise AssemblyError("stiffness is not positive definite (smallest "
+                            "eigenvalue %.3e)" % low)
 
 
-def _system(stiff, mesh, f, meta):
-    """FemSystem holding the factor its SPD check computed."""
-    sym, factor = _check_spd(stiff, "stiffness")
-    system = FemSystem(stiffness=sym, mass=_mass_matrix(mesh),
-                       load=_load_vector(f, mesh), meta=meta)
-    system.factor = factor
+def _system(stiffness_band, mesh, f):
+    """FemSystem with the P1 mass and load, factored once here."""
+    mass_band = np.zeros((2, mesh.n_cells - 1))
+    mass_band[0, 1:] = mesh.h / 6.0
+    mass_band[1] = 4.0 * mesh.h / 6.0
+    system = FemSystem(stiffness_band, mass_band, _load_vector(f, mesh))
+    system.factor  # factor now: a system that is not SPD fails here
     return system
 
 
@@ -280,35 +284,36 @@ def assemble(kernel, nu, A, f, mesh):
     weights = wq * a_fn(xq)
     profiles = _hat_profiles(kernel)
     width = _window_width(mesh, profiles[3])
-    n_int = mesh.n_cells - 1
-    stiff = np.zeros((n_int, n_int))
+    band = np.zeros((width, mesh.n_cells - 1))
     block = max(1, BLOCK_ENTRIES // (width + 2))
+    s0, strip = 0, np.zeros((0, 0))
     for start in range(0, len(xq), block):
         first, rows = _window_gradients(profiles, sign, mesh,
                                         xq[start:start + block], width)
         weighted = rows * weights[start:start + block, None]
         # _x_panels returns sorted points, so equal window starts come in
-        # runs; each run adds one dense width x width block
+        # runs; each run adds its Gram block to a dense strip of hats s0..,
+        # which joins the band once a block sees hats past the strip's end
+        if first[-1] - 1 + width > s0 + len(strip):
+            _add_strip(band, s0, strip)
+            s0 = first[0] - 1
+            strip = np.zeros((first[-1] - 1 - s0 + width,) * 2)
         cuts = np.flatnonzero(np.diff(first)) + 1
         for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
-            s = first[a] - 1
-            stiff[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
-    meta = {"kernel": repr(kernel), "nu": sign, "domain": mesh.length,
-            "n_cells": mesh.n_cells}
-    return _system(stiff, mesh, f, meta)
+            s = first[a] - 1 - s0
+            strip[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
+    _add_strip(band, s0, strip)
+    return _system(band, mesh, f)
 
 
 def assemble_local(A, f, mesh):
     """Standard local P1 system for -(A u')' with zero boundary values."""
     xq, wq = _cell_rule(mesh)
     k = np.sum(wq * _as_fn(A)(xq), axis=1) / mesh.h ** 2
-    n = mesh.n_cells - 1
-    idx = np.arange(n)
-    stiff = np.zeros((n, n))
-    stiff[idx, idx] = k[:-1] + k[1:]
-    stiff[idx[:-1], idx[1:]] = -k[1:-1]
-    stiff[idx[1:], idx[:-1]] = -k[1:-1]
-    return _system(stiff, mesh, f, {"local": True, "n_cells": mesh.n_cells})
+    band = np.zeros((2, mesh.n_cells - 1))
+    band[0, 1:] = -k[1:-1]
+    band[1] = k[:-1] + k[1:]
+    return _system(band, mesh, f)
 
 
 def solve_state(system):
@@ -317,9 +322,8 @@ def solve_state(system):
     The system's factor is reused; a hand-built system factors here once.
     """
     u = sla.cho_solve_banded(system.factor, system.load)
-    # residual against the symmetric part, which is what was factored
-    stiff = system.stiffness
-    residual = np.linalg.norm(0.5 * (stiff @ u + u @ stiff) - system.load)
+    residual = np.linalg.norm(_band_product(system.stiffness_band, u)
+                              - system.load)
     scale = max(np.linalg.norm(system.load), 1e-300)
     if residual > 1e-10 * scale:
         raise AssemblyError("solver residual %.3e exceeds tolerance"
@@ -327,22 +331,17 @@ def solve_state(system):
     return u
 
 
-def smallest_eigenvalue(stiff, mass, tol=1e-10, maxit=500):
-    """Smallest generalized eigenvalue of (stiff, mass) by inverse power."""
-    sym, factor = _check_spd(stiff, "stiffness")
-    return _inverse_power(sym, factor, mass, tol, maxit)
-
-
-def _inverse_power(sym, factor, mass, tol=1e-10, maxit=500):
-    """Inverse power iteration against the banded factor of sym."""
+def smallest_eigenvalue(system, tol=1e-10, maxit=500):
+    """Smallest generalized eigenvalue of the system by inverse power."""
+    stiff, mass = system.stiffness_band, system.mass_band
     rng = np.random.default_rng(0)
-    y = rng.standard_normal(sym.shape[0])
-    y /= math.sqrt(y @ mass @ y)
-    lam = y @ sym @ y
+    y = rng.standard_normal(stiff.shape[1])
+    y /= math.sqrt(y @ _band_product(mass, y))
+    lam = y @ _band_product(stiff, y)
     for _ in range(maxit):
-        z = sla.cho_solve_banded(factor, mass @ y)
-        z /= math.sqrt(z @ mass @ z)
-        lam_new = z @ sym @ z
+        z = sla.cho_solve_banded(system.factor, _band_product(mass, y))
+        z /= math.sqrt(z @ _band_product(mass, z))
+        lam_new = z @ _band_product(stiff, z)
         y = z
         if abs(lam_new - lam) <= tol * abs(lam_new):
             return lam_new
@@ -359,7 +358,7 @@ def poincare_constant(kernel, nu, mesh):
         system = assemble_local(1.0, 0.0, mesh)
     else:
         system = assemble(kernel, nu, 1.0, 0.0, mesh)
-    lam = _inverse_power(system.stiffness, system.factor, system.mass)
+    lam = smallest_eigenvalue(system)
     if lam <= 0.0:
         raise AssemblyError("nonpositive smallest eigenvalue %.3e "
                             "violates coercivity" % lam)
