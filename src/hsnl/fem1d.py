@@ -5,17 +5,32 @@ piecewise linear in t, so on every segment the integrand against the kernel
 profile is alpha + beta t and the integral is a difference of the two
 radial antiderivatives H_0 and H_1.  No inner quadrature ever touches the
 kernel singularity.  A quadrature point x only sees the hats whose stencil
-meets its kernel horizon, a window of about top/h + 3 hats, so assembly
-evaluates that window for a block of points at once and adds each run of
-points with the same window as one Gram product to a dense strip of hats
-that joins the band when the points pass it.  Unknowns are the interior
-nodes, which enforces the volume constraint u = 0 outside the domain.
+meets its kernel horizon, a window of about top/h + 3 hats.  Unknowns are
+the interior nodes, which enforces the volume constraint u = 0 outside the
+domain.
 
-The stiffness and mass matrices are therefore banded, and a `FemSystem`
-stores only their upper bands, in the `(width, n)` row layout that
-`scipy.linalg.cholesky_banded` reads: `width` is the window width (2 for
-the local operator and the mass).  Assembly factors the stiffness band
-once and the `FemSystem` keeps that factor, so every later solve is an
+The x-integral runs over 8-point Gauss panels between the nodes and the
+nodes shifted by the horizon and the kernel breakpoints.  With a constant
+coefficient A the stiffness is translation invariant: panels at the same
+offset in their cells and of the same width (one panel shape) give the
+same Gram block of their window, one hat further per cell.  Assembly then
+groups the panels by shape, evaluates each shape's 8 points once on a
+virtual mesh, and adds its block for every run of consecutive cells that
+holds the shape as a sliding sum along each band diagonal, kept as
+column differences of the band and summed once at the end.  A uniform
+mesh has one to four shapes, and no array of x-points is held.  A
+callable A takes the strip path: it evaluates every x-point's window, a
+block of points at a time, adds each run of points with the same window
+as one Gram product to a dense strip of hats that joins the band when the
+points pass it, and holds all points at once within the panel budget.
+
+Since a point sees only its window, the stiffness and mass matrices are
+banded, and a `FemSystem` stores only their upper bands, in the
+`(width, n)` row layout that `scipy.linalg.cholesky_banded` reads: `width`
+is the window width (2 for the local operator and the mass).  The
+nonlocal stiffness band is held in Fortran order, so BLAS and LAPACK read
+it without a copy.  Assembly factors the stiffness band once and the
+`FemSystem` keeps that factor, so every later solve is an
 O(n * width) banded back-substitution; band products go through BLAS
 `dsbmv`.  A `FemSystem` built by hand factors on first use, and its
 `stiffness` and `mass` properties build dense copies for checks.
@@ -32,7 +47,7 @@ from . import kernels as _kern
 from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
 from .symbols import _nu_sign
 
-_MAX_PANELS = 16384     # x-panels per assembly, all held at once
+_MAX_PANELS = 16384     # x-panels of a callable-A assembly, all held at once
 
 
 class AssemblyError(RuntimeError):
@@ -194,7 +209,10 @@ def hat_gradient(kernel, nu, mesh, i, x):
     return float(rows[0, k]) if 0 <= k < width else 0.0
 
 
-def _x_panels(kernel, nu_sign, mesh):
+def _x_breaks(kernel, nu_sign, mesh):
+    """Edges of the x-panels over the extended support of every hat
+    gradient: the nodes, and each node shifted by the horizon and by every
+    kernel breakpoint against nu."""
     top = _kern.support(kernel)[1]
     if nu_sign > 0:
         lo, hi = -top, mesh.length
@@ -202,10 +220,145 @@ def _x_panels(kernel, nu_sign, mesh):
         lo, hi = 0.0, mesh.length + top
     offsets = np.array([0.0, top, *_kern.breakpoints(kernel)])
     cand = (mesh.nodes[:, None] - nu_sign * offsets).ravel()
-    breaks = merge_breaks(lo, hi, cand, mesh.nodes)
+    return merge_breaks(lo, hi, cand, mesh.nodes)
+
+
+def _x_panels(kernel, nu_sign, mesh):
+    """8-point Gauss points and weights of every x-panel."""
+    breaks = _x_breaks(kernel, nu_sign, mesh)
     if len(breaks) - 1 > _MAX_PANELS:
         raise AssemblyError("assembly panel budget exceeded")
     return panel_points(breaks, 8)
+
+
+def _cluster(values, tol):
+    """Labels 0, 1, ... of values, joining sorted neighbours within tol."""
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(len(values), dtype=int)
+    labels[order] = np.cumsum(np.r_[0, np.diff(values[order]) > tol])
+    return labels
+
+
+def _panel_shapes(breaks, h):
+    """Cell, offset in the cell and width of every panel, and shape labels.
+
+    A panel [a, b] is cell * h + [offset, offset + width], the cell being
+    the node a rounds to when a is within 1e-9 h of it (so that panels
+    starting on a node share an offset near 0 whichever way the node
+    rounded), else the cell a lies in.  Panels whose offsets and widths
+    agree to 1e-12 h share a label; the offset and width returned for a
+    label are those of its first panel.
+    """
+    a, b = breaks[:-1], breaks[1:]
+    q = a / h
+    cell = np.where(np.abs(q - np.round(q)) < 1e-9, np.round(q), np.floor(q))
+    offset, width = a - cell * h, b - a
+    key = (_cluster(offset, 1e-12 * h) * len(a)
+           + _cluster(width, 1e-12 * h))
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    return cell.astype(int), offset[first], width[first], label
+
+
+def _shape_gradients(profiles, nu_sign, h, offset, width):
+    """Hat gradients at the 8 Gauss points of one panel shape.
+
+    The panel is placed on a virtual mesh of step h with room for every
+    point's whole window, so no window is clamped.  Returns (shift, rows,
+    weights): rows[q, k] is the gradient at point q of the k-th hat of one
+    window common to the 8 points, and for the panel
+    cell * h + [offset, offset + width] of a real mesh that hat is band
+    column cell + shift + k (a negative column or one past the last names
+    a hat that is not an unknown).
+    """
+    top = profiles[3]
+    margin = math.ceil(top / h) + 4
+    cells = 2 * margin + 2 + math.ceil(width / h)
+    vmesh = Mesh1D(cells * h, cells)
+    x0 = margin * vmesh.h + offset
+    xs, ws = panel_points(np.array([x0, x0 + width]), 8)
+    first, rows = _window_gradients(profiles, nu_sign, vmesh, xs,
+                                    _window_width(vmesh, top))
+    # a panel wider than a cell, or a few ulps wide on a node, has points
+    # whose windows start on different hats
+    base = first.min()
+    common = np.zeros((len(xs), rows.shape[1] + first.max() - base))
+    np.put_along_axis(common, first[:, None] - base
+                      + np.arange(rows.shape[1]), rows, axis=1)
+    return base - margin - 1, common, ws
+
+
+def _add_shape(diff, rows, weights, runs, shift):
+    """Add the Gram block of one panel shape, once for every cell of each
+    run [c0, c1] of cells, to the column differences of the upper band.
+
+    In cell c, window hat k is band column c + shift + k.  A run adds the
+    sliding sum of each diagonal of the block over its cells, whose column
+    difference is that diagonal placed at the run's first cell minus the
+    same placed one past its last; column 0 also takes every entry that
+    falls left of it.
+    """
+    bw, n = diff.shape[0] - 1, diff.shape[1]
+    wide = rows.shape[1]
+    padded = np.concatenate([np.zeros((len(rows), bw)),
+                             rows * weights[:, None]], axis=1)
+    step = max(1, BLOCK_ENTRIES // (len(rows) * wide))
+    for d0 in range(0, bw + 1, step):
+        d = np.arange(d0, min(bw + 1, d0 + step))
+        # diag[i, k] is the block entry of window hats k - d[i] and k
+        diag = np.einsum("qik,qk->ik",
+                         padded[:, bw - d[:, None] + np.arange(wide)], rows)
+        for c0, c1 in runs:
+            for at, vals in ((c0 + shift, diag), (c1 + shift + 1, -diag)):
+                lo, hi = max(0, at), min(n, at + wide)
+                if lo < hi:
+                    diff[bw - d, lo:hi] += vals[:, lo - at:hi - at]
+                if at < 0:
+                    diff[bw - d, 0] += vals[:, :min(-at, wide)].sum(axis=1)
+
+
+def _assemble_shapes(band, profiles, nu_sign, a_val, kernel, mesh):
+    """Constant-coefficient stiffness: one Gram block per panel shape."""
+    cell, offsets, widths, label = _panel_shapes(
+        _x_breaks(kernel, nu_sign, mesh), mesh.h)
+    for s, (offset, width) in enumerate(zip(offsets, widths)):
+        cells = cell[label == s]
+        cuts = np.flatnonzero(np.diff(cells) != 1) + 1
+        runs = list(zip(cells[np.r_[0, cuts]],
+                        cells[np.r_[cuts, len(cells)] - 1]))
+        shift, rows, ws = _shape_gradients(profiles, nu_sign, mesh.h,
+                                           offset, width)
+        _add_shape(band, rows, a_val * ws, runs, shift)
+    np.cumsum(band, axis=1, out=band)
+    # entries left of a band row's first column pair a hat with one
+    # before hat 1; the band layout keeps them zero
+    bw = band.shape[0] - 1
+    for d in range(1, bw + 1):
+        band[bw - d, :d] = 0.0
+
+
+def _assemble_strips(band, profiles, nu_sign, a_fn, kernel, mesh):
+    """Variable-coefficient stiffness: every x-point's window of hats."""
+    xq, wq = _x_panels(kernel, nu_sign, mesh)
+    weights = wq * a_fn(xq)
+    width = band.shape[0]
+    block = max(1, BLOCK_ENTRIES // (width + 2))
+    s0, strip = 0, np.zeros((0, 0))
+    for start in range(0, len(xq), block):
+        first, rows = _window_gradients(profiles, nu_sign, mesh,
+                                        xq[start:start + block], width)
+        weighted = rows * weights[start:start + block, None]
+        # _x_panels returns sorted points, so equal window starts come in
+        # runs; each run adds its Gram block to a dense strip of hats s0..,
+        # which joins the band once a block sees hats past the strip's end
+        if first[-1] - 1 + width > s0 + len(strip):
+            _add_strip(band, s0, strip)
+            s0 = first[0] - 1
+            strip = np.zeros((first[-1] - 1 - s0 + width,) * 2)
+        cuts = np.flatnonzero(np.diff(first)) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
+            s = first[a] - 1 - s0
+            strip[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
+    _add_strip(band, s0, strip)
 
 
 def _hat_pairing(mesh, vals, wq):
@@ -272,37 +425,22 @@ def assemble(kernel, nu, A, f, mesh):
 
     The kernel must have compact support (apply cutoff first); the
     x-integration runs over the extended support of all hat gradients,
-    so the coefficient A is evaluated slightly outside the domain too.
+    so a callable coefficient A is evaluated slightly outside the domain
+    too.  A number A takes the shape-grouped path, which holds no x-point
+    array and so has no panel budget.
     """
     _kern.moments(kernel)
     if _kern.support(kernel)[1] == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
     sign = _nu_sign(nu)
-    a_fn = _as_fn(A)
-    xq, wq = _x_panels(kernel, sign, mesh)
-    weights = wq * a_fn(xq)
     profiles = _hat_profiles(kernel)
-    width = _window_width(mesh, profiles[3])
-    band = np.zeros((width, mesh.n_cells - 1))
-    block = max(1, BLOCK_ENTRIES // (width + 2))
-    s0, strip = 0, np.zeros((0, 0))
-    for start in range(0, len(xq), block):
-        first, rows = _window_gradients(profiles, sign, mesh,
-                                        xq[start:start + block], width)
-        weighted = rows * weights[start:start + block, None]
-        # _x_panels returns sorted points, so equal window starts come in
-        # runs; each run adds its Gram block to a dense strip of hats s0..,
-        # which joins the band once a block sees hats past the strip's end
-        if first[-1] - 1 + width > s0 + len(strip):
-            _add_strip(band, s0, strip)
-            s0 = first[0] - 1
-            strip = np.zeros((first[-1] - 1 - s0 + width,) * 2)
-        cuts = np.flatnonzero(np.diff(first)) + 1
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
-            s = first[a] - 1 - s0
-            strip[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
-    _add_strip(band, s0, strip)
+    band = np.zeros((_window_width(mesh, profiles[3]), mesh.n_cells - 1),
+                    order="F")
+    if callable(A):
+        _assemble_strips(band, profiles, sign, A, kernel, mesh)
+    else:
+        _assemble_shapes(band, profiles, sign, float(A), kernel, mesh)
     return _system(band, mesh, f)
 
 

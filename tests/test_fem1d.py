@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from hsnl import kernels as K
 from hsnl import fem1d as F
@@ -237,13 +238,102 @@ def test_assembly_matches_full_width_gram(kern, nu, n, coef):
 @pytest.mark.parametrize("nu", [1, -1])
 @pytest.mark.parametrize("kern", WINDOW_KERNELS, ids=WINDOW_IDS)
 def test_assembly_in_small_blocks_matches_one_block(monkeypatch, kern, nu):
-    # blocks of two to five points: a strip joins the band once the
-    # points pass it, and a window clamped to every hat keeps one strip
+    # a callable A: blocks of two to five points, a strip joins the band
+    # once the points pass it, and a window clamped to every hat keeps one
+    # strip; a number A: Gram diagonals one chunk at a time
     mesh = F.Mesh1D(1.0, 13)
-    want = F.assemble(kern, nu, 1.0, 1.0, mesh).stiffness
+    coefs = (lambda x: 1.0 + x, 1.0)
+    wants = [F.assemble(kern, nu, a, 1.0, mesh).stiffness for a in coefs]
     monkeypatch.setattr(F, "BLOCK_ENTRIES", 40)
-    got = F.assemble(kern, nu, 1.0, 1.0, mesh).stiffness
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for a_fn, want in zip(coefs, wants):
+        got = F.assemble(kern, nu, a_fn, 1.0, mesh).stiffness
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def one(x):
+    """The constant coefficient 1 as a callable: the strip path."""
+    return np.ones(np.shape(x))
+
+
+RIESZ = K.riesz_truncated(1, 0.5)
+BALL01 = K.rescaled(K.constant_ball(), 0.1)
+MIN_LEVEL = K.min_level(RIESZ, 64)
+
+# collar panels within the horizon of each end, a window clamped to every
+# hat, panels a few ulps wide on the nodes, Gauss points on the nodes, and
+# meshes whose step is not a power of two
+SHAPE_CASES = {
+    "ball0.1-512": (BALL01, 512),
+    "riesz0.1-256": (K.rescaled(RIESZ, 0.1), 256),
+    "riesz1-256": (RIESZ, 256),
+    "min_level-16": (MIN_LEVEL, 16),
+    "min_level-64": (MIN_LEVEL, 64),
+    "logreg_cut-40": (LOGREG_CUT, 40),
+    "ball0.1-13": (BALL01, 13),
+    "ball0.1-384": (BALL01, 384),
+}
+
+
+def assert_shape_band_matches_strips(kern, nu, n):
+    mesh = F.Mesh1D(1.0, n)
+    got = F.assemble(kern, nu, 1.0, 1.0, mesh).stiffness_band
+    want = F.assemble(kern, nu, one, 1.0, mesh).stiffness_band
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("name", list(SHAPE_CASES))
+def test_shape_assembly_matches_the_strip_path(name, nu):
+    kern, n = SHAPE_CASES[name]
+    assert_shape_band_matches_strips(kern, nu, n)
+
+
+SHAPE_FAMILIES = {
+    "constant_ball": K.constant_ball(),
+    "riesz_truncated": RIESZ,
+    "log_regularized": K.cutoff(K.log_regularized(1, 0.2), 1.0),
+    "fractional_vanishing": K.cutoff(K.fractional_vanishing(1, 0.3), 1.0),
+    "min_level": MIN_LEVEL,
+}
+
+
+@given(family=st.sampled_from(sorted(SHAPE_FAMILIES)),
+       delta=st.one_of(st.floats(min_value=0.02, max_value=1.5),
+                       st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5, 1.0])),
+       n=st.integers(min_value=2, max_value=80),
+       nu=st.sampled_from([1, -1]))
+def test_shape_assembly_matches_the_strip_path_anywhere(family, delta, n,
+                                                        nu):
+    # dyadic and decimal horizons put node minus horizon on other nodes
+    # up to roundoff, so some cells hold panels a few ulps wide
+    kern = K.rescaled(SHAPE_FAMILIES[family], delta)
+    assert_shape_band_matches_strips(kern, nu, n)
+
+
+def test_panel_shapes_are_few():
+    # the benchmark's constant-A solves, and meshes whose nodes are not
+    # exact multiples of h, build at most four Gram blocks each, and
+    # every shape's cells form one run
+    for kern, n, nu in ((BALL01, 512, 1),
+                        (K.rescaled(K.constant_ball(), 0.02), 512, 1),
+                        (K.rescaled(RIESZ, 0.1), 256, -1), (RIESZ, 256, 1),
+                        (BALL01, 384, 1), (BALL01, 384, -1), (BALL01, 15, 1)):
+        mesh = F.Mesh1D(1.0, n)
+        cell, offsets, widths, label = F._panel_shapes(
+            F._x_breaks(kern, nu, mesh), mesh.h)
+        assert len(offsets) <= 4
+        for s in range(len(offsets)):
+            assert np.all(np.diff(cell[label == s]) == 1)
+
+
+def test_panel_budget_guards_only_the_strip_path(monkeypatch):
+    mesh = F.Mesh1D(1.0, 64)
+    want = F.assemble(BALL01, 1, 1.0, 1.0, mesh).stiffness_band
+    monkeypatch.setattr(F, "_MAX_PANELS", 16)
+    got = F.assemble(BALL01, 1, 1.0, 1.0, mesh).stiffness_band
+    assert np.array_equal(got, want)
+    with pytest.raises(F.AssemblyError, match="panel budget"):
+        F.assemble(BALL01, 1, one, 1.0, mesh)
 
 
 def test_solve_state_residual_and_linearity():
