@@ -212,7 +212,12 @@ def hat_gradient(kernel, nu, mesh, i, x):
 def _x_breaks(kernel, nu_sign, mesh):
     """Edges of the x-panels over the extended support of every hat
     gradient: the nodes, and each node shifted by the horizon and by every
-    kernel breakpoint against nu."""
+    kernel breakpoint against nu.
+
+    A shift that is a multiple of h lands on a node only up to roundoff;
+    of edges within 1e-12 h of each other only the first is kept (and the
+    ends), so no panel is a few ulps wide.
+    """
     top = _kern.support(kernel)[1]
     if nu_sign > 0:
         lo, hi = -top, mesh.length
@@ -220,7 +225,10 @@ def _x_breaks(kernel, nu_sign, mesh):
         lo, hi = 0.0, mesh.length + top
     offsets = np.array([0.0, top, *_kern.breakpoints(kernel)])
     cand = (mesh.nodes[:, None] - nu_sign * offsets).ravel()
-    return merge_breaks(lo, hi, cand, mesh.nodes)
+    breaks = merge_breaks(lo, hi, cand, mesh.nodes)
+    gap, inner = 1e-12 * mesh.h, breaks[1:-1]
+    keep = (np.diff(breaks[:-1]) > gap) & (breaks[-1] - inner > gap)
+    return np.concatenate([breaks[:1], inner[keep], breaks[-1:]])
 
 
 def _x_panels(kernel, nu_sign, mesh):

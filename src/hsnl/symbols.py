@@ -24,6 +24,12 @@ the integration-by-parts asymptotic series, entered only once the phase
 exceeds 40 radians so the series converges below roundoff.  Lower-bound
 constants are fitted infima over named grids, not proved bounds.
 
+A d=2 symbol integrates theta S(xi . theta) over the half circle of
+directions theta with theta . nu >= 0.  The angle rule is folded about the
+direction of xi: mirror images about it share c = xi . theta, and the
+angles left over pair up as c and -c, where S(-c) = conj S(c), so every
+magnitude |c| <= |xi| is sampled once (see _symbol_e1_2d).
+
 The engine takes a whole array of frequencies c at once: a d=2 symbol is
 one call over all its angle nodes, and a d=1 grid is one call over its
 points.  Each zone works on arrays with a per-entry stopping rule, so an
@@ -38,17 +44,17 @@ quarter-period panels raises SymbolError before anything is built for
 its batch.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as _kern
-from ._quad import BLOCK_ENTRIES, gauss_rule, panel_points
+from ._quad import BLOCK_ENTRIES, gauss_rule
 
 _TWO_PI = 2.0 * math.pi
 _GAUSS = 16            # Gauss points per quarter-period panel
+_ANGLE_GAUSS = 33      # Gauss points per angle panel of a d=2 symbol
 _TAYLOR_TERMS = 79     # most Taylor terms a frequency may take
 _COLUMNS = 32          # series terms built per pass (Taylor, far tail)
 _MAX_PANELS = 300000   # quarter-period panels allowed per frequency
@@ -425,56 +431,85 @@ def _rotation_to(nu_unit):
     return np.array([[nu_unit[0], -nu_unit[1]], [nu_unit[1], nu_unit[0]]])
 
 
-@functools.lru_cache(maxsize=64)
-def _angle_rule(per_quadrant):
-    """33-point Gauss rule on [-pi/2, pi/2], per_quadrant panels a side."""
-    half_pi = 0.5 * math.pi
-    grid = np.concatenate([np.linspace(-half_pi, 0.0, per_quadrant + 1)[:-1],
-                           np.linspace(0.0, half_pi, per_quadrant + 1)])
-    th, wt = panel_points(grid, 33)
-    rule = (np.cos(th), np.sin(th), wt)
-    for arr in rule:
-        arr.flags.writeable = False  # shared by every caller of the cache
-    return rule
-
-
 def _symbol_e1_2d(kernel, xis):
     """Symbols for nu = e1 at the rows of xis, an (n, 2) array.
 
-    The half-plane integral is an angular Gauss rule (per_quadrant panels
-    per quarter turn, growing with |xi|) over the half-line symbols along
-    each direction.  All angle nodes of a run of rows go to the engine in
-    one call; a run closes once it holds BLOCK_ENTRIES nodes, so a single
-    row is always one call.
+    The half-plane integral over the angles theta in [-pi/2, pi/2] of
+    theta S(xi . theta) is folded.  With sigma the sign of xi_1 (+1 at 0),
+    u = sigma xi/|xi| = (cos phi0, sin phi0), phi0 in [-pi/2, pi/2], and
+    beta = pi/2 - |phi0|, reflecting theta about phi0 keeps c = xi . theta,
+    and reflecting it about phi0 -/+ pi/2 flips the sign of c, where
+    S(-c) = conj S(c).  So the symbol is exactly
+
+        2 u int_0^beta cos t S(sigma |xi| cos t) dt
+        + 2 int_0^|phi0| [cos t Re S(sigma |xi| sin t) e_m
+                          + i sin t Im S(sigma |xi| sin t) u] dt
+
+    with e_m = sgn(phi0) (u_2, -u_1): each magnitude |c| is sampled once,
+    Im lambda is parallel to xi, and c = 0 is a panel end.  Each interval
+    gets 33-point Gauss panels, ceil(length / (pi/2) * ceil(|xi|/4)) of
+    them.  All nodes of a run of rows go to the engine in one call; a run
+    closes once it holds BLOCK_ENTRIES nodes, so a single row is always
+    one call, and every row's nodes and sums are its own arithmetic.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, 2)
     out = np.zeros(xis.shape, dtype=complex)
-    run, nodes = [], 0
-    for i, xi in enumerate(xis):
-        xin = math.hypot(xi[0], xi[1])
-        if xin == 0.0:
-            continue
-        run.append((i, _angle_rule(max(1, int(math.ceil(xin / 4.0))))))
-        nodes += run[-1][1][2].size
-        if nodes >= BLOCK_ENTRIES:
-            _angle_sums(kernel, xis, run, out)
-            run, nodes = [], 0
-    if run:
-        _angle_sums(kernel, xis, run, out)
+    norm = np.hypot(xis[:, 0], xis[:, 1])
+    live = np.flatnonzero(norm > 0.0)
+    if not live.size:
+        return out
+    half_pi = 0.5 * math.pi
+    sigma = np.where(xis[live, 0] >= 0.0, 1.0, -1.0)
+    u = sigma[:, None] * xis[live] / norm[live, None]
+    phi0 = np.arctan2(u[:, 1], u[:, 0])
+    lengths = np.column_stack([half_pi - np.abs(phi0), np.abs(phi0)])
+    per_quadrant = np.maximum(1.0, np.ceil(norm[live] / 4.0))
+    counts = np.ceil(lengths / half_pi
+                     * per_quadrant[:, None]).astype(np.int64)
+    e_m = np.sign(phi0)[:, None] * np.column_stack([u[:, 1], -u[:, 0]])
+    scale = sigma * norm[live]
+    nodes = _ANGLE_GAUSS * counts.sum(axis=1)
+    start, held = 0, 0
+    for i, n in enumerate(nodes):
+        held += n
+        if held >= BLOCK_ENTRIES or i == live.size - 1:
+            run = slice(start, i + 1)
+            along, across = _folded_sums(kernel, scale[run], lengths[run],
+                                         counts[run])
+            out[live[run]] = (u[run] * along[:, None]
+                              + e_m[run] * across[:, None])
+            start, held = i + 1, 0
     return out
 
 
-def _angle_sums(kernel, xis, run, out):
-    """Fill out[i] with the angular rule over S(xi . theta) for (i, rule)."""
-    rows = np.concatenate([np.full(rule[2].size, i) for i, rule in run])
-    cos_t, sin_t, wt = (np.concatenate([rule[k] for _, rule in run])
-                        for k in range(3))
-    c = xis[rows, 0] * cos_t + xis[rows, 1] * sin_t
-    ws = wt * _half_line_symbol(kernel, c, 1)
-    for comp, trig in enumerate((cos_t, sin_t)):
-        part = trig * ws
-        out[:, comp].real += np.bincount(rows, part.real, len(xis))
-        out[:, comp].imag += np.bincount(rows, part.imag, len(xis))
+def _folded_sums(kernel, scale, lengths, counts):
+    """The two integrals of the folded rule for a run of rows.
+
+    Row r has the interval [0, lengths[r, 0]] with c = scale[r] cos t and
+    [0, lengths[r, 1]] with c = scale[r] sin t, cut into counts[r] equal
+    panels.  Returns per row the coefficient of u (complex) and that of e_m
+    (real), the fold's factor 2 included.
+    """
+    x, wg = gauss_rule(_ANGLE_GAUSS)
+    pieces = counts.ravel()
+    # panel k of an interval is [k step, (k + 1) step]
+    owner = np.repeat(np.arange(pieces.size), pieces)
+    k = np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]
+    step = lengths.ravel()[owner] / pieces[owner]
+    half = 0.5 * step
+    t = ((k + 0.5) * step)[:, None] + half[:, None] * x
+    wt = (half[:, None] * wg).ravel()
+    cos_t, sin_t = np.cos(t).ravel(), np.sin(t).ravel()
+    owner = np.repeat(owner, _ANGLE_GAUSS)
+    row, folded = owner // 2, owner % 2 == 1
+    s = _half_line_symbol(kernel, scale[row] * np.where(folded, sin_t, cos_t),
+                          1)
+    along = np.where(folded, 1j * (wt * sin_t * s.imag), (wt * cos_t) * s)
+    across = np.where(folded, (wt * cos_t) * s.real, 0.0)
+    m = len(scale)
+    return (2.0 * (np.bincount(row, along.real, m)
+                   + 1j * np.bincount(row, along.imag, m)),
+            2.0 * np.bincount(row, across, m))
 
 
 def _symbol_values(kernel, nu, xis):
@@ -495,6 +530,8 @@ def _symbol_values(kernel, nu, xis):
         u0, u1 = _nu_unit2(nu)
         if xis.ndim != 2 or xis.shape[1] != 2:
             raise ValueError("d=2 frequencies must be an (n, 2) array")
+        if not np.all(np.isfinite(xis)):
+            raise ValueError("symbol frequencies must be finite")
         x0, x1 = xis.T
         # rotate nu to e1 and back, written out so that every row gets
         # the same arithmetic whatever the batch size

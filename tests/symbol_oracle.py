@@ -1,6 +1,7 @@
-"""Scalar half-line symbol, kept as the oracle for the batched engine.
+"""Scalar half-line symbol and the half-circle d=2 angle rule, kept as
+oracles for the batched engine and the folded angle rule.
 
-This is the one-frequency-at-a-time evaluation of
+The first is the one-frequency-at-a-time evaluation of
 
     S(c) = int_0^inf r^power profile(r) (e^{2 pi i c r} - 1) dr
 
@@ -16,6 +17,7 @@ import numpy as np
 
 import kernel_oracle
 from hsnl import kernels as _kern
+from hsnl import symbols as _sym
 from hsnl._quad import panel_points
 
 _TWO_PI = 2.0 * math.pi
@@ -121,3 +123,31 @@ def half_line_symbol(kernel, c, power):
                 val -= osc_tail(e, w, b)
             total += coeff * val
     return complex(total)
+
+
+def half_circle_symbol(kernel, nu, xis):
+    """d=2 symbols at the rows of xis by the half-circle angle rule.
+
+    This is the rule that `hsnl.symbols._symbol_e1_2d` folded: in the frame
+    that turns nu to e1, a 33-point Gauss rule over theta in [-pi/2, pi/2]
+    with ceil(|xi|/4) panels per quarter turn, applied to theta S(xi . theta)
+    with S from the batched engine, so that only the angle rule differs.
+    """
+    u0, u1 = np.asarray(nu, dtype=float) / math.hypot(*nu)
+    out = np.zeros((len(xis), 2), dtype=complex)
+    half_pi = 0.5 * math.pi
+    for k, (x0, x1) in enumerate(np.asarray(xis, dtype=float)):
+        xi = np.array([u0 * x0 + u1 * x1, u0 * x1 - u1 * x0])
+        norm = math.hypot(xi[0], xi[1])
+        if norm == 0.0:
+            continue
+        per_quadrant = max(1, int(math.ceil(norm / 4.0)))
+        grid = np.concatenate([
+            np.linspace(-half_pi, 0.0, per_quadrant + 1)[:-1],
+            np.linspace(0.0, half_pi, per_quadrant + 1)])
+        th, wt = panel_points(grid, 33)
+        ws = wt * _sym._half_line_symbol(kernel, xi[0] * np.cos(th)
+                                         + xi[1] * np.sin(th), 1)
+        loc = np.array([np.sum(np.cos(th) * ws), np.sum(np.sin(th) * ws)])
+        out[k] = [u0 * loc[0] - u1 * loc[1], u1 * loc[0] + u0 * loc[1]]
+    return out

@@ -166,8 +166,10 @@ def quadrature_points(kern, nu, mesh):
 
 
 # kernels of infinite mass whose breakpoint is a multiple of h: some node
-# minus a breakpoint meets another node up to roundoff, and the panel
-# between the two puts Gauss points exactly on a node, where H0 = -inf
+# minus a breakpoint meets another node up to roundoff.  Before such edges
+# were merged, the panel between the two put Gauss points exactly on a
+# node, where H0 = -inf; the gradients of every window at the nodes
+# themselves must stay finite
 LOGREG_CUT = K.cutoff(K.log_regularized(1, 0.2), 0.2)
 FRACTIONAL_CUT = K.cutoff(K.fractional_vanishing(1, 0.3), 0.5)
 
@@ -179,8 +181,10 @@ FRACTIONAL_CUT = K.cutoff(K.fractional_vanishing(1, 0.3), 0.5)
         "fractional_cut-48-minus"])
 def test_gauss_points_on_nodes_give_finite_spd_stiffness(kern, n, nu):
     mesh = F.Mesh1D(1.0, n)
-    xq, _ = quadrature_points(kern, nu, mesh)
-    assert np.isin(xq, mesh.nodes[1:-1]).any()
+    profiles = F._hat_profiles(kern)
+    _, rows = F._window_gradients(profiles, nu, mesh, mesh.nodes[1:-1],
+                                  F._window_width(mesh, profiles[3]))
+    assert np.all(np.isfinite(rows))
     system = F.assemble(kern, nu, 1.0, 1.0, mesh)
     assert np.all(np.isfinite(system.stiffness))
     assert np.all(np.linalg.eigvalsh(system.stiffness) > 0.0)
@@ -260,8 +264,8 @@ BALL01 = K.rescaled(K.constant_ball(), 0.1)
 MIN_LEVEL = K.min_level(RIESZ, 64)
 
 # collar panels within the horizon of each end, a window clamped to every
-# hat, panels a few ulps wide on the nodes, Gauss points on the nodes, and
-# meshes whose step is not a power of two
+# hat, panel edges that meet the nodes only up to roundoff, Gauss points on
+# the nodes, and meshes whose step is not a power of two
 SHAPE_CASES = {
     "ball0.1-512": (BALL01, 512),
     "riesz0.1-256": (K.rescaled(RIESZ, 0.1), 256),
@@ -305,7 +309,7 @@ SHAPE_FAMILIES = {
 def test_shape_assembly_matches_the_strip_path_anywhere(family, delta, n,
                                                         nu):
     # dyadic and decimal horizons put node minus horizon on other nodes
-    # up to roundoff, so some cells hold panels a few ulps wide
+    # up to roundoff
     kern = K.rescaled(SHAPE_FAMILIES[family], delta)
     assert_shape_band_matches_strips(kern, nu, n)
 
@@ -324,6 +328,17 @@ def test_panel_shapes_are_few():
         assert len(offsets) <= 4
         for s in range(len(offsets)):
             assert np.all(np.diff(cell[label == s]) == 1)
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+def test_no_x_panel_is_roundoff_wide(nu):
+    # breakpoints at multiples of h shift nodes onto nodes up to roundoff;
+    # unmerged, those edges left panels 1e-16 h to 4e-15 h wide
+    for kern, ns in ((MIN_LEVEL, (16, 32, 64, 256)), (LOGREG_CUT, (40,))):
+        for n in ns:
+            mesh = F.Mesh1D(1.0, n)
+            widths = np.diff(F._x_breaks(kern, nu, mesh))
+            assert widths.min() >= 1e-9 * mesh.h
 
 
 def test_panel_budget_guards_only_the_strip_path(monkeypatch):

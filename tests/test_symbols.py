@@ -402,6 +402,10 @@ def test_half_line_scalar_input_is_a_batch_of_one():
 def test_half_line_rejects_nonfinite_frequency():
     with pytest.raises(ValueError, match="finite"):
         S._half_line_symbol(K.constant_ball(), np.array([1.0, np.nan]), 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            S._symbol_values(K.constant_ball(2), np.array([1.0, 0.0]),
+                             np.array([[1.0, 2.0], [bad, 0.0]]))
 
 
 def test_panel_budget_raises_symbol_error():
@@ -423,6 +427,88 @@ def test_batched_d2_matches_pointwise_values(monkeypatch):
     # tiny blocks: several engine calls and blocks per batch, same bits
     monkeypatch.setattr(S, "BLOCK_ENTRIES", 256)
     assert np.array_equal(S._symbol_values(k, nu, pts), batch)
+
+
+# ---------------------------------------------------------------------------
+# The folded d=2 angle rule against the half-circle rule and the Bessel
+# identity for Im lambda.
+# ---------------------------------------------------------------------------
+
+# with nu = +-e1 these give, in the nu = e1 frame, xi on either axis and
+# xi = (-x, 0): phi0 = 0, phi0 = +-pi/2 and sigma = -1
+FOLD_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0],
+                            [math.cos(2.0), math.sin(2.0)]])
+
+
+@pytest.mark.parametrize("family", ["constant_ball", "riesz_truncated",
+                                    "log_truncated", "tabulated", "rescaled",
+                                    "cutoff", "min_level"])
+def test_folded_rule_matches_half_circle_rule(family):
+    import symbol_oracle
+
+    k = ORACLE_KERNELS[family](2)
+    # a tabulated or cut-off log kernel takes panels over its whole support
+    # at every angle node, about 3 s a row at |xi| = 200 for the oracle
+    mags = [1e-3, 0.5, 3.0, 5.0, 50.0]
+    if family not in ("tabulated", "cutoff"):
+        mags.append(200.0)
+    xis = np.concatenate([m * FOLD_DIRECTIONS for m in mags])
+    for nu in (np.array([1.0, 0.0]), np.array([-1.0, 0.0])):
+        assert_rows_close(S._symbol_values(k, nu, xis),
+                          symbol_oracle.half_circle_symbol(k, nu, xis),
+                          1e-12)
+
+
+def bessel_imaginary_length(kernel, xi_norm):
+    """pi int_0^inf r w(r) J_1(2 pi |xi| r) dr, the length of Im lambda(xi)
+    (the imaginary part of the half-plane integrand is even in z), by
+    adaptive quadrature between the kernel breakpoints and the half periods
+    of the phase."""
+    from scipy import integrate, special
+
+    lo, hi = K.support(kernel)
+    edges = np.unique(np.concatenate([
+        [lo, hi], K.breakpoints(kernel),
+        np.arange(1, math.ceil(2.0 * xi_norm * hi)) / (2.0 * xi_norm)]))
+    edges = edges[(lo <= edges) & (edges <= hi)]
+
+    def integrand(r):
+        return r * K.eval(kernel, r) * special.j1(2.0 * math.pi * xi_norm * r)
+
+    return math.pi * math.fsum(
+        integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+        for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("kernel", [
+    K.constant_ball(2), K.riesz_truncated(2, 0.5),
+    ORACLE_KERNELS["tabulated"](2)], ids=lambda k: k.family)
+def test_d2_imaginary_part_matches_bessel_integral(kernel):
+    angles = np.array([0.0, 0.5 * math.pi, math.pi, 1.1, -2.2, 2.9])
+    units = np.column_stack([np.cos(angles), np.sin(angles)])
+    units[1:3] = [[0.0, 1.0], [-1.0, 0.0]]
+    for xi_norm in (0.05, 0.5, 3.0, 7.5, 20.0, 50.0):
+        want = bessel_imaginary_length(kernel, xi_norm) * units
+        for nu in (np.array([1.0, 0.0]), np.array([-0.6, 0.8])):
+            got = S._symbol_values(kernel, nu, xi_norm * units).imag
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family", ["fractional_vanishing", "log_regularized"])
+def test_d2_imaginary_part_turns_with_xi(family):
+    # unbounded support: S is not analytic at c = 0, which the folded rule
+    # puts on a panel end; the half-circle rule put it inside a panel and
+    # its |Im lambda| varied by 4e-6 (fractional) and 5e-5 (log) with the
+    # direction of xi
+    k = ORACLE_KERNELS[family](2)
+    angles = np.arange(36) * (2.0 * math.pi / 36.0)
+    units = np.column_stack([np.cos(angles), np.sin(angles)])
+    for xi_norm in (0.5, 3.0, 20.0, 70.0):
+        im = S._symbol_values(k, np.array([1.0, 0.0]), xi_norm * units).imag
+        length = np.hypot(im[:, 0], im[:, 1])
+        assert np.ptp(length) <= 1e-7 * np.max(length)
+        cross = im[:, 0] * units[:, 1] - im[:, 1] * units[:, 0]
+        assert np.max(np.abs(cross)) <= 1e-15 * np.max(length)
 
 
 @pytest.mark.parametrize("family", ["constant_ball", "riesz_truncated",
