@@ -1,10 +1,14 @@
 """Box-constrained optimal control with the nonlocal diffusion state map.
 
 State space: interior P1 hats on a uniform mesh.  Control space: P0 cell
-values.  The reduced objective is minimized by projected gradient with
-Armijo backtracking; the cellwise projection clip(-p / (lam_reg Gamma))
-solves the discrete variational inequality exactly because the control
-is piecewise constant.
+values.  The reduced objective is minimized by projected Newton
+(Bertsekas 1982) with an Armijo search along the projection arc: cells
+near a bound whose gradient points outward take a scaled gradient step,
+the others a Newton step from one banded solve of the state-adjoint
+system.  A custom objective has no Hessian here and takes the scaled
+gradient step on every cell (projected gradient).  The cellwise
+projection clip(-C^T p / (lam_reg Gamma)) solves the discrete variational
+inequality exactly because the control is piecewise constant.
 """
 
 import math
@@ -24,7 +28,8 @@ _cell_quad = _fem._cell_rule
 
 
 class NonconvergenceError(RuntimeError):
-    """Projected gradient ran out of iterations; carries the residual."""
+    """The control solver ran out of iterations or of descent; carries
+    the residual."""
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -163,12 +168,35 @@ def objective(u, g, problem):
     return track + penalty
 
 
+def _kkt_band(stiffness_band, mass_band):
+    """Half-width and band of [[K, T], [-2M, K]] in the unknowns
+    (u_0, p_0, u_1, p_1, ...), in the `scipy.linalg.solve_banded` layout,
+    with T = 0; _Reduced.newton_direction writes T = C_I D_I^-1 C_I^T.
+
+    K sits on the even offsets from the diagonal, M and T on offsets
+    -3, -1, 1 and 3, so each step overwrites T's entries in place.
+    """
+    width, m = stiffness_band.shape
+    half = max(2 * width - 2, 3)
+    band = np.zeros((2 * half + 1, 2 * m))
+    for k in range(width):
+        row = stiffness_band[width - 1 - k, k:]
+        for parity in (0, 1):
+            band[half - 2 * k, 2 * k + parity::2] = row
+            band[half + 2 * k, parity:2 * (m - k):2] = row
+    band[half + 1, 0::2] = -2.0 * mass_band[1]
+    band[half - 1, 2::2] = -2.0 * mass_band[0, 1:]
+    band[half + 3, 0:2 * m - 2:2] = -2.0 * mass_band[0, 1:]
+    return half, band
+
+
 class _Reduced:
     """Factored state operator and quadrature data for one problem.
 
-    Every step costs O(n * bandwidth): banded solves against the system's
-    one factor, C and C^T as stencils, and the cell quadrature points and
-    u_des there computed once.
+    Every gradient step costs O(n * bandwidth): banded solves against the
+    system's one factor, C and C^T as stencils, and the cell quadrature
+    points and u_des there computed once.  Next to the factor it keeps
+    the band of the Newton system (_kkt_band) for quadratic tracking.
     """
 
     def __init__(self, problem):
@@ -180,13 +208,38 @@ class _Reduced:
                                    0.0, mesh)
         self.problem = problem
         self.mesh = mesh
+        # the caller's floating-point settings, for F, F_xi and the callback
+        self.user_errstate = np.geterr()
         self.factor = system.factor
         self.xq, self.wq = _cell_quad(mesh)
         # u_des at the quadrature points; None selects the custom F
-        self.des = (_as_fn(problem.u_des)(self.xq) if problem.F is None
-                    else None)
+        self.des = None
+        if problem.F is None:
+            self.des = _as_fn(problem.u_des)(self.xq)
+            if not np.all(np.isfinite(self.des)):
+                raise ValueError("u_des has infs or NaNs")
+            with np.errstate(over="ignore"):
+                target = float(np.sum(self.des ** 2 @ self.wq))
+            if not math.isfinite(target):
+                raise ValueError("u_des is so large that the tracking term "
+                                 "overflows")
         self.gamma_int = _as_fn(problem.gamma)(self.xq) @ self.wq
+        if not math.isfinite(float(problem.lam_reg)
+                             * float(np.max(self.gamma_int))):
+            raise ValueError("lam_reg times the integral of gamma over a "
+                             "cell overflows")
+        # lam Gamma: the penalty's diagonal Hessian, one entry per cell
+        self.scale = problem.lam_reg * self.gamma_int
         self.lo, self.hi = _cell_bounds(mesh, problem.alpha, problem.beta)
+        # the Newton system's K and M part, built once; none for a custom F
+        self.kkt = (None if self.des is None
+                    else _kkt_band(system.stiffness_band, system.mass_band))
+
+    def user(self, fn, *args):
+        """fn(*args) under the caller's floating-point settings rather
+        than the solver's own (see _descend)."""
+        with np.errstate(**self.user_errstate):
+            return fn(*args)
 
     def state(self, g):
         return sla.cho_solve_banded(self.factor, _couple(self.mesh, g))
@@ -194,23 +247,48 @@ class _Reduced:
     def adjoint(self, u_q):
         """Adjoint state for the state sampled at the quadrature points."""
         if self.des is None:
-            vals = self.problem.F_xi(self.xq, u_q)
+            vals = self.user(self.problem.F_xi, self.xq, u_q)
         else:
             vals = 2.0 * (u_q - self.des)
         return sla.cho_solve_banded(
             self.factor, _hat_pairing(self.mesh, vals, self.wq))
 
     def project(self, p):
-        raw = -_couple_t(self.mesh, p) / (self.problem.lam_reg
-                                          * self.gamma_int)
+        raw = -_couple_t(self.mesh, p) / self.scale
         return np.minimum(np.maximum(raw, self.lo), self.hi)
 
     def gradient(self, g, p):
-        return (_couple_t(self.mesh, p)
-                + self.problem.lam_reg * self.gamma_int * g) / self.mesh.h
+        """Gradient C^T p + lam Gamma g of the reduced objective in g."""
+        return _couple_t(self.mesh, p) + self.scale * g
 
     def distance(self, ga, gb):
         return math.sqrt(self.mesh.h * float(np.sum((ga - gb) ** 2)))
+
+    def newton_direction(self, g, grad, eps):
+        """Bertsekas' projected Newton direction for quadratic tracking.
+
+        A cell within eps of a bound whose gradient points outward is
+        active and takes the scaled gradient step -G / (lam Gamma).  The
+        free cells I take the Newton step d_I = -H_II^-1 G_I, with H the
+        reduced Hessian 2 C^T K^-1 M K^-1 C + D and D = lam Gamma.  With
+        d_I = -D_I^-1 (G_I + C_I^T dp) that is one banded solve:
+
+            K du + C_I D_I^-1 C_I^T dp = -C_I D_I^-1 G_I
+            -2M du + K dp = 0.
+        """
+        active = (((g <= self.lo + eps) & (grad > 0.0))
+                  | ((g >= self.hi - eps) & (grad < 0.0)))
+        inv = np.where(active, 0.0, 1.0 / self.scale)
+        half, band = self.kkt
+        quarter = 0.25 * self.mesh.h ** 2
+        band[half - 1, 1::2] = quarter * (inv[:-1] + inv[1:])
+        band[half - 3, 3::2] = quarter * inv[1:-1]
+        band[half + 1, 1:-1:2] = quarter * inv[1:-1]
+        rhs = np.zeros(band.shape[1])
+        rhs[0::2] = -_couple(self.mesh, inv * grad)
+        dp = sla.solve_banded((half, half), band, rhs)[1::2]
+        return -(grad + np.where(active, 0.0, _couple_t(self.mesh, dp))) \
+            / self.scale
 
 
 def _objective_decrease(problem, reduced, u_q, g, d, du):
@@ -226,8 +304,8 @@ def _objective_decrease(problem, reduced, u_q, g, d, du):
     xq, wq = reduced.xq, reduced.wq
     du_q = _state_at_quad(problem.mesh, du)
     if reduced.des is None:
-        track = float(np.sum((problem.F(xq, u_q + du_q)
-                              - problem.F(xq, u_q)) @ wq))
+        track = float(np.sum((reduced.user(problem.F, xq, u_q + du_q)
+                              - reduced.user(problem.F, xq, u_q)) @ wq))
     else:
         track = float(np.sum(((2.0 * (u_q - reduced.des) + du_q) * du_q)
                              @ wq))
@@ -237,54 +315,96 @@ def _objective_decrease(problem, reduced, u_q, g, d, du):
 
 
 def solve_optimal(problem, tol=1e-8, max_iter=500, g0=None, callback=None):
-    """Projected gradient with Armijo backtracking on the reduced problem.
+    """Projected Newton with an Armijo search along the projection arc.
 
-    Terminates when the fixed-point residual |g - clip(-p/(lam Gamma))|
-    in L2 drops below tol; raises NonconvergenceError otherwise.
+    Each iteration solves the state and the adjoint for the current
+    control g and stops when the fixed-point residual
+    |g - clip(-C^T p/(lam Gamma))| in L2 is at most tol; otherwise it picks
+    a direction d (newton_direction, or -G/(lam Gamma) on every cell for a
+    custom F) and halves the step t from 1 until clip(g + t d) decreases
+    the objective enough; a trial whose objective change is not finite
+    counts as not decreasing it.  `iterations` counts the residual checks,
+    so a start that is already optimal returns iterations=1 and max_iter
+    caps the count.  Raises ValueError for max_iter < 1 or tol <= 0, and
+    NonconvergenceError when the iterations or the line search run out or
+    the control, state or adjoint stop being finite.
     """
 
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
+    if not tol > 0.0:
+        raise ValueError("tol must be positive, got %r" % (tol,))
     reduced = _Reduced(problem)
     if g0 is None:
         g = np.zeros(problem.mesh.n_cells)
     else:
         g = np.asarray(g0, dtype=float).copy()
     g = np.minimum(np.maximum(g, reduced.lo), reduced.hi)
+    return _descend(reduced, g, tol, max_iter, callback,
+                    reduced.des is not None)
+
+
+def _descend(reduced, g, tol, max_iter, callback, newton):
+    """The iteration of solve_optimal from the feasible start g; with
+    newton=False every cell takes the scaled gradient step.
+
+    The solver's own arithmetic runs with overflow and invalid results
+    silenced and caught by the finiteness checks instead; F, F_xi and the
+    callback run under the caller's settings (_Reduced.user).
+    """
+    problem = reduced.problem
     residual = math.inf
-    for it in range(1, max_iter + 1):
-        u = reduced.state(g)
-        u_q = _state_at_quad(problem.mesh, u)
-        p = reduced.adjoint(u_q)
-        residual = reduced.distance(g, reduced.project(p))
-        if callback is not None:
-            callback(it, g, objective(u, g, problem))
-        if residual <= tol:
-            return OptimalTriple(u=u, g=g, p=p, residual=residual,
-                                 objective_value=objective(u, g, problem),
-                                 iterations=it)
-        grad = reduced.gradient(g, p)
-        step = 1.0 / problem.lam_reg
-        while True:
-            g_new = np.minimum(np.maximum(g - step * grad, reduced.lo),
-                               reduced.hi)
-            d = g_new - g
-            slope = problem.mesh.h * float(grad @ d)
-            if slope == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            u = reduced.state(g)
+            u_q = _state_at_quad(problem.mesh, u)
+            p = reduced.adjoint(u_q)
+            residual = reduced.distance(g, reduced.project(p))
+            if not math.isfinite(residual):
                 raise NonconvergenceError(
-                    "no feasible descent direction left at residual %.3e"
-                    % residual, residual)
-            du = reduced.state(d)
-            if _objective_decrease(problem, reduced, u_q, g, d,
-                                   du) <= 1e-4 * slope:
-                break
-            step *= 0.5
-            if step * problem.lam_reg < 1e-20:
-                raise NonconvergenceError(
-                    "line search stalled at residual %.3e" % residual,
-                    residual)
-        g = g_new
-    raise NonconvergenceError("projected gradient needed more than %d "
+                    "the control iteration overflowed at iteration %d" % it,
+                    math.inf)
+            if callback is not None:
+                reduced.user(callback, it, g, objective(u, g, problem))
+            if residual <= tol:
+                return OptimalTriple(
+                    u=u, g=g, p=p, residual=residual,
+                    objective_value=reduced.user(objective, u, g, problem),
+                    iterations=it)
+            g = _line_search(reduced, g, u_q, p, residual, newton)
+    raise NonconvergenceError("the control solver needed more than %d "
                               "iterations (residual %.3e)"
                               % (max_iter, residual), residual)
+
+
+def _line_search(reduced, g, u_q, p, residual, newton):
+    """The next control: clip(g + t d) for the first t = 1, 1/2, ... whose
+    objective change is finite and meets the Armijo condition."""
+    grad = reduced.gradient(g, p)
+    if newton:
+        direction = reduced.newton_direction(g, grad, min(1e-3, residual))
+    else:
+        direction = -grad / reduced.scale
+    step = 1.0
+    while True:
+        g_new = np.minimum(np.maximum(g + step * direction, reduced.lo),
+                           reduced.hi)
+        d = g_new - g
+        slope = float(grad @ d)
+        if slope == 0.0:
+            raise NonconvergenceError(
+                "no feasible descent direction left at residual %.3e"
+                % residual, residual)
+        # a Newton step cut by the box may point uphill; shorten it
+        if slope < 0.0:
+            change = _objective_decrease(reduced.problem, reduced, u_q, g,
+                                         d, reduced.state(d))
+            if math.isfinite(change) and change <= 1e-4 * slope:
+                return g_new
+        step *= 0.5
+        if step < 1e-20:
+            raise NonconvergenceError(
+                "line search stalled at residual %.3e" % residual, residual)
 
 
 def p0_interpolant(mesh, values):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,10 +322,54 @@ def test_control_clips_at_bounds(tmp_path, monkeypatch, capsys):
 def test_control_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(
-        ["control", "--n", "8", "--max-iter", "2", "--tol", "1e-14",
+        ["control", "--n", "8", "--max-iter", "1", "--tol", "1e-14",
          "--alpha", "-50", "--beta", "50"], capsys)
     assert code == 2
     assert "iterations" in err
+
+
+@pytest.mark.parametrize("args,key", [
+    (["--max-iter", "0"], "max_iter"), (["--max-iter", "-3"], "max_iter"),
+    (["--tol", "0"], "tol"), (["--tol", "-1"], "tol")])
+def test_control_solver_settings_exit_1(tmp_path, monkeypatch, capsys, args,
+                                        key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["control", "--n", "8"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert key in err
+    assert not (tmp_path / "control.csv").exists()
+
+
+@pytest.mark.parametrize("args,code,match", [
+    (["--udes-scale", "1e300"], 1, "u_des"),
+    (["--gamma", "const:1e300", "--lam", "1e300"], 1, "overflows"),
+    (["--lam", "1e-300", "--alpha", "-inf", "--beta", "inf"], 2,
+     "overflow"),
+])
+def test_control_overflow_exits_without_a_warning(tmp_path, monkeypatch,
+                                                  capsys, args, code, match):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["control", "--n", "8"] + args, capsys)
+    assert got == code
+    assert match in err
+    assert "objective=" not in out
+    assert not (tmp_path / "control.csv").exists()
+
+
+def test_control_modules_do_not_import_scipy_sparse():
+    # a cold scipy.sparse import costs about a third of a second of start-up
+    env = dict(os.environ)
+    package_root = str(Path(hsnl.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hsnl.cli, hsnl.control; "
+         "print([m for m in sys.modules if m.startswith('scipy.sparse')])"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_appendix_limits_approach(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from hsnl import kernels as K
 from hsnl import fem1d as F
@@ -103,8 +104,9 @@ def test_coupling_stencils_match_the_dense_matrix():
 
 
 def test_control_solves_reuse_one_factor_per_system(factor_count):
+    # the upper bound binds, so projected Newton takes several iterations
     mesh = F.Mesh1D(1.0, 16)
-    prob = ball_problem(mesh)
+    prob = ball_problem(mesh, alpha=0.0, beta=2.0)
     triple = C.solve_optimal(prob, tol=1e-10, max_iter=2000)
     assert triple.iterations > 3
     assert len(factor_count) == 1
@@ -200,7 +202,8 @@ def test_stored_residual_is_reproducible():
 def test_objective_nonincreasing_across_iterations():
     mesh = F.Mesh1D(1.0, 16)
     values = []
-    C.solve_optimal(ball_problem(mesh, delta=0.1), tol=1e-10, max_iter=2000,
+    C.solve_optimal(ball_problem(mesh, delta=0.1, alpha=0.0, beta=2.0),
+                    tol=1e-10, max_iter=2000,
                     callback=lambda it, g, j: values.append(j))
     assert len(values) > 3
     for a, b in zip(values, values[1:]):
@@ -250,7 +253,7 @@ def test_two_random_starts_agree():
 def test_iteration_budget_is_enforced():
     mesh = F.Mesh1D(1.0, 16)
     with pytest.raises(C.NonconvergenceError) as info:
-        C.solve_optimal(ball_problem(mesh), tol=1e-12, max_iter=2)
+        C.solve_optimal(ball_problem(mesh), tol=1e-12, max_iter=1)
     assert info.value.residual > 0.0
 
 
@@ -306,7 +309,7 @@ def test_control_sweep_with_active_bounds():
 
 
 def test_control_sweep_marks_failed_cells():
-    # the local reference (zero target) converges in one sweep while the
+    # the local reference (zero target) is optimal at its start while the
     # nonlocal cells cannot finish within the iteration budget, so their
     # rows must come back as NaN instead of raising
     def make(param, mesh):
@@ -317,7 +320,7 @@ def test_control_sweep_marks_failed_cells():
                                 beta=50.0, lam_reg=0.01, u_des=target)
 
     table = C.control_ac_sweep(make, (0.2,), (1 / 8,), reference_h=1 / 32,
-                               tol=1e-10, max_iter=2)
+                               tol=1e-10, max_iter=1)
     assert math.isnan(table.rows[0][2])
     assert math.isnan(table.rows[0][3])
     assert math.isnan(table.rows[0][4])
@@ -344,3 +347,202 @@ def test_vanishing_horizon_recovers_the_local_discrete_pair():
     control_diff = math.sqrt(mesh.h * np.sum((nonlocal_.g - local.g) ** 2))
     assert state_diff <= 1e-4
     assert control_diff <= 1e-4
+
+
+def cli_problem(n, delta, lam):
+    """The problem `hsnl control --n n --delta delta --lam lam` solves."""
+    kern = None if delta == 0.0 else K.rescaled(K.constant_ball(), delta)
+    return C.ControlProblem(mesh=F.Mesh1D(1.0, n), kernel=kern,
+                            lam_reg=lam, u_des=lambda x: 0.5 * x * (1.0 - x))
+
+
+def dense_reduced_hessian(prob):
+    """2 C^T K^-1 M K^-1 C + lam Gamma from dense matrices."""
+    system = (F.assemble_local(prob.A, 0.0, prob.mesh) if prob.kernel is None
+              else F.assemble(prob.kernel, prob.nu, prob.A, 0.0, prob.mesh))
+    coup = C._coupling_matrix(prob.mesh)
+    sens = np.linalg.solve(system.stiffness, coup)
+    reduced = C._Reduced(prob)
+    return 2.0 * sens.T @ system.mass @ sens + np.diag(reduced.scale)
+
+
+@pytest.mark.parametrize("n,delta", [(2, 0.0), (3, 0.0), (16, 0.0),
+                                     (5, 0.2), (16, 0.1), (16, 0.6)])
+def test_newton_direction_matches_the_dense_reduced_hessian(n, delta):
+    prob = ball_problem(F.Mesh1D(1.0, n), delta=delta, alpha=0.0, beta=2.0,
+                        gamma=lambda x: 1.0 + x)
+    reduced = C._Reduced(prob)
+    hessian = dense_reduced_hessian(prob)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g = rng.choice([0.0, 2.0, 1.0], size=n, p=[0.3, 0.3, 0.4])
+        grad = rng.standard_normal(n)
+        active = (((g == 0.0) & (grad > 0.0)) | ((g == 2.0) & (grad < 0.0)))
+        got = reduced.newton_direction(g, grad, 1e-3)
+        free = ~active
+        hess = hessian[np.ix_(free, free)]
+        want = -grad / reduced.scale
+        want[free] = -np.linalg.solve(hess, grad[free])
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("prob", [
+    cli_problem(128, 0.1, 1e-5),
+    cli_problem(32, 0.0, 1e-3),
+    ball_problem(F.Mesh1D(1.0, 32), delta=0.1, lam_reg=1e-5),
+    ball_problem(F.Mesh1D(1.0, 24), delta=0.2, alpha=0.2, beta=2.0,
+                 gamma=lambda x: 0.5 + x, nu=-1),
+], ids=["benchmark", "local", "unconstrained", "lower-bound"])
+def test_found_active_set_matches_the_dense_kkt_solve(prob):
+    triple = C.solve_optimal(prob, tol=1e-12)
+    reduced = C._Reduced(prob)
+    mesh = prob.mesh
+    active = (triple.g == reduced.lo) | (triple.g == reduced.hi)
+    system = (F.assemble_local(prob.A, 0.0, mesh) if prob.kernel is None
+              else F.assemble(prob.kernel, prob.nu, prob.A, 0.0, mesh))
+    coup = C._coupling_matrix(mesh)
+    xq, wq = C._cell_quad(mesh)
+    target = F._hat_pairing(mesh, F._as_fn(prob.u_des)(xq), wq)
+    ni, n = mesh.n_cells - 1, mesh.n_cells
+    # free cells: C^T p + lam Gamma g = 0; active cells: g at its bound
+    control_rows = np.where(active[:, None], 0.0, coup.T)
+    fixed = np.where(active, 1.0, reduced.scale)
+    kkt = np.block([
+        [system.stiffness, np.zeros((ni, ni)), -coup],
+        [-2.0 * system.mass, system.stiffness, np.zeros((ni, n))],
+        [np.zeros((n, ni)), control_rows, np.diag(fixed)],
+    ])
+    rhs = np.concatenate([np.zeros(ni), -2.0 * target,
+                          np.where(active, triple.g, 0.0)])
+    sol = np.linalg.solve(kkt, rhs)
+    assert triple.u == pytest.approx(sol[:ni], rel=0.0, abs=1e-10)
+    assert triple.p == pytest.approx(sol[ni:2 * ni], rel=0.0, abs=1e-10)
+    assert triple.g == pytest.approx(sol[2 * ni:], rel=0.0, abs=1e-10)
+
+
+def test_benchmark_problem_converges_in_few_iterations():
+    triple = C.solve_optimal(cli_problem(128, 0.1, 1e-5), max_iter=15)
+    assert triple.residual <= 1e-8
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("delta,lam", [(0.1, 1e-5), (0.0, 1e-4),
+                                       (0.05, 1e-6)])
+def test_iteration_count_stays_bounded_under_refinement(n, delta, lam):
+    triple = C.solve_optimal(cli_problem(n, delta, lam), max_iter=25)
+    assert triple.residual <= 1e-8
+
+
+@settings(max_examples=12)
+@given(delta=st.sampled_from([0.0, 0.05, 0.2]), nu=st.sampled_from([1, -1]),
+       gamma=st.floats(0.5, 2.0), box=st.sampled_from(["inactive", "active"]),
+       log_lam=st.floats(-5.0, -1.0), q_lo=st.floats(0.0, 0.4),
+       q_hi=st.floats(0.6, 1.0))
+def test_newton_matches_projected_gradient(delta, nu, gamma, box, log_lam,
+                                           q_lo, q_hi):
+    # without a binding bound projected gradient needs about 1e4 iterations
+    # below lam = 1e-3 (seconds per example), so those draws use 1e-3
+    lam = 10.0 ** (log_lam if box == "active" else max(log_lam, -3.0))
+    prob = ball_problem(F.Mesh1D(1.0, 8), delta=delta, lam_reg=lam,
+                        gamma=gamma, nu=nu)
+    if box == "active":
+        # bounds at quantiles of the unconstrained optimum bind on some
+        # cells and leave others free
+        free = C.solve_optimal(prob, tol=1e-12).g
+        prob = dataclasses.replace(prob, alpha=np.quantile(free, q_lo),
+                                   beta=np.quantile(free, q_hi))
+    newton = C.solve_optimal(prob, tol=1e-10)
+    # the solver's loop with the scaled gradient step on every cell
+    reduced = C._Reduced(prob)
+    start = np.clip(0.0, reduced.lo, reduced.hi)
+    oracle = C._descend(reduced, start, 1e-12, 50000, None, False)
+    assert newton.g == pytest.approx(oracle.g, rel=0.0, abs=1e-8)
+    assert newton.u == pytest.approx(oracle.u, rel=0.0, abs=1e-8)
+
+
+def tracking_problem(F_val, F_der):
+    # the target at the quadrature points, so F needs no function of x
+    mesh = F.Mesh1D(1.0, 16)
+    return ball_problem(mesh, alpha=0.0, beta=2.0,
+                        F=lambda x, u: F_val(u - u_des_parabola(x)),
+                        F_xi=lambda x, u: F_der(u - u_des_parabola(x)))
+
+
+def test_custom_quadratic_F_matches_the_newton_path():
+    tol = 1e-10
+    custom = tracking_problem(lambda e: e * e, lambda e: 2.0 * e)
+    newton = C.solve_optimal(ball_problem(F.Mesh1D(1.0, 16), alpha=0.0,
+                                          beta=2.0), tol=tol)
+    gradient = C.solve_optimal(custom, tol=tol, max_iter=5000)
+    assert gradient.iterations > newton.iterations
+    reduced = C._Reduced(custom)
+    assert reduced.distance(gradient.g, newton.g) <= 10.0 * tol
+
+
+def test_non_quadratic_F_passes_the_variational_inequality():
+    prob = tracking_problem(lambda e: e ** 4 + e * e,
+                            lambda e: 4.0 * e ** 3 + 2.0 * e)
+    triple = C.solve_optimal(prob, tol=1e-10, max_iter=5000)
+    assert triple.residual <= 1e-10
+    reduced = C._Reduced(prob)
+    assert np.any(triple.g == reduced.hi)  # the cap binds here too
+    base = C.objective(triple.u, triple.g, prob)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        q = rng.uniform(reduced.lo, reduced.hi)
+        trial_g = triple.g + 1e-4 * (q - triple.g)
+        trial_j = C.objective(reduced.state(trial_g), trial_g, prob)
+        assert trial_j >= base - 1e-8 * reduced.distance(q, triple.g)
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"max_iter": 0}, "max_iter"), ({"tol": 0.0}, "tol"),
+    ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")])
+def test_solver_settings_are_validated(kw, match):
+    prob = ball_problem(F.Mesh1D(1.0, 8))
+    with pytest.raises(ValueError, match=match):
+        C.solve_optimal(prob, **kw)
+
+
+def test_huge_target_is_rejected_before_iterating():
+    prob = ball_problem(F.Mesh1D(1.0, 8), u_des=1e300)
+    with pytest.raises(ValueError, match="overflow"):
+        C.solve_optimal(prob)
+
+
+def test_overflowing_iteration_is_nonconvergence():
+    prob = ball_problem(F.Mesh1D(1.0, 8), alpha=-math.inf, beta=math.inf,
+                        lam_reg=1e-300)
+    with pytest.raises(C.NonconvergenceError, match="overflow"):
+        C.solve_optimal(prob)
+
+
+def test_custom_F_undefined_on_part_of_a_trial_step_still_converges():
+    # F is only defined for u <= cap, below some of the first trial states;
+    # the caller silences the invalid sqrt, so F returns NaN there and the
+    # line search must halve the step rather than give up
+    mesh = F.Mesh1D(1.0, 16)
+    tol = 1e-10
+    newton = C.solve_optimal(ball_problem(mesh), tol=tol)
+    cap = 1.1 * np.max(newton.u)
+    undefined = []
+
+    def F_val(x, u):
+        undefined.append(bool(np.any(u > cap)))
+        return (u - u_des_parabola(x)) ** 2 + 0.0 * np.sqrt(cap - u)
+
+    prob = ball_problem(mesh, F=F_val,
+                        F_xi=lambda x, u: 2.0 * (u - u_des_parabola(x)))
+    with np.errstate(invalid="ignore"):
+        triple = C.solve_optimal(prob, tol=tol, max_iter=5000)
+    assert any(undefined)
+    assert math.isfinite(triple.objective_value)
+    assert C._Reduced(prob).distance(triple.g, newton.g) <= 10.0 * tol
+
+
+def test_callback_errors_pass_through_unchanged():
+    def callback(it, g, j):
+        raise FloatingPointError("raised by the callback")
+
+    with pytest.raises(FloatingPointError, match="by the callback"):
+        C.solve_optimal(ball_problem(F.Mesh1D(1.0, 8)), callback=callback)
