@@ -295,13 +295,13 @@ def _cmd_symbol(cfg):
         if kernel.d != 1:
             raise CliError("the default grid is one-dimensional; pass "
                            "--xis for d=2")
-        points = list(_xi_grid(cfg))
+        points = _xi_grid(cfg)
     out = cfg.get("out", "symbol.csv")
-    rows = []
-    for point in points:
-        sample = _sym.symbol(kernel, nu, point)
-        rows.append((*sample.xi, *sample.re_part, *sample.im_part))
     d = kernel.d
+    xis = np.asarray(points, dtype=float).reshape(len(points), d)
+    _sym._check_standing(kernel)
+    values = _sym._symbol_values(kernel, nu, xis if d > 1 else xis[:, 0])
+    rows = [(*xi, *value.real, *value.imag) for xi, value in zip(xis, values)]
     header = ",".join(["xi_%d" % (k + 1) for k in range(d)]
                       + ["re_%d" % (k + 1) for k in range(d)]
                       + ["im_%d" % (k + 1) for k in range(d)])

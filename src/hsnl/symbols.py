@@ -19,10 +19,10 @@ Everything reduces to the half-line integral
 which is computed in three zones: a Taylor zone near the origin summed
 against closed-form partial moments (this absorbs integrable
 singularities), an oscillatory middle zone on panels no wider than a
-quarter period with 16-point Gauss-Legendre, and an analytic far tail via
-the integration-by-parts asymptotic series, entered only once the phase
-exceeds 40 radians so the series converges below roundoff.  Lower-bound
-constants are fitted infima over named grids, not proved bounds.
+quarter period with 16-point Gauss-Legendre, and an analytic far tail from
+a phase of 4 pi on, where each power-law term is a continued fraction of
+the incomplete gamma function.  Lower-bound constants are fitted infima
+over named grids, not proved bounds.
 
 A d=2 symbol integrates theta S(xi . theta) over the half circle of
 directions theta with theta . nu >= 0.  The angle rule is folded about the
@@ -34,14 +34,14 @@ The engine takes a whole array of frequencies c at once: a d=2 symbol is
 one call over all its angle nodes, and a d=1 grid is one call over its
 points.  Each zone works on arrays with a per-entry stopping rule, so an
 entry gets the same value in any batch.  Work is blocked: the Taylor
-moments and the far-tail series are built at most 32 terms at a time for
-at most BLOCK_ENTRIES / 32 rows, and Gauss nodes are evaluated in groups
-of whole frequencies with fewer than BLOCK_ENTRIES (65536) nodes; a
-frequency with more is integrated alone, in slices of 65536 nodes from
-its first panel.  These working arrays thus hold at most 65536 entries
-whatever the batch size.  A frequency that needs more than 3e5
-quarter-period panels raises SymbolError before anything is built for
-its batch.
+moments (32 terms) and the far-tail continued fractions (8 steps) are
+built a pass at a time for at most BLOCK_ENTRIES / 32 rows, and Gauss
+nodes are evaluated in groups of whole frequencies with fewer than
+BLOCK_ENTRIES (65536) nodes; a frequency with more is integrated alone,
+in slices of 65536 nodes from its first panel.  These working arrays
+thus hold at most 65536 entries whatever the batch size.  A frequency
+that needs more than 3e5 quarter-period panels raises SymbolError before
+anything is built for its batch.
 """
 
 import math
@@ -56,7 +56,10 @@ _TWO_PI = 2.0 * math.pi
 _GAUSS = 16            # Gauss points per quarter-period panel
 _ANGLE_GAUSS = 33      # Gauss points per angle panel of a d=2 symbol
 _TAYLOR_TERMS = 79     # most Taylor terms a frequency may take
-_COLUMNS = 32          # series terms built per pass (Taylor, far tail)
+_COLUMNS = 32          # Taylor terms built per pass
+_CF_STEPS = 8          # far-tail continued-fraction steps per pass
+_TAIL_PHASE = 4.0 * math.pi  # panels end, the far tail starts (measured)
+_MIN_FREQ = 1e-307     # smaller |c| take the limit S(0) = 0
 _MAX_PANELS = 300000   # quarter-period panels allowed per frequency
 # panels per group of whole frequencies; a group holds fewer than twice
 # this many, so its Gauss nodes fit in one block of BLOCK_ENTRIES
@@ -113,18 +116,18 @@ def _half_line_symbol(kernel, c, power):
     """S(c) = int_0^inf r^power profile(r) (e^{2 pi i c r} - 1) dr per entry.
 
     c is an array of any shape (a scalar is a batch of one); the result is
-    a complex array of that shape, 0 where c = 0 and conj(S(|c|)) where
-    c < 0.  Every entry is computed on its own, so a frequency gets the
-    same bits whatever batch it is in.  Raises SymbolError, before any
-    quadrature array is built, when a frequency needs more than 3e5
-    quarter-period panels.
+    a complex array of that shape, conj(S(|c|)) where c < 0 and 0 where
+    |c| < 1e-307, the limit at c = 0 (a longer period overflows the panel
+    arithmetic).  Each entry is computed on its own, so a frequency gets
+    the same bits in any batch.  Raises SymbolError, before any quadrature
+    array is built, when a frequency needs over 3e5 quarter-period panels.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("symbol frequencies must be finite")
     flat = c.ravel()
     out = np.zeros(flat.size, dtype=complex)
-    nz = np.flatnonzero(flat)
+    nz = np.flatnonzero(np.abs(flat) >= _MIN_FREQ)
     if nz.size:
         mag = np.abs(flat[nz])
         z1, r_osc, n_base = _zones(kernel, mag)
@@ -149,10 +152,11 @@ def _zones(kernel, c):
     """Taylor end z1, panel end r_osc and quarter-period panel count.
 
     The Taylor zone (0, z1] keeps the phase below pi/2.  The panel zone
-    must cover tabulated pieces entirely and log_regularized pieces out to
-    several delta, so the far-tail expansion converges; it always reaches
-    a phase of 40 radians.  Frequencies with z1 at the support top get no
-    panels.
+    reaches a phase of 4 pi, or 40 radians where z1 = 1 falls short of a
+    quarter period (other ends would move the error of those too coarse
+    panels), and covers tabulated pieces and log_regularized ones to 6
+    delta, past which their far-tail expansion converges.  Frequencies
+    with z1 at the support top get no panels.
     """
     pieces = _kern._pieces(kernel)
     hi = pieces[-1][2]
@@ -162,15 +166,14 @@ def _zones(kernel, c):
             r_exp = max(r_exp, min(hi, 6.0 * piece[4]))
         elif piece[0] == "loglin":
             r_exp = max(r_exp, piece[2])
-    # periods of subnormal frequencies overflow to inf; the support top or
-    # 1 clips them
-    with np.errstate(over="ignore"):
-        quarter = 1.0 / (4.0 * c)
-        z1 = np.minimum(min(hi, 1.0), quarter)
-        r_osc = np.minimum(hi, np.maximum(np.maximum(2.0 * z1,
-                                                     40.0 / (_TWO_PI * c)),
-                                          np.maximum(z1, r_exp)))
-    return z1, r_osc, np.where(z1 < hi, np.ceil((r_osc - z1) / quarter), 0.0)
+    quarter = 1.0 / (4.0 * c)
+    z1 = np.minimum(min(hi, 1.0), quarter)
+    phase = np.where(z1 < quarter, 40.0, _TAIL_PHASE)
+    r_osc = np.minimum(hi, np.maximum(phase / (_TWO_PI * c),
+                                      np.maximum(z1, r_exp)))
+    # 4 pi is 7 quarter periods past z1; an ulp more must not add an 8th
+    quarters = (r_osc - z1) / quarter * (1.0 - 1e-12)
+    return z1, r_osc, np.where(z1 < hi, np.ceil(quarters), 0.0)
 
 
 def _half_line_block(kernel, c, power, z1, r_osc, n_base):
@@ -284,9 +287,10 @@ def _panel_sums(kernel, a, b, owner, w, power):
     x = 0.5 * (a + b)[:, None] + half[:, None] * nodes
     theta = w[owner][:, None] * x
     g = _kern.eval(kernel, x.ravel()).reshape(x.shape) * x ** power
-    # e^{i theta} - 1 written to avoid cancellation for small theta
-    re = half * ((g * (-2.0 * np.sin(0.5 * theta) ** 2)) @ weights)
-    im = half * ((g * np.sin(theta)) @ weights)
+    # e^{i theta} - 1 written to avoid cancellation for small theta; row
+    # sums, unlike a BLAS mat-vec, give a row the same bits in any batch
+    re = half * (g * (-2.0 * np.sin(0.5 * theta) ** 2) * weights).sum(axis=1)
+    im = half * (g * np.sin(theta) * weights).sum(axis=1)
     sums = np.empty(w.size, dtype=complex)
     sums.real = np.bincount(owner, re, w.size)
     sums.imag = np.bincount(owner, im, w.size)
@@ -297,9 +301,8 @@ def _tail_zone(kernel, w, r_osc, power, total):
     """Add the far tail (r_osc, hi) to total, per entry.
 
     The "-1" part of the integrand has a closed form; the oscillatory part
-    is summed per power term with the asymptotic series, the terms of all
-    entries together in blocks of rows, and added to each entry in term
-    order.
+    is summed per power term with _osc_tail, the terms of all entries
+    together in blocks of rows, and added to each entry in term order.
     """
     hi = _kern.support(kernel)[1]
     total = total - _kern._radial_integrals(kernel, r_osc, hi, power)
@@ -360,41 +363,45 @@ def _tail_power_terms(pieces, lo_cut):
 
 
 def _osc_tail(e, w, t):
-    """int_t^inf r^e e^{i w r} dr per entry by the integration-by-parts series.
+    """int_t^inf r^e e^{i w r} dr per entry, for e <= 1 and w t > 0.
 
-    Valid once w*t is large (callers guarantee w*t >= 40); successive terms
-    shrink by |e - k|/(w t), so the series reaches roundoff before the
-    asymptotic divergence kicks in.  An entry stops at the first term that
-    does not shrink (not added) or that falls below 1e-17 of its sum.
-    Terms are built as cumulative products of the ratios (k - e)/(i w t)
-    for the entries still running, 8 in the first pass, which ends most
-    entries, and _COLUMNS in each later one.
+    It is e^{iwt} t^a F with a = e + 1, x = -iwt and F = e^x x^-a
+    Gamma(a, x), the even part of Legendre's continued fraction (DLMF
+    8.9.2) 1/(x+1-a-) 1(1-a)/(x+3-a-) 2(2-a)/(x+5-a-) ..., summed by
+    modified Lentz (Thompson & Barnett, J. Comput. Phys. 64, 1986).  It
+    converges at any phase, in about 25 steps from 4 pi.  Past k = 1 the
+    partial numerators k (a - k) are <= 0, so D^-1 and C stay in the lower
+    half-plane and never vanish.  An entry stops at its first step with
+    |D C - 1| <= 2.2e-16; _CF_STEPS steps are taken at a time for the
+    entries still running, and one still running after 128 steps keeps
+    its last value.
     """
-    iwt = 1j * w * t
-    term = -t ** e * np.exp(iwt) / (1j * w)
-    total, prev = term, np.abs(term)
+    a = e + 1.0
+    base = -1j * w * t + (1.0 - a)
+    d = 1.0 / base
+    h, c = d, np.full(w.size, complex(math.inf))  # Lentz's C_0 = inf
     out = np.empty(w.size, dtype=complex)
     idx = np.arange(w.size)
-    for k0, k1 in ((0, 8), (8, 40), (40, 72), (72, 104), (104, 120)):
-        ks = np.arange(k0, k1)
-        terms = np.cumprod(np.column_stack(
-            [term, (ks - e[:, None]) / iwt[:, None]]), axis=1)[:, 1:]
-        mags = np.abs(terms)
-        sums = np.cumsum(np.column_stack([total, terms]), axis=1)
-        grew = mags >= np.column_stack([prev, mags[:, :-1]])
-        small = mags <= 1e-17 * np.maximum(np.abs(sums[:, 1:]), 1e-300)
-        stop = grew | small
-        done = np.flatnonzero(stop.any(axis=1))
-        first = np.argmax(stop[done], axis=1)
-        # a term that grew is left out: the sum before it is the result
-        out[idx[done]] = sums[done, first + ~grew[done, first]]
-        keep = ~stop.any(axis=1)
-        if not keep.any():
-            return out
-        idx, e, iwt = idx[keep], e[keep], iwt[keep]
-        term, prev, total = terms[keep, -1], mags[keep, -1], sums[keep, -1]
-    out[idx] = total
-    return out
+    for k0 in range(1, 128, _CF_STEPS):
+        ks = np.arange(k0, k0 + _CF_STEPS)
+        num = ks * (a[:, None] - ks)
+        den = base[:, None] + 2.0 * ks
+        ratios = np.empty(num.shape, dtype=complex)
+        for k in range(_CF_STEPS):
+            d = 1.0 / (num[:, k] * d + den[:, k])
+            c = den[:, k] + num[:, k] / c
+            ratios[:, k] = d * c
+        hs = np.cumprod(np.column_stack([h, ratios]), axis=1)[:, 1:]
+        stop = np.abs(ratios - 1.0) <= 2.2e-16
+        done = stop.any(axis=1)
+        out[idx[done]] = hs[done, np.argmax(stop[done], axis=1)]
+        keep = ~done
+        idx, a, base = idx[keep], a[keep], base[keep]
+        d, c, h = d[keep], c[keep], hs[keep, -1]
+        if not idx.size:
+            break
+    out[idx] = h
+    return np.exp(1j * w * t) * t ** (e + 1.0) * out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ The first is the one-frequency-at-a-time evaluation of
     S(c) = int_0^inf r^power profile(r) (e^{2 pi i c r} - 1) dr
 
 that `hsnl.symbols._half_line_symbol` replaced: the same three zones
-(Taylor, quarter-period panels, integration-by-parts tail) with Python
-scalars and the scalar closed forms of `kernel_oracle` for every moment.
+(Taylor, quarter-period panels, far tail) with Python scalars and the
+scalar closed forms of `kernel_oracle` for every moment.  Its panels
+still run to a phase of 40 radians and its far tail is still the
+integration-by-parts series, so it checks the engine's continued-fraction
+tail from phase 4 pi independently.
 """
 
 import cmath

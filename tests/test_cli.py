@@ -529,6 +529,27 @@ def test_two_dimensional_symbol_points(tmp_path, monkeypatch, capsys):
     assert across < 1e-10
 
 
+@pytest.mark.parametrize("args, kernel, nu", [
+    (["--kernel-family", "log_regularized", "--kernel-delta", "0.1",
+      "--xi-count", "40"], hsnl.kernels.log_regularized(1, 0.1), 1.0),
+    (["--kernel-d", "2", "--kernel-family", "riesz_truncated",
+      "--kernel-s", "0.5", "--nu", "0.6:0.8",
+      "--xis", "0.5:-3,40:7,0:0,-120:0.25"],
+     hsnl.kernels.riesz_truncated(2, 0.5), np.array([0.6, 0.8]))],
+    ids=["d1", "d2"])
+def test_symbol_rows_match_pointwise_symbols(args, kernel, nu, tmp_path,
+                                             monkeypatch, capsys):
+    """All points go to the engine at once; each row keeps the bits of
+    symbols.symbol at that point alone."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["symbol"] + args, capsys)[0] == 0
+    _, _, rows = read_csv(tmp_path / "symbol.csv")
+    d = kernel.d
+    for row in rows:
+        sample = hsnl.symbols.symbol(kernel, nu, row[:d])
+        assert row[d:] == [*sample.re_part, *sample.im_part]
+
+
 def test_symbol_panel_budget_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(["symbol", "--kernel-family", "log_regularized",

@@ -375,21 +375,66 @@ def test_oracle_frequencies_reach_every_zone():
 
 
 def test_batch_larger_than_a_block_matches_small_batches():
-    k = K.log_regularized(1, 0.1)
     rng = np.random.default_rng(3)
     cs = np.concatenate([rng.uniform(-40.0, 40.0, 4500),
                          [0.0, 1500.0, -2600.0]])
-    # more entries than one engine block; 1500 is a panel group of its
-    # own and 2600 is integrated in more than one slice
+    # more entries than one engine block; for log_regularized 1500 is a
+    # panel group of its own and 2600 is integrated in more than one slice
     assert cs.size > S.BLOCK_ENTRIES // S._COLUMNS
-    n_base = S._zones(k, np.array([1500.0, 2600.0]))[2]
+    n_base = S._zones(ORACLE_KERNELS["log_regularized"](1),
+                      np.array([1500.0, 2600.0]))[2]
     assert S._GROUP_PANELS < n_base[0] < 2 * S._GROUP_PANELS < n_base[1]
-    whole = S._half_line_symbol(k, cs, 0)
-    parts = np.concatenate([S._half_line_symbol(k, cs[i:i + 500], 0)
-                            for i in range(0, cs.size, 500)])
-    assert np.array_equal(whole, parts)
-    for i in (0, 4500, 4501, 4502):
-        assert S._half_line_symbol(k, cs[i], 0) == whole[i]
+    for family in ("log_regularized", "fractional_vanishing", "tabulated"):
+        k = ORACLE_KERNELS[family](1)
+        whole = S._half_line_symbol(k, cs, 0)
+        parts = np.concatenate([S._half_line_symbol(k, cs[i:i + 500], 0)
+                                for i in range(0, cs.size, 500)])
+        assert np.array_equal(whole, parts)
+        alone = np.array([S._half_line_symbol(k, c, 0) for c in cs])
+        assert np.array_equal(whole, alone)
+
+
+@pytest.mark.parametrize("e", [1.0, 0.0, -0.5, -1.5, -2.0, -2.5, -12.0,
+                               -22.5, -43.0])
+def test_osc_tail_matches_incomplete_gamma(e):
+    import mpmath
+
+    # int_t^inf r^e e^{i w r} dr = (-i w)^{-e-1} Gamma(e + 1, -i w t); w is
+    # a power of two, so the phase w t is exact in floating point
+    mpmath.mp.dps = 40
+    phases = np.array([4.0 * math.pi, 13.0, 40.0, 400.0, 1e3, 1e4])
+    for w in (0.5, 2.0, 8.0):
+        ts = phases / w
+        got = S._osc_tail(np.full(ts.size, e), np.full(ts.size, w), ts)
+        iw = mpmath.mpc(0.0, w)
+        for t, value in zip(ts, got):
+            want = complex((-iw) ** -(e + 1.0)
+                           * mpmath.gammainc(e + 1.0, -iw * t))
+            assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_panels_end_at_phase_4pi():
+    cs = np.array([0.26, 0.9, 3.1, 27.5, 140.0, 900.0])
+    end = S._TAIL_PHASE / (2.0 * math.pi * cs)
+    for family in ("constant_ball", "riesz_truncated",
+                   "fractional_vanishing", "log_truncated"):
+        k = ORACLE_KERNELS[family](1)
+        z1, r_osc, n_base = S._zones(k, cs)
+        # power-law pieces only: quarter-period panels from phase pi/2 to
+        # 4 pi at most, then the continued-fraction tail
+        assert np.all(r_osc <= end) and np.all(n_base <= 7)
+        assert np.all(r_osc == np.minimum(K.support(k)[1], end))
+    frac = ORACLE_KERNELS["fractional_vanishing"](1)
+    assert np.all(S._zones(frac, cs)[2] == 7)
+    # a Taylor zone cut at r = 1 keeps its panels to phase 40
+    low = np.array([0.02, 0.2])
+    assert np.all(S._zones(frac, low)[1] == 40.0 / (2.0 * math.pi * low))
+    # log_regularized pieces keep their panels to 6 delta
+    logreg = ORACLE_KERNELS["log_regularized"](1)
+    r_osc = S._zones(logreg, cs)[1]
+    six_delta = 6.0 * 0.1
+    assert np.all(r_osc >= six_delta)
+    assert np.all(r_osc[end < six_delta] == six_delta)
 
 
 def test_half_line_scalar_input_is_a_batch_of_one():
@@ -600,8 +645,9 @@ INVARIANT_FAMILIES = [
 def frequencies(bound):
     """0 or a magnitude in [1e-300, bound] of either sign.
 
-    Below about 3e-308 the engine fails for some kernels; that defect is
-    pinned by test_symbol_at_a_subnormal_frequency, not drawn here.
+    Below 1e-307 the engine returns the limit S(0) = 0, so the rescaling
+    identity does not hold across that threshold; such magnitudes are
+    checked by test_symbol_at_a_subnormal_frequency, not drawn here.
     """
     mag = st.floats(1e-300, bound)
     return st.just(0.0) | mag | mag.map(lambda x: -x)
@@ -645,9 +691,11 @@ def test_symbol_identities_d2(family, xis, angle, delta):
     check_identities(ORACLE_KERNELS[family](2), nu, xis, delta, 1e-10)
 
 
-@pytest.mark.xfail(raises=S.SymbolError, reason="the panel zone's end "
-                   "40/(2 pi c) overflows to inf below about 3e-308")
 def test_symbol_at_a_subnormal_frequency():
-    k = K.fractional_vanishing(1, 0.1)
-    got = S._half_line_symbol(k, np.array([1.1125369292536007e-308]), 0)
-    assert np.all(np.isfinite(got))
+    # below 1e-307 a frequency takes the limit S(0) = 0; just above, the
+    # panel zone of an unbounded support still fits in a float
+    cs = np.array([1e-307, 1.1125369292536007e-308, 1e-310, 5e-324])
+    for family in ("fractional_vanishing", "log_regularized", "tabulated"):
+        for sign in (1.0, -1.0):
+            got = S._half_line_symbol(ORACLE_KERNELS[family](1), sign * cs, 0)
+            assert np.all(np.isfinite(got)) and np.all(got[1:] == 0.0)
