@@ -14,9 +14,17 @@ the orthonormal frame adapted to a direction.
 
 Everything reduces to the half-line integral
 
-    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr
+    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr.
 
-which is computed in three zones: a Taylor zone near the origin summed
+For a kernel made only of power-law pieces (constant_ball,
+riesz_truncated, fractional_vanishing, log_truncated and their min_level,
+rescaled and cutoff forms) it is exact in incomplete gamma functions: one
+continued fraction per finite positive piece end, and Gamma(alpha) at an
+end at 0.  A frequency takes this closed form when its phase is at least
+4 pi at every finite positive piece end; fractional_vanishing, one piece
+on (0, inf), takes it at every frequency.  Everything else (log_regularized
+and tabulated pieces, lower phases) goes to a quadrature engine of three
+zones: a Taylor zone near the origin summed
 against closed-form partial moments (this absorbs integrable
 singularities), an oscillatory middle zone on panels no wider than a
 quarter period with 16-point Gauss-Legendre, and an analytic far tail from
@@ -32,10 +40,12 @@ magnitude |c| <= |xi| is sampled once (see _symbol_e1_2d).
 
 The engine takes a whole array of frequencies c at once: a d=2 symbol is
 one call over all its angle nodes, and a d=1 grid is one call over its
-points.  Each zone works on arrays with a per-entry stopping rule, so an
-entry gets the same value in any batch.  Work is blocked: the Taylor
-moments (32 terms) and the far-tail continued fractions (8 steps) are
-built a pass at a time for at most BLOCK_ENTRIES / 32 rows, and Gauss
+points.  Each entry is routed on its own, and each zone works on arrays
+with a per-entry stopping rule, so an entry gets the same value in any
+batch.  Work is blocked: the closed form takes at most BLOCK_ENTRIES / 32
+entries at a time, the Taylor moments (32 terms) and the far-tail
+continued fractions (8 steps) are built a pass at a time for at most
+BLOCK_ENTRIES / 32 rows, and Gauss
 nodes are evaluated in groups of whole frequencies with fewer than
 BLOCK_ENTRIES (65536) nodes; a frequency with more is integrated alone,
 in slices of 65536 nodes from its first panel.  These working arrays
@@ -44,6 +54,8 @@ that needs more than 3e5 quarter-period panels raises SymbolError before
 anything is built for its batch.
 """
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,18 +130,37 @@ def _half_line_symbol(kernel, c, power):
     c is an array of any shape (a scalar is a batch of one); the result is
     a complex array of that shape, conj(S(|c|)) where c < 0 and 0 where
     |c| < 1e-307, the limit at c = 0 (a longer period overflows the panel
-    arithmetic).  Each entry is computed on its own, so a frequency gets
-    the same bits in any batch.  Raises SymbolError, before any quadrature
-    array is built, when a frequency needs over 3e5 quarter-period panels.
+    arithmetic).  An entry whose kernel is made of pow pieces only (see
+    _closed_form_reach) and whose phase 2 pi |c| t is at least 4 pi at
+    every finite positive piece end t takes the closed form
+    _power_law_block; every other entry takes the Taylor, panel and tail
+    zones.  Each entry is routed and computed on its own, so a frequency
+    gets the same bits in any batch.  Raises SymbolError, before any
+    quadrature array is built, when 2 pi |c| overflows or a frequency of
+    the engine needs over 3e5 quarter-period panels.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("symbol frequencies must be finite")
     flat = c.ravel()
     out = np.zeros(flat.size, dtype=complex)
-    nz = np.flatnonzero(np.abs(flat) >= _MIN_FREQ)
+    mag = np.abs(flat)
+    if mag.size and mag.max() > np.finfo(float).max / _TWO_PI:
+        raise SymbolError("2 pi |c| overflows at frequency %.6g; frequency "
+                          "out of supported range" % mag.max())
+    step = BLOCK_ENTRIES // _COLUMNS
+    pieces = _kern._pieces(kernel)
+    live = mag >= _MIN_FREQ
+    closed = np.zeros(flat.size, dtype=bool)
+    closed[live] = (_TWO_PI * mag[live] * _closed_form_reach(pieces, power)
+                    >= _TAIL_PHASE)
+    nz = np.flatnonzero(closed)
+    for s in range(0, nz.size, step):
+        blk = nz[s:s + step]
+        out[blk] = _power_law_block(pieces, _TWO_PI * mag[blk], power)
+    nz = np.flatnonzero(live & ~closed)
     if nz.size:
-        mag = np.abs(flat[nz])
+        mag = mag[nz]
         z1, r_osc, n_base = _zones(kernel, mag)
         worst = int(np.argmax(n_base))
         if n_base[worst] > _MAX_PANELS:
@@ -138,7 +169,6 @@ def _half_line_symbol(kernel, c, power):
                 "frequency %.6g; frequency out of supported range"
                 % (n_base[worst], mag[worst]))
         n_base = n_base.astype(np.int64)
-        step = BLOCK_ENTRIES // _COLUMNS
         for s in range(0, nz.size, step):
             blk = slice(s, s + step)
             out[nz[blk]] = _half_line_block(kernel, mag[blk], power,
@@ -146,6 +176,58 @@ def _half_line_symbol(kernel, c, power):
                                             n_base[blk])
     out = np.where(flat < 0.0, np.conj(out), out)
     return out.reshape(c.shape)
+
+
+def _closed_form_reach(pieces, power):
+    """Smallest finite positive piece end of a kernel with a closed form.
+
+    The closed form (_power_law_block) needs pow pieces only, exponents
+    e = p + power <= 1 and alpha = e + 1 != 0, alpha > -1 on a piece from
+    0 and alpha < 0 on a piece to infinity.  Returns inf when no end is
+    finite and positive, and 0 (no frequency qualifies) when a piece
+    fails these conditions.
+    """
+    reach = math.inf
+    for piece in pieces:
+        if piece[0] != "pow":
+            return 0.0
+        a, b, alpha = piece[1], piece[2], piece[4] + power + 1.0
+        if (alpha > 2.0 or alpha == 0.0 or (a == 0.0 and alpha <= -1.0)
+                or (b == math.inf and alpha >= 0.0)):
+            return 0.0
+        for t in (a, b):
+            if 0.0 < t < math.inf:
+                reach = min(reach, t)
+    return reach
+
+
+def _power_law_block(pieces, w, power):
+    """S at w = 2 pi c for a kernel of pow pieces, in closed form.
+
+    With T(t) = int_t^inf r^e e^{iwr} dr (_osc_tail for t > 0), e = p +
+    power and alpha = e + 1, a piece coeff r^p on (a, b) adds
+
+        coeff [T(a) - T(b) - (b^alpha - a^alpha) / alpha],
+
+    where T(inf) = 0, a^alpha = 0 at a = 0, b^alpha = 0 at b = inf, and
+    T(0) = e^{i pi alpha/2} Gamma(alpha) w^-alpha, the incomplete gamma
+    function at 0 continued analytically to -1 < alpha, alpha != 0 (DLMF
+    Sec. 8.2).  _closed_form_reach says which kernels qualify; every
+    finite positive end must have phase w t >= 4 pi.
+    """
+    total = np.zeros(w.size, dtype=complex)
+    for _, a, b, coeff, p in pieces:
+        e = np.full(w.size, p + power)
+        alpha = p + power + 1.0
+        if a > 0.0:
+            val = _osc_tail(e, w, np.full(w.size, a)) + a ** alpha / alpha
+        else:
+            val = (cmath.exp(0.5j * math.pi * alpha) * math.gamma(alpha)
+                   * w ** -alpha)
+        if b < math.inf:
+            val -= _osc_tail(e, w, np.full(w.size, b)) + b ** alpha / alpha
+        total += coeff * val
+    return total
 
 
 def _zones(kernel, c):
@@ -349,17 +431,29 @@ def _tail_power_terms(pieces, lo_cut):
         if kind == "pow":
             out.append((piece[3], piece[4], a, b, live))
         elif kind == "logreg":
-            coeff, dl, dd = piece[3], piece[4], piece[5]
-            for j in range(40):
-                cj = coeff * math.comb(dd + j - 1, j) * (-dl) ** j
-                if j > 4:
-                    live = live & ~(abs(cj) * a ** (-1.0 - dd - j) < 1e-25)
-                    if not live.any():
-                        break
-                out.append((cj, -1.0 - dd - j, a, b, live))
+            coeffs, exps = _logreg_tail_terms(*piece[3:])
+            # row j - 5: the entries whose terms 5..j all reach 1e-25
+            lives = live & ~np.logical_or.accumulate(
+                np.abs(coeffs[5:, None]) * a ** exps[5:, None] < 1e-25,
+                axis=0)
+            some = lives.any(axis=1)
+            count = 5 + (some.size if some.all() else int(np.argmin(some)))
+            out.extend((coeffs[j], exps[j], a, b, live if j < 5 else
+                        lives[j - 5]) for j in range(count))
         else:
             raise ValueError("unexpected piece kind in far tail")
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _logreg_tail_terms(coeff, dl, dd):
+    """Coefficients coeff comb(dd + j - 1, j) (-dl)^j and exponents
+    -1 - dd - j, j < 40, of a logreg piece's expansion in (dl/r)."""
+    coeffs = np.array([coeff * math.comb(dd + j - 1, j) * (-dl) ** j
+                       for j in range(40)])
+    exps = -1.0 - dd - np.arange(40.0)
+    coeffs.flags.writeable = exps.flags.writeable = False  # shared
+    return coeffs, exps
 
 
 def _osc_tail(e, w, t):
