@@ -299,7 +299,7 @@ def _cmd_symbol(cfg):
     out = cfg.get("out", "symbol.csv")
     d = kernel.d
     xis = np.asarray(points, dtype=float).reshape(len(points), d)
-    _sym._check_standing(kernel)
+    _kern.standing_moments(kernel)
     values = _sym._symbol_values(kernel, nu, xis if d > 1 else xis[:, 0])
     rows = [(*xi, *value.real, *value.imag) for xi, value in zip(xis, values)]
     header = ",".join(["xi_%d" % (k + 1) for k in range(d)]

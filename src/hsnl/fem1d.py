@@ -20,11 +20,10 @@ diagonal is a correlation along the cells of those weights with the
 shape's per-point Gram diagonals.  The band is kept as column
 differences, summed once at the end, so the weights enter through their
 steps from cell to cell.  A constant A steps only at the ends of each run
-of cells that holds a shape, which adds one Gram block per shape as a
-sliding sum.  A varying A steps in every cell; its steps are scattered
-directly or, where that counts less work, correlated by FFT, a few band
-diagonals at a time.  No array of all x-points is held, so the number of
-panels is not limited.
+of cells that holds a shape, a varying A in every cell; the steps are
+scattered directly, one Gram block each, or, where that counts less work,
+correlated by FFT, a few band diagonals at a time.  No array of all
+x-points is held, so the number of panels is not limited.
 
 Since a point sees only its window, the stiffness and mass matrices are
 banded, and a `FemSystem` stores only their upper bands, in the
@@ -197,7 +196,7 @@ def _window_gradients(profiles, nu_sign, mesh, xs, width):
 
 def hat_gradient(kernel, nu, mesh, i, x):
     """Half-space gradient of the interior hat phi_i at the point x."""
-    _kern.moments(kernel)
+    _kern.standing_moments(kernel)
     if not 1 <= i <= mesh.n_cells - 1:
         raise ValueError("hat index must name an interior node")
     x = float(x)
@@ -300,23 +299,21 @@ def _add_columns(diff, d, at, vals):
         diff[bw - d, 0] += vals[:, :-at].sum(axis=1)
 
 
-def _add_steps(diff, rows, blocks, cols, signs):
-    """Direct scatter: the Gram block of window weights signs[r] *
-    blocks[r] at band column cols[r], for every r; a single block is
-    shared by every r and contracted once."""
+def _add_steps(diff, rows, steps, cols):
+    """Direct scatter: the Gram block of window weights steps[r] at band
+    column cols[r], for every r."""
     bw, wide = diff.shape[0] - 1, rows.shape[1]
     chunk = max(1, BLOCK_ENTRIES // (len(rows) * wide))
     for d0 in range(0, bw + 1, chunk):
         d = np.arange(d0, min(bw + 1, d0 + chunk))
-        for r, (at, sign) in enumerate(zip(cols, signs)):
-            if r < len(blocks):
-                padded = np.concatenate([np.zeros((len(rows), bw)),
-                                         rows * blocks[r][:, None]], axis=1)
-                # diag[i, k] pairs window hats k - d[i] and k
-                diag = np.einsum("qik,qk->ik",
-                                 padded[:, bw - d[:, None] + np.arange(wide)],
-                                 rows)
-            _add_columns(diff, d, at, diag if sign > 0 else -diag)
+        for at, weights in zip(cols, steps):
+            padded = np.concatenate([np.zeros((len(rows), bw)),
+                                     rows * weights[:, None]], axis=1)
+            # diag[i, k] pairs window hats k - d[i] and k
+            diag = np.einsum("qik,qk->ik",
+                             padded[:, bw - d[:, None] + np.arange(wide)],
+                             rows)
+            _add_columns(diff, d, at, diag)
 
 
 def _correlate_steps(diff, rows, steps, at, size):
@@ -352,16 +349,10 @@ def _add_shape(diff, rows, weights, cells, shift):
     live = np.flatnonzero(steps.any(axis=1))
     if not live.size:
         return
-    cols, first = c0 + shift + live, steps[live[0]]
-    signs = np.where((steps[live] == first).all(axis=1), 1.0, -1.0)
     size = 1 << (len(steps) + wide - 2).bit_length()     # FFT length
-    if (steps[live] == signs[:, None] * first).all():
-        # A constant on the cells: + and - one row at the ends of runs
-        # share a contraction (a negation is exact), as sliding sums
-        _add_steps(diff, rows, first[None], cols, signs)
-    elif (len(live) * (_CALL + 4 * (bw + 1) * wide)
-          <= 3 * _CALL + (bw + 1) * size * math.log2(size)):
-        _add_steps(diff, rows, steps[live], cols, np.ones(len(live)))
+    if (len(live) * (_CALL + 4 * (bw + 1) * wide)
+            <= 3 * _CALL + (bw + 1) * size * math.log2(size)):
+        _add_steps(diff, rows, steps[live], c0 + shift + live)
     else:
         _correlate_steps(diff, rows, steps, c0 + shift, size)
 
@@ -426,7 +417,7 @@ def assemble(kernel, nu, A, f, mesh):
     too.  A is a number or a callable on arrays of points; a callable
     that returns a constant gives the band of that number, bit for bit.
     """
-    _kern.moments(kernel)
+    _kern.standing_moments(kernel)
     if _kern.support(kernel)[1] == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")

@@ -551,9 +551,10 @@ def _logreg_primitive(m, dl, dd, t):
     out = np.empty(t.shape)
     low = m < 0
     if low.any():
-        # log(t/(t+dl)) / dl^dd + sum_{0<k<dd} 1 / (k dl^(dd-k) (t+dl)^k)
+        # log(t/(t+dl)) / dl^dd + sum_{0<k<dd} 1 / (k dl^(dd-k) (t+dl)^k),
+        # the log as -log1p(dl/t), which does not cancel at large t
         tl = t[low]
-        acc = np.log(tl / (tl + dl)) / dl ** dd
+        acc = -np.log1p(dl / tl) / dl ** dd
         for k in range(1, dd):
             acc = acc + 1.0 / (k * dl ** (dd - k) * (tl + dl) ** k)
         out[low] = acc
@@ -683,14 +684,21 @@ def _epsilon0(kernel):
     raise AssumptionError("no dyadic radius with positive annulus mass")
 
 
-def moments(kernel):
-    """Standing-condition moments; raises AssumptionError when violated."""
+def standing_moments(kernel):
+    """(M1, M2), the standing-condition moments; raises AssumptionError
+    when M1 is not in (0, inf) or M2 is infinite."""
     m1 = partial_moments(kernel, 0.0, 1.0, 1)
     m2 = tail_mass(kernel, 1.0)
     if not 0.0 < m1 < math.inf:
         raise AssumptionError(f"first moment M1 = {m1} is not in (0, inf)")
     if math.isinf(m2):
         raise AssumptionError("tail mass M2 is infinite")
+    return m1, m2
+
+
+def moments(kernel):
+    """Standing-condition moments; raises AssumptionError when violated."""
+    m1, m2 = standing_moments(kernel)
     second = {r: second_moment_ball(kernel, r) for r in _MOMENT_RADII}
     tails = {r: tail_mass(kernel, r) for r in _MOMENT_RADII}
     return MomentReport(m1=m1, m2=m2, second_moment_ball=second,

@@ -169,7 +169,7 @@ def _radial_nodes(kernel, t0, top):
 
 
 def _prepare_1d(kernel, handle, xs):
-    _kern.moments(kernel)
+    _kern.standing_moments(kernel)
     sup_u = _sup_norm_estimate(handle, float(np.mean(xs)), 1)
     top, closed_tail = _tail_start(kernel, sup_u)
     t0 = _inner_start(kernel, handle.lipschitz, 1, 1.0)
@@ -197,8 +197,8 @@ def _theta_rule(panels=8, order=16):
     return panel_points(edges, order)
 
 
-def _gradient_point_2d(kernel, nu, handle, x, dot_with=None):
-    _kern.moments(kernel)
+def _gradient_point_2d(kernel, nu, handle, x):
+    _kern.standing_moments(kernel)
     nu2 = _nu_unit2(nu)
     rot = _rotation_to(nu2)
     x = np.asarray(x, dtype=float)
@@ -213,17 +213,10 @@ def _gradient_point_2d(kernel, nu, handle, x, dot_with=None):
     ux = float(handle(x[None, :])[0])
     vals = handle(pts.reshape(-1, 2)).reshape(len(t), len(theta))
     profile = radial_w @ (vals - ux)
-    if dot_with is None:
-        out = (dirs * (wtheta * profile)[:, None]).sum(axis=0)
-        if closed_tail:
-            out -= ux * _kern.radial_integral(kernel, top, math.inf, 1) \
-                * 2.0 * nu2
-        return out
-    comp = dirs @ np.asarray(dot_with, dtype=float)
-    out = float(np.sum(wtheta * profile * comp))
+    out = (dirs * (wtheta * profile)[:, None]).sum(axis=0)
     if closed_tail:
         out -= ux * _kern.radial_integral(kernel, top, math.inf, 1) \
-            * 2.0 * float(nu2 @ np.asarray(dot_with, dtype=float))
+            * 2.0 * nu2
     return out
 
 
@@ -255,21 +248,8 @@ def divergence_pointwise(kernel, nu, v, x):
             lipschitz=handle.lipschitz,
             support_radius=handle.support_radius,
             sup_norm=handle.sup_norm)
-        e = np.zeros(2)
-        e[j] = 1.0
-        total += _gradient_point_2d(kernel, nu, comp, x, dot_with=e)
+        total += _gradient_point_2d(kernel, nu, comp, x)[j]
     return total
-
-
-def _aliasing_fraction(coeffs):
-    energy = np.abs(coeffs) ** 2
-    total = energy.sum()
-    if total == 0.0:
-        return 0.0
-    n = coeffs.shape[0]
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    high = energy[k > n / 3.0].sum()
-    return float(high / total)
 
 
 def _require_pow2(n):
@@ -281,60 +261,48 @@ def gradient_spectral(kernel, nu, field):
     """Apply the gradient to a periodic SampledField by DFT multiplication.
 
     The output is real up to roundoff; the imaginary residue is asserted
-    below 1e-10 of the field scale and discarded.
+    below 1e-10 of the field scale and discarded.  In d=1 the result
+    holds one value per sample, in d=2 a 2-vector per sample.
     """
     if field.kind != "scalar":
         raise ValueError("spectral gradient expects a scalar field")
     if not field.periodic:
         raise ValueError("spectral gradient needs a periodic grid")
-    scale = max(1.0, float(np.max(np.abs(field.values))))
-    if kernel.d == 1:
-        n = field.values.shape[0]
+    d, shape = kernel.d, field.values.shape
+    if len(shape) != d:
+        raise ValueError("spectral gradient needs a %d-D grid" % d)
+    for n in shape:
         _require_pow2(n)
-        length = float(field.domain)
-        uhat = np.fft.fft(field.values)
-        if _aliasing_fraction(uhat) > 0.01:
-            warnings.warn("top-third Fourier modes carry more than 1% of "
-                          "the energy; spectral gradient may alias")
-        # the symbol on the nonnegative frequencies k/L, k = 0..n/2
-        line = _symbol_values(kernel, nu, np.arange(n // 2 + 1) / length)[:, 0]
-        freqs = np.fft.fftfreq(n, d=length / n)
-        idx = np.minimum(np.abs(np.rint(freqs * length)).astype(int), n // 2)
-        lam = np.where(freqs >= 0, line[idx], np.conj(line[idx]))
-        out = np.fft.ifft(lam * uhat)
-        assert np.max(np.abs(out.imag)) <= 1e-10 * scale
-        return SampledField(field.domain, out.real, kind="vector")
-    nx, ny = field.values.shape
-    _require_pow2(nx)
-    _require_pow2(ny)
-    lx, ly = (float(t) for t in field.domain)
-    uhat = np.fft.fft2(field.values)
-    kx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-    ky = np.abs(np.fft.fftfreq(ny, d=1.0 / ny))
-    energy = np.abs(uhat) ** 2
-    mask = (kx[:, None] > nx / 3.0) | (ky[None, :] > ny / 3.0)
-    if energy.sum() > 0 and energy[mask].sum() > 0.01 * energy.sum():
+    lengths = np.atleast_1d(np.asarray(field.domain, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(field.values))))
+    uhat = np.fft.fftn(field.values)
+    idx = np.indices(shape).reshape(d, -1)
+    energy = np.abs(uhat.ravel()) ** 2
+    high = np.any([np.minimum(i, n - i) > n / 3.0
+                   for i, n in zip(idx, shape)], axis=0)
+    if energy.sum() > 0 and energy[high].sum() > 0.01 * energy.sum():
         warnings.warn("top-third Fourier modes carry more than 1% of the "
                       "energy; spectral gradient may alias")
-    fx = np.fft.fftfreq(nx, d=lx / nx)
-    fy = np.fft.fftfreq(ny, d=ly / ny)
-    xis = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
+    freqs = [np.fft.fftfreq(n, d=length / n)
+             for n, length in zip(shape, lengths)]
+    xis = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, d)
     # lambda(-xi) = conj(lambda(xi)): evaluate one of each mirror pair, in
     # one batch, and conjugate for the other.  -xi sits at the negated
-    # indices mod the grid size, except in a Nyquist row or column, whose
-    # frequency -n/2 has no positive partner on the grid.
-    i, j = np.divmod(np.arange(nx * ny), ny)
-    mirror = np.where((i == nx // 2) | (j == ny // 2), i * ny + j,
-                      (-i) % nx * ny + (-j) % ny)
-    own = mirror >= np.arange(nx * ny)
+    # indices mod the grid size, except on a Nyquist line, whose frequency
+    # -n/2 has no positive partner on the grid and evaluates itself.
+    flat = np.arange(xis.shape[0])
+    nyquist = np.any([i == n // 2 for i, n in zip(idx, shape)], axis=0)
+    mirror = np.where(nyquist, flat,
+                      np.ravel_multi_index(-idx, shape, mode="wrap"))
+    own = mirror >= flat
     lam = np.empty(xis.shape, dtype=complex)
-    lam[own] = _symbol_values(kernel, nu, xis[own])
+    lam[own] = _symbol_values(kernel, nu, xis[own] if d > 1 else xis[own, 0])
     lam[~own] = np.conj(lam[mirror[~own]])
-    out_hat = lam.reshape(nx, ny, 2) * uhat[:, :, None]
-    out = np.stack([np.fft.ifft2(out_hat[:, :, 0]),
-                    np.fft.ifft2(out_hat[:, :, 1])], axis=-1)
+    out = np.fft.ifftn(lam.reshape(shape + (d,)) * uhat[..., None],
+                       axes=tuple(range(d)))
     assert np.max(np.abs(out.imag)) <= 1e-10 * scale
-    return SampledField(field.domain, out.real, kind="vector")
+    return SampledField(field.domain, out.real.reshape(shape) if d == 1
+                        else out.real, kind="vector")
 
 
 def localization_study(base_kernel, u, delta_list, p=2):
@@ -377,7 +345,7 @@ def direction_moment_matrix(kernel, nu):
     Returns (lhs, rhs) where rhs = (1/2d) int |z| w dz times the identity;
     for radial kernels the two agree.
     """
-    _kern.moments(kernel)
+    _kern.standing_moments(kernel)
     full = _kern.partial_moments(kernel, 0.0, math.inf, 1)
     if not math.isfinite(full):
         raise _kern.AssumptionError("needs a finite full first moment")

@@ -14,22 +14,24 @@ the orthonormal frame adapted to a direction.
 
 Everything reduces to the half-line integral
 
-    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr.
+    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr,
 
-For a kernel made only of power-law pieces (constant_ball,
-riesz_truncated, fractional_vanishing, log_truncated and their min_level,
-rescaled and cutoff forms) it is exact in incomplete gamma functions: one
-continued fraction per finite positive piece end, and Gamma(alpha) at an
-end at 0.  A frequency takes this closed form when its phase is at least
-4 pi at every finite positive piece end; fractional_vanishing, one piece
-on (0, inf), takes it at every frequency.  Everything else (log_regularized
-and tabulated pieces, lower phases) goes to a quadrature engine of three
-zones: a Taylor zone near the origin summed
-against closed-form partial moments (this absorbs integrable
-singularities), an oscillatory middle zone on panels no wider than a
-quarter period with 16-point Gauss-Legendre, and an analytic far tail from
-a phase of 4 pi on, where each power-law term is a continued fraction of
-the incomplete gamma function.  Lower-bound constants are fitted infima
+computed in three zones: a Taylor zone near the origin summed against
+closed-form partial moments (this absorbs integrable singularities), an
+oscillatory middle zone on panels no wider than a quarter period with
+16-point Gauss-Legendre, and a far tail from a phase of 4 pi on, which is
+exact: each power-law term C r^q of the profile on (a, b) adds C [T(a) -
+T(b) - (b^alpha - a^alpha)/alpha], alpha = p + q + 1, with T(t) =
+int_t^inf r^(alpha-1) e^{2 pi i c r} dr a continued fraction of the
+incomplete gamma function, and Gamma(alpha) at t = 0 (log_regularized
+pieces are expanded into such terms in delta/r).  For a kernel made only
+of power-law pieces (constant_ball, riesz_truncated, fractional_vanishing,
+log_truncated and their min_level, rescaled and cutoff forms) a frequency
+whose phase is at least 4 pi at every finite positive piece end has no
+Taylor zone and no panels: its far tail starts at r = 0 and is the whole
+of S.  fractional_vanishing, one piece on (0, inf), is such a frequency at
+every |c|.  log_regularized and tabulated pieces keep their panels to 6
+delta and over their support.  Lower-bound constants are fitted infima
 over named grids, not proved bounds.
 
 A d=2 symbol integrates theta S(xi . theta) over the half circle of
@@ -40,13 +42,12 @@ magnitude |c| <= |xi| is sampled once (see _symbol_e1_2d).
 
 The engine takes a whole array of frequencies c at once: a d=2 symbol is
 one call over all its angle nodes, and a d=1 grid is one call over its
-points.  Each entry is routed on its own, and each zone works on arrays
-with a per-entry stopping rule, so an entry gets the same value in any
-batch.  Work is blocked: the closed form takes at most BLOCK_ENTRIES / 32
-entries at a time, the Taylor moments (32 terms) and the far-tail
-continued fractions (8 steps) are built a pass at a time for at most
-BLOCK_ENTRIES / 32 rows, and Gauss
-nodes are evaluated in groups of whole frequencies with fewer than
+points.  Each entry gets its zones on its own, and each zone works on
+arrays with a per-entry stopping rule, so an entry gets the same value in
+any batch.  Work is blocked: at most BLOCK_ENTRIES / 32 entries at a time,
+the Taylor moments (32 terms) and the far-tail continued fractions (8
+steps) built a pass at a time for at most BLOCK_ENTRIES / 32 rows, and
+Gauss nodes evaluated in groups of whole frequencies with fewer than
 BLOCK_ENTRIES (65536) nodes; a frequency with more is integrated alone,
 in slices of 65536 nodes from its first panel.  These working arrays
 thus hold at most 65536 entries whatever the batch size.  A frequency
@@ -132,12 +133,12 @@ def _half_line_symbol(kernel, c, power):
     |c| < 1e-307, the limit at c = 0 (a longer period overflows the panel
     arithmetic).  An entry whose kernel is made of pow pieces only (see
     _closed_form_reach) and whose phase 2 pi |c| t is at least 4 pi at
-    every finite positive piece end t takes the closed form
-    _power_law_block; every other entry takes the Taylor, panel and tail
-    zones.  Each entry is routed and computed on its own, so a frequency
-    gets the same bits in any batch.  Raises SymbolError, before any
-    quadrature array is built, when 2 pi |c| overflows or a frequency of
-    the engine needs over 3e5 quarter-period panels.
+    every finite positive piece end t gets z1 = r_osc = n_base = 0, so its
+    far tail from r = 0 is all of it, in closed form; every other entry
+    gets the zones of _zones.  Each entry is computed on its own, so a
+    frequency gets the same bits in any batch.  Raises SymbolError, before
+    any quadrature array is built, when 2 pi |c| overflows or a frequency
+    needs over 3e5 quarter-period panels.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
@@ -148,32 +149,23 @@ def _half_line_symbol(kernel, c, power):
     if mag.size and mag.max() > np.finfo(float).max / _TWO_PI:
         raise SymbolError("2 pi |c| overflows at frequency %.6g; frequency "
                           "out of supported range" % mag.max())
-    step = BLOCK_ENTRIES // _COLUMNS
-    pieces = _kern._pieces(kernel)
-    live = mag >= _MIN_FREQ
-    closed = np.zeros(flat.size, dtype=bool)
-    closed[live] = (_TWO_PI * mag[live] * _closed_form_reach(pieces, power)
-                    >= _TAIL_PHASE)
-    nz = np.flatnonzero(closed)
-    for s in range(0, nz.size, step):
-        blk = nz[s:s + step]
-        out[blk] = _power_law_block(pieces, _TWO_PI * mag[blk], power)
-    nz = np.flatnonzero(live & ~closed)
-    if nz.size:
-        mag = mag[nz]
-        z1, r_osc, n_base = _zones(kernel, mag)
+    live = np.flatnonzero(mag >= _MIN_FREQ)
+    mag = mag[live]
+    closed = (_TWO_PI * mag * _closed_form_reach(_kern._pieces(kernel), power)
+              >= _TAIL_PHASE)
+    z1, r_osc, n_base = np.where(closed, 0.0, _zones(kernel, mag))
+    if n_base.size and n_base.max() > _MAX_PANELS:
         worst = int(np.argmax(n_base))
-        if n_base[worst] > _MAX_PANELS:
-            raise SymbolError(
-                "oscillatory quadrature would need %.6g > 3e5 panels at "
-                "frequency %.6g; frequency out of supported range"
-                % (n_base[worst], mag[worst]))
-        n_base = n_base.astype(np.int64)
-        for s in range(0, nz.size, step):
-            blk = slice(s, s + step)
-            out[nz[blk]] = _half_line_block(kernel, mag[blk], power,
-                                            z1[blk], r_osc[blk],
-                                            n_base[blk])
+        raise SymbolError(
+            "oscillatory quadrature would need %.6g > 3e5 panels at "
+            "frequency %.6g; frequency out of supported range"
+            % (n_base[worst], mag[worst]))
+    n_base = n_base.astype(np.int64)
+    step = BLOCK_ENTRIES // _COLUMNS
+    for s in range(0, live.size, step):
+        blk = slice(s, s + step)
+        out[live[blk]] = _half_line_block(kernel, mag[blk], power, z1[blk],
+                                          r_osc[blk], n_base[blk])
     out = np.where(flat < 0.0, np.conj(out), out)
     return out.reshape(c.shape)
 
@@ -181,7 +173,7 @@ def _half_line_symbol(kernel, c, power):
 def _closed_form_reach(pieces, power):
     """Smallest finite positive piece end of a kernel with a closed form.
 
-    The closed form (_power_law_block) needs pow pieces only, exponents
+    The far tail from r = 0 (_tail_zone) needs pow pieces only, exponents
     e = p + power <= 1 and alpha = e + 1 != 0, alpha > -1 on a piece from
     0 and alpha < 0 on a piece to infinity.  Returns inf when no end is
     finite and positive, and 0 (no frequency qualifies) when a piece
@@ -199,35 +191,6 @@ def _closed_form_reach(pieces, power):
             if 0.0 < t < math.inf:
                 reach = min(reach, t)
     return reach
-
-
-def _power_law_block(pieces, w, power):
-    """S at w = 2 pi c for a kernel of pow pieces, in closed form.
-
-    With T(t) = int_t^inf r^e e^{iwr} dr (_osc_tail for t > 0), e = p +
-    power and alpha = e + 1, a piece coeff r^p on (a, b) adds
-
-        coeff [T(a) - T(b) - (b^alpha - a^alpha) / alpha],
-
-    where T(inf) = 0, a^alpha = 0 at a = 0, b^alpha = 0 at b = inf, and
-    T(0) = e^{i pi alpha/2} Gamma(alpha) w^-alpha, the incomplete gamma
-    function at 0 continued analytically to -1 < alpha, alpha != 0 (DLMF
-    Sec. 8.2).  _closed_form_reach says which kernels qualify; every
-    finite positive end must have phase w t >= 4 pi.
-    """
-    total = np.zeros(w.size, dtype=complex)
-    for _, a, b, coeff, p in pieces:
-        e = np.full(w.size, p + power)
-        alpha = p + power + 1.0
-        if a > 0.0:
-            val = _osc_tail(e, w, np.full(w.size, a)) + a ** alpha / alpha
-        else:
-            val = (cmath.exp(0.5j * math.pi * alpha) * math.gamma(alpha)
-                   * w ** -alpha)
-        if b < math.inf:
-            val -= _osc_tail(e, w, np.full(w.size, b)) + b ** alpha / alpha
-        total += coeff * val
-    return total
 
 
 def _zones(kernel, c):
@@ -259,18 +222,23 @@ def _zones(kernel, c):
 
 
 def _half_line_block(kernel, c, power, z1, r_osc, n_base):
-    """S(c) for positive c, at most BLOCK_ENTRIES / _COLUMNS of them."""
+    """S(c) for positive c, at most BLOCK_ENTRIES / _COLUMNS of them.
+
+    Entries with z1 = 0 skip the Taylor zone, those with n_base = 0 the
+    panels, and those with r_osc at the support top the far tail.
+    """
     w = _TWO_PI * c
-    total = _taylor_zone(kernel, w, z1, power)
-    hi = _kern.support(kernel)[1]
-    live = np.flatnonzero(z1 < hi)
-    if live.size:
-        total[live] += _panel_zone(kernel, w[live], z1[live], r_osc[live],
-                                   n_base[live], power)
-        tail = live[r_osc[live] < hi]
-        if tail.size:
-            total[tail] = _tail_zone(kernel, w[tail], r_osc[tail], power,
-                                     total[tail])
+    total = np.zeros(w.size, dtype=complex)
+    near = np.flatnonzero(z1 > 0.0)
+    if near.size:
+        total[near] = _taylor_zone(kernel, w[near], z1[near], power)
+    mid = np.flatnonzero(n_base > 0)
+    if mid.size:
+        total[mid] += _panel_zone(kernel, w[mid], z1[mid], r_osc[mid],
+                                  n_base[mid], power)
+    far = np.flatnonzero(r_osc < _kern.support(kernel)[1])
+    if far.size:
+        total[far] += _tail_zone(kernel, w[far], r_osc[far], power)
     return total
 
 
@@ -379,16 +347,22 @@ def _panel_sums(kernel, a, b, owner, w, power):
     return sums
 
 
-def _tail_zone(kernel, w, r_osc, power, total):
-    """Add the far tail (r_osc, hi) to total, per entry.
+def _tail_zone(kernel, w, lo, power):
+    """int_lo^hi r^power profile (e^{iwr} - 1) dr per entry, in closed form.
 
-    The "-1" part of the integrand has a closed form; the oscillatory part
-    is summed per power term with _osc_tail, the terms of all entries
-    together in blocks of rows, and added to each entry in term order.
+    Each power-law term coeff r^p on (a, b) of _tail_power_terms adds
+
+        coeff [T(a) - T(b) - (b^alpha - a^alpha) / alpha],
+
+    alpha = p + power + 1 and T(t) = int_t^inf r^(p + power) e^{iwr} dr
+    (see _tail_end).  The terms of all entries are summed together in blocks
+    of rows and added to each entry in term order.  alpha = 0 never comes
+    here: no kernel family has a pow piece with p = -1 - power
+    (_closed_form_reach rejects one anyway), and logreg terms have alpha =
+    -1 - j.
     """
-    hi = _kern.support(kernel)[1]
-    total = total - _kern._radial_integrals(kernel, r_osc, hi, power)
-    terms = _tail_power_terms(_kern._pieces(kernel), r_osc)
+    total = np.zeros(w.size, dtype=complex)
+    terms = _tail_power_terms(_kern._pieces(kernel), lo)
     if not terms:
         return total
     owner = np.concatenate([np.flatnonzero(t[4]) for t in terms])
@@ -402,13 +376,32 @@ def _tail_zone(kernel, w, r_osc, power, total):
     for start in range(0, owner.size, rows):
         cut = slice(start, start + rows)
         ws = w[owner[cut]]
-        val[cut] = _osc_tail(e[cut], ws, a[cut])
-        finite = np.flatnonzero(b[cut] < math.inf)
-        if finite.size:
-            val[start + finite] -= _osc_tail(e[cut][finite], ws[finite],
-                                             b[cut][finite])
+        val[cut] = _tail_end(e[cut], ws, a[cut]) - _tail_end(e[cut], ws,
+                                                              b[cut])
     np.add.at(total, owner, coeff * val)
     return total
+
+
+def _tail_end(e, w, t):
+    """T(t) + t^alpha / alpha per entry, T(t) = int_t^inf r^e e^{iwr} dr.
+
+    alpha = e + 1, and T comes from _osc_tail for 0 < t < inf.  At t = 0,
+    where t^alpha counts as 0, T(0) = e^{i pi alpha/2} Gamma(alpha)
+    w^-alpha, the incomplete gamma function at 0 continued analytically to
+    -1 < alpha, alpha != 0 (DLMF Sec. 8.2); at t = inf both parts are 0.
+    """
+    alpha = e + 1.0
+    out = np.zeros(w.size, dtype=complex)
+    mid = np.flatnonzero((0.0 < t) & (t < math.inf))
+    if mid.size:
+        al, tm = alpha[mid], t[mid]
+        out[mid] = _osc_tail(e[mid], w[mid], tm) + tm ** al / al
+    at0 = np.flatnonzero(t == 0.0)
+    if at0.size:  # only a kernel's first piece starts at 0: one alpha
+        al = alpha[at0[0]]
+        out[at0] = (cmath.exp(0.5j * math.pi * al) * math.gamma(al)
+                    * w[at0] ** -al)
+    return out
 
 
 def _tail_power_terms(pieces, lo_cut):
@@ -501,15 +494,6 @@ def _osc_tail(e, w, t):
 # ---------------------------------------------------------------------------
 # The symbol itself.
 # ---------------------------------------------------------------------------
-
-def _check_standing(kernel):
-    m1 = _kern.partial_moments(kernel, 0.0, 1.0, 1)
-    m2 = _kern.tail_mass(kernel, 1.0)
-    if not 0.0 < m1 < math.inf:
-        raise _kern.AssumptionError("first moment not in (0, inf)")
-    if math.isinf(m2):
-        raise _kern.AssumptionError("tail mass not summable")
-
 
 def _nu_sign(nu):
     arr = np.atleast_1d(np.asarray(nu, dtype=float))
@@ -650,7 +634,7 @@ def _one_row(d, xi):
 
 def symbol(kernel, nu, xi):
     """Fourier symbol lambda_w^nu(xi) as a SymbolSample."""
-    _check_standing(kernel)
+    _kern.standing_moments(kernel)
     value = _symbol_values(kernel, nu, _one_row(kernel.d, xi))[0]
     return SymbolSample(xi=np.atleast_1d(np.asarray(xi, dtype=float)),
                         value=value,
@@ -780,7 +764,7 @@ def check_lower_bound_large_xi(kernel, nu, N=1.0, eps=None):
 
 def check_hermitian_symmetry(kernel, nu, xi_grid):
     """|lambda(-xi) - conj lambda(xi)| <= 1e-10 max(1, |lambda|) per entry."""
-    _check_standing(kernel)
+    _kern.standing_moments(kernel)
     xis = _along(kernel.d, nu, xi_grid)
     plus = _symbol_values(kernel, nu, xis)
     lhs = np.max(np.abs(_symbol_values(kernel, nu, -xis) - np.conj(plus)),
@@ -794,7 +778,7 @@ def check_cutoff_perturbation(kernel, nu, xi_grid, radius):
     """Cutting w at radius moves each entry of lambda by <= 2 tail_mass."""
     bound = 2.0 * _kern.tail_mass(kernel, radius)
     trimmed = _kern.cutoff(kernel, radius)
-    _check_standing(trimmed)
+    _kern.standing_moments(trimmed)
     xis = _along(kernel.d, nu, xi_grid)
     lhs = np.max(np.abs(_symbol_values(kernel, nu, xis)
                         - _symbol_values(trimmed, nu, xis)), axis=1)

@@ -46,11 +46,11 @@ def logreg_primitive(m, dl, dd, t):
                 total += cj * (t + dl) ** e / e
         return total
     if dd == 1:
-        return math.log(t / (t + dl)) / dl
+        return -math.log1p(dl / t) / dl
     if dd == 2:
-        return math.log(t / (t + dl)) / dl ** 2 + 1.0 / (dl * (t + dl))
+        return -math.log1p(dl / t) / dl ** 2 + 1.0 / (dl * (t + dl))
     if dd == 3:
-        return (math.log(t / (t + dl)) / dl ** 3 + 1.0 / (dl ** 2 * (t + dl))
+        return (-math.log1p(dl / t) / dl ** 3 + 1.0 / (dl ** 2 * (t + dl))
                 + 1.0 / (2.0 * dl * (t + dl) ** 2))
     raise ValueError("log_regularized antiderivative needs d in {1,2,3}")
 

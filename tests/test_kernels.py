@@ -334,6 +334,21 @@ def test_logreg_primitive_takes_an_exponent_per_entry():
             assert gi == pytest.approx(want, rel=1e-14)
 
 
+def test_log_regularized_tail_mass_matches_mpmath():
+    # the m = -1 primitive -log1p(dl/t) / dl keeps its digits at large t,
+    # where log(t / (t + dl)) / dl was 1.7e-13 off at R = 1e3 and 4.5e-10
+    # off at R = 1e6
+    import mpmath
+
+    k = K.log_regularized(1, 0.1)
+    coeff = K._pieces(k)[0][3]
+    for radius in (1e3, 1e6):
+        with mpmath.workdps(40):
+            dl = mpmath.mpf(0.1)
+            want = float(2 * coeff / dl * mpmath.log1p(dl / radius))
+        assert abs(K.tail_mass(k, radius) - want) <= 1e-14 * want
+
+
 def test_logreg_series_survives_a_subnormal_lower_end():
     # b / a overflows for a subnormal a; the integral itself is finite
     k = K.log_regularized(1, 0.1)

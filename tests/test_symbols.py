@@ -427,6 +427,53 @@ def test_power_law_symbol_matches_incomplete_gamma(family, d):
     assert np.all(np.abs(got[1:] - want[1:]) <= 1e-13 * np.abs(want[1:]))
 
 
+def test_power_law_frequencies_past_phase_4pi_are_all_tail(monkeypatch):
+    # phase >= 4 pi at every finite positive piece end: z1 = r_osc = 0, so
+    # neither the Taylor zone nor a panel is entered
+    cases = []
+    for family in sorted(POWER_LAW_KERNELS):
+        for d in (1, 2):
+            k = POWER_LAW_KERNELS[family](d)
+            reach = S._closed_form_reach(K._pieces(k), d - 1)
+            low = (S._TAIL_PHASE / (2.0 * math.pi * reach) * (1.0 + 1e-9)
+                   if reach < math.inf else 1e-7)
+            cs = low * np.array([1.0, -1.0, 3.7, 1e3, -1e5])
+            cases.append((k, d, cs, S._half_line_symbol(k, cs, d - 1)))
+
+    def entered(*args):
+        raise AssertionError("zone entered")
+
+    monkeypatch.setattr(S, "_taylor_zone", entered)
+    monkeypatch.setattr(S, "_panel_zone", entered)
+    for k, d, cs, want in cases:
+        assert np.array_equal(S._half_line_symbol(k, cs, d - 1), want)
+    # below phase 4 pi the zones are entered
+    with pytest.raises(AssertionError, match="zone entered"):
+        S._half_line_symbol(K.constant_ball(1), np.array([1.9]), 0)
+
+
+def test_log_regularized_far_tail_matches_mpmath():
+    # int_R^inf coeff (e^{iwr} - 1) / (r (r + dl)) dr = coeff / dl [E1(-iwR)
+    # - e^{-iw dl} E1(-iw(R + dl)) - log1p(dl / R)] from the panel end R
+    # on; the "-1" part alone was 3.6e-8 off at c = 1e-7 before it was
+    # summed from the power-law terms
+    import mpmath
+
+    k = ORACLE_KERNELS["log_regularized"](1)
+    coeff = K._pieces(k)[0][3]
+    cs = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    r_osc = S._zones(k, cs)[1]
+    got = S._tail_zone(k, 2.0 * math.pi * cs, r_osc, 0)
+    with mpmath.workdps(40):
+        dl = mpmath.mpf(0.1)
+        for c, r, value in zip(cs, r_osc, got):
+            z = -2j * mpmath.pi * c
+            want = complex(coeff / dl * (
+                mpmath.e1(z * r) - mpmath.exp(z * dl) * mpmath.e1(z * (r + dl))
+                - mpmath.log1p(dl / r)))
+            assert abs(value - want) <= 1e-15 * abs(want)
+
+
 def test_oracle_frequencies_reach_every_zone():
     ball = K.constant_ball(1)
     z1, r_osc, n_base = S._zones(ball, np.abs(ORACLE_CS[1:]))
