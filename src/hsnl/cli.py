@@ -539,29 +539,30 @@ def _cmd_validate(cfg):
     return "valid=%s" % ("yes" if ok else "no")
 
 
-_COMMON_KEYS = ("config", "command", "out", "threads", "seed")
 _KERNEL_KEYS = ("kernel.family", "kernel.d", "kernel.s", "kernel.delta",
                 "kernel.level", "kernel.cutoff")
 
+# the keys each subcommand reads; threads, config and command are taken
+# out before the check, so every subcommand accepts them
 _COMMANDS = {
     "symbol": (_cmd_symbol, _KERNEL_KEYS + ("nu", "xis", "xi_min", "xi_max",
-                                            "xi_count")),
+                                            "xi_count", "out")),
     "bounds": (_cmd_bounds, _KERNEL_KEYS + ("nu", "xi_min", "xi_max",
                                             "xi_count", "tau",
-                                            "cutoff_radius")),
-    "localize": (_cmd_localize, _KERNEL_KEYS + ("deltas", "norm")),
+                                            "cutoff_radius", "out")),
+    "localize": (_cmd_localize, _KERNEL_KEYS + ("deltas", "norm", "out")),
     "solve": (_cmd_solve, _KERNEL_KEYS + ("nu", "n", "length", "coef",
-                                          "rhs")),
+                                          "rhs", "out")),
     "poincare": (_cmd_poincare, _KERNEL_KEYS + ("nu", "deltas", "levels",
-                                                "hs", "h", "cap")),
+                                                "hs", "h", "cap", "out")),
     "ac": (_cmd_ac, _KERNEL_KEYS + ("mode", "deltas", "levels", "hs",
                                     "reference", "reference_h", "coef",
-                                    "rhs")),
+                                    "rhs", "out")),
     "control": (_cmd_control, ("udes", "udes_scale", "alpha", "beta", "lam",
                                "gamma", "delta", "n", "tol", "max_iter",
                                "nu", "state_out", "control_out")),
-    "appendix": (_cmd_appendix, ("deltas",)),
-    "basis": (_cmd_basis, ("d", "count")),
+    "appendix": (_cmd_appendix, ("deltas", "out")),
+    "basis": (_cmd_basis, ("d", "count", "seed", "out")),
     "validate": (_cmd_validate, _KERNEL_KEYS),
 }
 
@@ -593,7 +594,7 @@ def run(argv):
         # of the echoed configuration
         raw_threads = merged.pop("threads", None)
         for key in merged:
-            if key not in allowed and key not in _COMMON_KEYS:
+            if key not in allowed:
                 raise CliError("unknown key %s" % key)
         if raw_threads is not None:
             try:

@@ -142,6 +142,8 @@ def _strictly_monotone(seq):
 
 
 def _cells_for(h, length):
+    if not h > 0:
+        raise ValueError("mesh size h must be positive, got %g" % h)
     n = length / h
     cells = int(round(n))
     if cells < 2 or abs(cells - n) > 1e-9:

@@ -4,18 +4,20 @@ Hat-function gradients are evaluated semi-analytically: phi_i(x + nu t) is
 piecewise linear in t, so on every segment the integrand against the kernel
 profile is alpha + beta t and the integral is a difference of the two
 radial antiderivatives H_0 and H_1.  No inner quadrature ever touches the
-kernel singularity.  A quadrature point x only sees the hats whose stencil
-meets its kernel horizon, a window of about top/h + 3 hats.  Unknowns are
-the interior nodes, which enforces the volume constraint u = 0 outside the
-domain.
+kernel singularity.  On a uniform mesh a hat's gradient at x depends only
+on the offset of x from the hat's node, so hats are evaluated by node
+offset, with no mesh.  A quadrature point x only sees the hats whose
+stencil meets its kernel horizon, a window of about top/h + 3 hats.
+Unknowns are the interior nodes, which enforces the volume constraint
+u = 0 outside the domain.
 
 The x-integral runs over 8-point Gauss panels between the nodes and the
 nodes shifted by the horizon and the kernel breakpoints.  Panels at the
 same offset in their cells and of the same width (one panel shape) have
 the same hat gradients at their 8 points, one hat further per cell, so
 assembly groups the panels by shape and evaluates each shape's points
-once on a virtual mesh; a uniform mesh has one to four shapes.  Only the
-weights A(x_q) w_q change from cell to cell.  Per shape, each band
+once, on the axis of one cell; a uniform mesh has one to four shapes.
+Only the weights A(x_q) w_q change from cell to cell.  Per shape, each band
 diagonal is a correlation along the cells of those weights with the
 shape's per-point Gram diagonals.  The band is kept as column
 differences, summed once at the end, so the weights enter through their
@@ -128,17 +130,13 @@ def _as_fn(g):
 
 
 def _hat_profiles(kernel):
-    """Radial antiderivatives H_0, H_1, H_0 at the support top, and the top."""
+    """Radial antiderivatives H_0 and H_1, H_0 at infinity (the value at
+    the support top for compact support), and the top."""
     h0, h0_inf = _kern.radial_antideriv(kernel, 0)
     h1, _ = _kern.radial_antideriv(kernel, 1)
-    top = _kern.support(kernel)[1]
-    if top < math.inf:
-        h0_top = float(h0(np.array([top]))[0])
-    else:
-        h0_top = h0_inf
-        if not math.isfinite(h0_top):
-            raise AssemblyError("kernel tail is not summable; cut it off")
-    return h0, h1, h0_top, top
+    if not math.isfinite(h0_inf):
+        raise AssemblyError("kernel tail is not summable; cut it off")
+    return h0, h1, h0_inf, _kern.support(kernel)[1]
 
 
 def _window_width(mesh, top):
@@ -147,21 +145,19 @@ def _window_width(mesh, top):
                math.ceil(min(top, mesh.length) / mesh.h) + 3)
 
 
-def _window_gradients(profiles, nu_sign, mesh, xs, width):
-    """Half-space gradients of the hats in each point's window.
+def _window_gradients(profiles, nu_sign, h, xs, first, width):
+    """Half-space gradients at the points xs of the hats first .. first +
+    width - 1, hat k having its node at k * h on the points' axis.
 
-    Returns (first, rows): point xs[r] sees the interior hats first[r] ..
-    first[r] + width - 1, and rows[r, k] is the gradient of hat
-    first[r] + k there.  Every other hat vanishes at xs[r], because its
-    stencil [x_{i-1}, x_{i+1}] misses [x, x + top] (nu = 1) or
-    [x - top, x] (nu = -1).
+    first is one hat for every point or one per point; rows[r, k] is the
+    gradient of hat first + k (or first[r] + k) at xs[r].  A hat's
+    gradient depends only on the offset of the point from its node, so
+    any axis with nodes at the multiples of h serves: a mesh's, a cell's
+    or a single hat's.  A hat whose stencil [(k - 1) h, (k + 1) h] misses
+    [x, x + top] (nu = 1) or [x - top, x] (nu = -1) is exactly 0 at x.
     """
-    h0, h1, h0_top, top = profiles
-    h = mesh.h
-    lo = xs if nu_sign > 0 else xs - top
-    first = np.clip(np.floor(lo / h) - 1, 1,
-                    mesh.n_cells - width).astype(int)
-    nodes = mesh.nodes[first[:, None] - 1 + np.arange(width + 2)]
+    h0, h1, h0_inf, top = profiles
+    nodes = h * (np.reshape(first, (-1, 1)) - 1 + np.arange(width + 2))
     t_all = nu_sign * (nodes - xs[:, None])
     t_clip = np.clip(t_all, 0.0, top)
     with np.errstate(invalid="ignore"):
@@ -176,22 +172,22 @@ def _window_gradients(profiles, nu_sign, mesh, xs, width):
                      np.where(t_a < 0.0, -t_a / h, 0.0),
                      np.where(t_c > 0.0, t_c / h, 0.0))
     coef_rise = -t_a / h - phi_x
-    # a point on the hat's node (t_b = 0, in panels a few ulps wide) has
-    # an exactly zero fall coefficient, which roundoff in t_c / h - 1
-    # misses; it would meet H0(0), infinite for kernels of infinite mass
+    # a point on the hat's node (t_b = 0) has an exactly zero fall
+    # coefficient, which roundoff in t_c / h - 1 misses; it would meet
+    # H0(0), infinite for kernels of infinite mass
     coef_fall = np.where(t_b == 0.0, 0.0, t_c / h - phi_x)
     live_rise = (coef_rise != 0.0) & (t_clip[ib] > t_clip[ia])
     live_fall = (coef_fall != 0.0) & (t_clip[ic] > t_clip[ib])
     with np.errstate(invalid="ignore"):
         d0_rise = h0_all[ib] - h0_all[ia]
         d0_fall = h0_all[ic] - h0_all[ib]
-        d0_tail = h0_top - h0_all[ic]
+        d0_tail = h0_inf - h0_all[ic]
         out = (np.where(live_rise, coef_rise * d0_rise, 0.0)
                + np.where(live_fall, coef_fall * d0_fall, 0.0)
                + (h1_all[ib] - h1_all[ia]) / h
                - (h1_all[ic] - h1_all[ib]) / h
                - np.where(phi_x > 0.0, phi_x * d0_tail, 0.0))
-    return first, nu_sign * out
+    return nu_sign * out
 
 
 def hat_gradient(kernel, nu, mesh, i, x):
@@ -202,12 +198,9 @@ def hat_gradient(kernel, nu, mesh, i, x):
     x = float(x)
     if math.isnan(x):
         raise ValueError("hat gradient point is NaN")
-    profiles = _hat_profiles(kernel)
-    width = _window_width(mesh, profiles[3])
-    first, rows = _window_gradients(profiles, _nu_sign(nu), mesh,
-                                    np.array([x]), width)
-    k = i - first[0]
-    return float(rows[0, k]) if 0 <= k < width else 0.0
+    rows = _window_gradients(_hat_profiles(kernel), _nu_sign(nu), mesh.h,
+                             np.array([x - mesh.nodes[i]]), 0, 1)
+    return float(rows[0, 0])
 
 
 def _x_breaks(kernel, nu_sign, mesh):
@@ -263,29 +256,24 @@ def _panel_shapes(breaks, h):
 def _shape_gradients(profiles, nu_sign, h, offset, width):
     """Hat gradients at the 8 Gauss points of one panel shape.
 
-    The panel is placed on a virtual mesh of step h with room for every
-    point's whole window, so no window is clamped.  Returns (shift, rows,
-    points, weights): rows[q, k] is the gradient at point q of the k-th hat
-    of one window common to the 8 points, and for the panel
-    cell * h + [offset, offset + width] of a real mesh that hat is band
-    column cell + shift + k (a negative column or one past the last names
-    a hat that is not an unknown); point q lies at cell * h + points[q].
+    The points lie in [offset, offset + width] on the axis of one cell,
+    which has hat k's node at k * h; in every other cell the panel of this
+    shape sees the same gradients, one hat further per cell.  Returns
+    (shift, rows, points, weights): rows[q, k] is the gradient at point q
+    of the k-th hat of one window that holds every hat the 8 points see,
+    and for the panel cell * h + [offset, offset + width] of a mesh that
+    hat is band column cell + shift + k (a negative column or one past the
+    last names a hat that is not an unknown); point q lies at cell * h +
+    points[q].
     """
     top = profiles[3]
-    margin = math.ceil(top / h) + 4
-    cells = 2 * margin + 2 + math.ceil(width / h)
-    vmesh = Mesh1D(cells * h, cells)
-    x0 = margin * vmesh.h + offset
-    xs, ws = panel_points(np.array([x0, x0 + width]), 8)
-    first, rows = _window_gradients(profiles, nu_sign, vmesh, xs,
-                                    _window_width(vmesh, top))
-    # a panel wider than a cell, or a few ulps wide on a node, has points
-    # whose windows start on different hats
-    base = first.min()
-    common = np.zeros((len(xs), rows.shape[1] + first.max() - base))
-    np.put_along_axis(common, first[:, None] - base
-                      + np.arange(rows.shape[1]), rows, axis=1)
-    return base - margin - 1, common, xs - margin * vmesh.h, ws
+    xs, ws = panel_points(np.array([offset, offset + width]), 8)
+    lo = xs[[0, -1]] - (top if nu_sign < 0 else 0.0)
+    first = math.floor(lo[0] / h) - 1
+    last = math.floor(lo[1] / h) + math.ceil(top / h) + 1
+    rows = _window_gradients(profiles, nu_sign, h, xs, first,
+                             last - first + 1)
+    return first - 1, rows, xs, ws
 
 
 def _add_columns(diff, d, at, vals):

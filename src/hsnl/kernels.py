@@ -233,6 +233,16 @@ def _pieces(kernel):
     return tuple(_build_pieces(kernel))
 
 
+def _delta_power(delta, exponent):
+    """delta ** exponent for a rescaled coefficient; ValueError if it
+    overflows."""
+    try:
+        return delta ** exponent
+    except OverflowError:
+        raise ValueError("rescaling delta %g overflows the kernel "
+                         "coefficient" % delta) from None
+
+
 def _build_pieces(kernel):
     fam = kernel.family
     d = kernel.d
@@ -270,10 +280,11 @@ def _build_pieces(kernel):
             kind, a, b = piece[0], dl * piece[1], dl * piece[2]
             if kind == "pow":
                 c, p = piece[3], piece[4]
-                out.append(("pow", a, b, cn * c * dl ** (-kernel.d - 1 - p), p))
+                out.append(("pow", a, b,
+                            cn * c * _delta_power(dl, -kernel.d - 1 - p), p))
             elif kind == "loglin":
                 u, v = piece[3], piece[4]
-                s = dl ** (-kernel.d - 1)
+                s = _delta_power(dl, -kernel.d - 1)
                 out.append(("loglin", a, b, cn * s * (u - v * math.log(dl)), cn * s * v))
             else:  # logreg keeps its shape with a shrunk delta
                 c, d0, dd = piece[3], piece[4], piece[5]

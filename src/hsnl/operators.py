@@ -260,9 +260,11 @@ def _require_pow2(n):
 def gradient_spectral(kernel, nu, field):
     """Apply the gradient to a periodic SampledField by DFT multiplication.
 
-    The output is real up to roundoff; the imaginary residue is asserted
-    below 1e-10 of the field scale and discarded.  In d=1 the result
-    holds one value per sample, in d=2 a 2-vector per sample.
+    On Nyquist lines lambda is replaced by its Hermitian part
+    (lambda(k) + conj(lambda(-k mod n))) / 2, so the output is real up to
+    roundoff; an imaginary residue above 1e-10 of the field scale (or a
+    NaN) raises ArithmeticError, and a smaller one is discarded.  In d=1
+    the result holds one value per sample, in d=2 a 2-vector per sample.
     """
     if field.kind != "scalar":
         raise ValueError("spectral gradient expects a scalar field")
@@ -292,15 +294,22 @@ def gradient_spectral(kernel, nu, field):
     # -n/2 has no positive partner on the grid and evaluates itself.
     flat = np.arange(xis.shape[0])
     nyquist = np.any([i == n // 2 for i, n in zip(idx, shape)], axis=0)
-    mirror = np.where(nyquist, flat,
-                      np.ravel_multi_index(-idx, shape, mode="wrap"))
+    wrap = np.ravel_multi_index(-idx, shape, mode="wrap")
+    mirror = np.where(nyquist, flat, wrap)
     own = mirror >= flat
     lam = np.empty(xis.shape, dtype=complex)
     lam[own] = _symbol_values(kernel, nu, xis[own] if d > 1 else xis[own, 0])
     lam[~own] = np.conj(lam[mirror[~own]])
+    # a real field's transform is Hermitian, uhat(-k mod n) =
+    # conj(uhat(k)); with the Hermitian part of lambda on the Nyquist
+    # lines, so is lambda * uhat, and its inverse transform is real
+    lam[nyquist] = 0.5 * (lam[nyquist] + np.conj(lam[wrap[nyquist]]))
     out = np.fft.ifftn(lam.reshape(shape + (d,)) * uhat[..., None],
                        axes=tuple(range(d)))
-    assert np.max(np.abs(out.imag)) <= 1e-10 * scale
+    residue = np.max(np.abs(out.imag))
+    if not residue <= 1e-10 * scale:
+        raise ArithmeticError("spectral gradient has an imaginary residue "
+                              "%.3e of the field scale" % (residue / scale))
     return SampledField(field.domain, out.real.reshape(shape) if d == 1
                         else out.real, kind="vector")
 

@@ -27,6 +27,14 @@ def x_panels(kernel, nu_sign, mesh):
     return panel_points(breaks, 8)
 
 
+def window_starts(mesh, nu_sign, top, xs, width):
+    """First interior hat of each point's window of width hats, clamped
+    to the interior hats 1 .. n_cells - 1."""
+    lo = xs if nu_sign > 0 else xs - top
+    return np.clip(np.floor(lo / mesh.h) - 1, 1,
+                   mesh.n_cells - width).astype(int)
+
+
 def add_strip(band, s0, strip):
     """Add the upper band of strip's symmetric part (its two triangles
     differ by rounding) to band, from band column s0 on."""
@@ -48,8 +56,10 @@ def stiffness_band(kernel, nu, A, mesh):
     block = max(1, BLOCK_ENTRIES // (width + 2))
     s0, strip = 0, np.zeros((0, 0))
     for start in range(0, len(xq), block):
-        first, rows = _fem._window_gradients(profiles, nu_sign, mesh,
-                                             xq[start:start + block], width)
+        xs = xq[start:start + block]
+        first = window_starts(mesh, nu_sign, profiles[3], xs, width)
+        rows = _fem._window_gradients(profiles, nu_sign, mesh.h, xs, first,
+                                      width)
         weighted = rows * weights[start:start + block, None]
         # x_panels returns sorted points, so equal window starts come in
         # runs; each run adds its Gram block to a dense strip of hats s0..,

@@ -13,6 +13,7 @@ import pytest
 
 import hsnl
 from hsnl import cli
+from test_acceptance import CLI_MATRIX
 
 
 def run_cli(args, capsys):
@@ -132,6 +133,54 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
     assert code == 1
     assert "key %s" % key in err and "Traceback" not in err
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,match", [
+    (["poincare", "--h", "0"], "h must be positive"),
+    (["ac", "--hs", "0"], "h must be positive"),
+    (["solve", "--kernel-delta", "1e-300"], "delta 1e-300 overflows"),
+    (["control", "--delta", "1e-300"], "delta 1e-300 overflows"),
+    (["localize", "--deltas", "1e-300"], "delta 1e-300 overflows"),
+    (["validate", "--kernel-delta", "1e-300"], "delta 1e-300 overflows"),
+], ids=["poincare-h", "ac-hs", "solve-delta", "control-delta",
+        "localize-deltas", "validate-delta"])
+def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,
+                                                 capsys, args, match):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,key", [
+    (["symbol", "--seed", "3"], "seed"),
+    (["control", "--out", "x.csv"], "out"),
+    (["validate", "--out", "y.csv"], "out"),
+], ids=["symbol-seed", "control-out", "validate-out"])
+def test_keys_a_subcommand_does_not_read_exit_1(tmp_path, monkeypatch,
+                                                capsys, args, key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert err == "error: unknown key %s\n" % key
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", CLI_MATRIX, ids=[a[0] for a in CLI_MATRIX])
+def test_artifacts_round_trip_through_config(tmp_path, monkeypatch, capsys,
+                                             args):
+    # every key an artifact echoes is one its subcommand reads
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args, capsys)[0] == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for name, data in first.items():
+        (tmp_path / "saved.cfg").write_bytes(data)
+        assert run_cli([args[0], "--config", "saved.cfg"], capsys)[0] == 0
+        for other, want in first.items():
+            assert (tmp_path / other).read_bytes() == want
+        (tmp_path / "saved.cfg").unlink()
 
 
 @pytest.mark.parametrize("args", [

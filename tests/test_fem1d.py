@@ -182,9 +182,9 @@ FRACTIONAL_CUT = K.cutoff(K.fractional_vanishing(1, 0.3), 0.5)
         "fractional_cut-48-minus"])
 def test_gauss_points_on_nodes_give_finite_spd_stiffness(kern, n, nu):
     mesh = F.Mesh1D(1.0, n)
-    profiles = F._hat_profiles(kern)
-    _, rows = F._window_gradients(profiles, nu, mesh, mesh.nodes[1:-1],
-                                  F._window_width(mesh, profiles[3]))
+    # every interior hat at every interior node of the evaluator's axis
+    rows = F._window_gradients(F._hat_profiles(kern), nu, mesh.h,
+                               mesh.h * np.arange(1, n), 1, n - 1)
     assert np.all(np.isfinite(rows))
     system = F.assemble(kern, nu, 1.0, 1.0, mesh)
     assert np.all(np.isfinite(system.stiffness))
@@ -213,15 +213,75 @@ def test_window_holds_every_nonzero_hat_gradient(kern, nu, n):
     width = F._window_width(mesh, profiles[3])
     xq, _ = quadrature_points(kern, nu, mesh)
     xs = np.concatenate([xq, [-2.5, -0.3, -0.01, 1.01, 1.3, 2.5]])
-    first, rows = F._window_gradients(profiles, nu, mesh, xs, width)
-    full_first, full = F._window_gradients(profiles, nu, mesh, xs, n - 1)
-    assert np.all(full_first == 1)
+    first = fem_oracle.window_starts(mesh, nu, profiles[3], xs, width)
+    rows = F._window_gradients(profiles, nu, mesh.h, xs, first, width)
+    full = F._window_gradients(profiles, nu, mesh.h, xs, 1, n - 1)
     assert np.all((first >= 1) & (first + width - 1 <= n - 1))
     for r in range(len(xs)):
         lo = first[r] - 1
         assert np.array_equal(rows[r], full[r, lo:lo + width])
         assert not full[r, :lo].any()
         assert not full[r, lo + width:].any()
+
+
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("kern", WINDOW_KERNELS, ids=WINDOW_IDS)
+def test_shape_window_holds_every_nonzero_hat_gradient(kern, nu, n):
+    # three more hats on each side of every shape's window are all zero
+    mesh = F.Mesh1D(1.0, n)
+    profiles = F._hat_profiles(kern)
+    _, offsets, widths, _ = F._panel_shapes(F._x_breaks(kern, nu, mesh),
+                                            mesh.h)
+    for offset, width in zip(offsets, widths):
+        shift, rows, points, _ = F._shape_gradients(profiles, nu, mesh.h,
+                                                    offset, width)
+        wide = F._window_gradients(profiles, nu, mesh.h, points, shift - 2,
+                                   rows.shape[1] + 6)
+        assert np.array_equal(wide[:, 3:-3], rows)
+        assert not wide[:, :3].any() and not wide[:, -3:].any()
+
+
+SINGULAR_KERNELS = [
+    K.riesz_truncated(1, 0.5),
+    K.min_level(K.rescaled(K.riesz_truncated(1, 0.5), 0.3), 40.0),
+    LOGREG_CUT,
+    FRACTIONAL_CUT,
+]
+SINGULAR_IDS = ["riesz", "min_level", "logreg_cut", "fractional_cut"]
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("kern", [BALL02] + SINGULAR_KERNELS,
+                         ids=["ball0.2"] + SINGULAR_IDS)
+def test_hat_gradient_is_shift_invariant(kern, nu):
+    # hat i at x is hat i + 1 at x + h.  The points keep h/16 from the
+    # nodes, where a singular kernel's gradient is only Hoelder and would
+    # amplify the rounding of x + h
+    mesh = F.Mesh1D(1.0, 13)
+    h = mesh.h
+    for i in (1, 6, 11):
+        xs = mesh.nodes[i] + h * (np.arange(-112, 112) / 8 + 1 / 16)
+        g = np.array([F.hat_gradient(kern, nu, mesh, i, x) for x in xs])
+        g_next = np.array([F.hat_gradient(kern, nu, mesh, i + 1, x + h)
+                           for x in xs])
+        assert np.abs(g - g_next).max() <= 1e-14 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("kern", SINGULAR_KERNELS, ids=SINGULAR_IDS)
+def test_hat_gradient_matches_adaptive_quadrature_at_kinks(kern, nu):
+    # on the stencil's nodes, and each node shifted by the horizon and by
+    # every breakpoint, where the gradient has its kinks
+    mesh = F.Mesh1D(1.0, 8)
+    i, top = 4, K.support(kern)[1]
+    shifts = [0.0] + [s * b for b in {top, *K.breakpoints(kern)}
+                      for s in (1, -1)]
+    for k in (i - 1, i, i + 1):
+        for shift in shifts:
+            x = mesh.nodes[k] + shift
+            assert F.hat_gradient(kern, nu, mesh, i, x) == pytest.approx(
+                quad_hat_gradient(kern, nu, mesh, i, x), rel=5e-9, abs=5e-9)
 
 
 @pytest.mark.parametrize("coef", ["const", "one_plus_x"])
@@ -234,8 +294,8 @@ def test_assembly_matches_full_width_gram(kern, nu, n, coef):
     a_fn = {"const": 1.0, "one_plus_x": lambda x: 1.0 + x}[coef]
     got = F.assemble(kern, nu, a_fn, 1.0, mesh).stiffness
     xq, wq = quadrature_points(kern, nu, mesh)
-    _, rows = F._window_gradients(F._hat_profiles(kern), nu, mesh, xq,
-                                  n - 1)
+    rows = F._window_gradients(F._hat_profiles(kern), nu, mesh.h, xq, 1,
+                               n - 1)
     want = (rows * (wq * F._as_fn(a_fn)(xq))[:, None]).T @ rows
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

@@ -181,21 +181,48 @@ def test_spectral_sine_mode():
     assert np.abs(out.values[:16] - pw).max() <= 1e-6
 
 
-def test_spectral_2d_matches_the_symbol_on_every_frequency():
-    # one of each mirror pair is evaluated and the other conjugated
+@pytest.mark.filterwarnings("ignore:top-third Fourier modes")
+@pytest.mark.parametrize("field", ["smooth", "random"])
+def test_spectral_2d_matches_the_symbol_on_every_frequency(field):
+    # one of each mirror pair is evaluated and the other conjugated; a
+    # random field has energy on the Nyquist lines, where the real part of
+    # the inverse transform is the Hermitian part of lambda
     k = K.rescaled(K.constant_ball(2), 0.3)
     nu = np.array([0.6, 0.8])
     nx, ny, lx, ly = 8, 16, 1.0, 2.0
     x = np.arange(nx)[:, None] * (lx / nx)
     y = np.arange(ny)[None, :] * (ly / ny)
-    u = (np.cos(2 * np.pi * x / lx) * np.sin(2 * np.pi * y / ly)
-         + 0.3 * np.sin(4 * np.pi * y / ly - 2 * np.pi * x / lx))
+    if field == "smooth":
+        u = (np.cos(2 * np.pi * x / lx) * np.sin(2 * np.pi * y / ly)
+             + 0.3 * np.sin(4 * np.pi * y / ly - 2 * np.pi * x / lx))
+    else:
+        u = np.random.default_rng(5).standard_normal((nx, ny))
     out = O.gradient_spectral(k, nu, O.SampledField((lx, ly), u))
     fx, fy = np.fft.fftfreq(nx, d=lx / nx), np.fft.fftfreq(ny, d=ly / ny)
     xis = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1)
     lam = _symbol_values(k, nu, xis.reshape(-1, 2)).reshape(nx, ny, 2)
     want = np.fft.ifft2(lam * np.fft.fft2(u)[:, :, None], axes=(0, 1))
     assert np.abs(out.values - want.real).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:top-third Fourier modes")
+def test_spectral_nyquist_mode_takes_the_real_part_of_the_symbol():
+    # cos(pi j) lives on the Nyquist frequency n / (2 L) alone, where
+    # lambda has no mirror partner on the grid
+    k = K.riesz_truncated(1, 0.5)
+    length, n = 2.0, 16
+    u = np.cos(np.pi * np.arange(n))
+    out = O.gradient_spectral(k, 1, O.SampledField(length, u))
+    lam = symbol(k, 1, n / (2.0 * length)).value[0]
+    assert np.abs(out.values - lam.real * u).max() <= 1e-12 * abs(lam)
+
+
+def test_spectral_imaginary_residue_raises(monkeypatch):
+    monkeypatch.setattr(O, "_symbol_values", lambda kernel, nu, xis:
+                        np.full((len(xis), 1), complex(np.nan)))
+    u = np.sin(2 * np.pi * np.arange(16) / 16)
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        O.gradient_spectral(K.constant_ball(), 1, O.SampledField(2.0, u))
 
 
 def test_spectral_constant_is_zero():
