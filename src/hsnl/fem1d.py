@@ -7,7 +7,7 @@ radial antiderivatives H_0 and H_1.  No inner quadrature ever touches the
 kernel singularity.  On a uniform mesh a hat's gradient at x depends only
 on the offset of x from the hat's node, so hats are evaluated by node
 offset, with no mesh.  A quadrature point x only sees the hats whose
-stencil meets its kernel horizon, a window of about top/h + 3 hats.
+stencil meets its kernel horizon, a window of ceil(top/h) + 2 hats.
 Unknowns are the interior nodes, which enforces the volume constraint
 u = 0 outside the domain.
 
@@ -140,9 +140,10 @@ def _hat_profiles(kernel):
 
 
 def _window_width(mesh, top):
-    """Interior hats whose stencil can meet one point's kernel horizon."""
+    """Interior hats whose stencil can meet one point's kernel horizon:
+    from floor(lo / h) to ceil((lo + top) / h), lo the horizon's start."""
     return min(mesh.n_cells - 1,
-               math.ceil(min(top, mesh.length) / mesh.h) + 3)
+               math.ceil(min(top, mesh.length) / mesh.h) + 2)
 
 
 def _window_gradients(profiles, nu_sign, h, xs, first, width):
@@ -253,7 +254,7 @@ def _panel_shapes(breaks, h):
     return cell.astype(int), offset[first], width[first], label
 
 
-def _shape_gradients(profiles, nu_sign, h, offset, width):
+def _shape_gradients(profiles, nu_sign, h, offset, width, hats):
     """Hat gradients at the 8 Gauss points of one panel shape.
 
     The points lie in [offset, offset + width] on the axis of one cell,
@@ -264,15 +265,25 @@ def _shape_gradients(profiles, nu_sign, h, offset, width):
     and for the panel cell * h + [offset, offset + width] of a mesh that
     hat is band column cell + shift + k (a negative column or one past the
     last names a hat that is not an unknown); point q lies at cell * h +
-    points[q].
+    points[q].  A point x sees the hats whose stencil [(k-1)h, (k+1)h]
+    meets [x, x + top] (nu = 1) or [x - top, x] (nu = -1), ceil(top/h) +
+    2 of them at most; the window is cut to the hats seen and to hats[0]
+    .. hats[1], the hats of this axis that are unknowns in some cell of
+    the shape, so a horizon longer than the mesh costs no more hats.
     """
     top = profiles[3]
     xs, ws = panel_points(np.array([offset, offset + width]), 8)
-    lo = xs[[0, -1]] - (top if nu_sign < 0 else 0.0)
-    first = math.floor(lo[0] / h) - 1
-    last = math.floor(lo[1] / h) + math.ceil(top / h) + 1
+    reach = xs[[0, -1]] + ((-top, 0.0) if nu_sign < 0 else (0.0, top))
+    span = np.clip(reach / h, hats[0] - 1, hats[1] + 1)
+    # a hat of margin against rounding, then only the hats seen are kept
+    first = max(hats[0], math.floor(span[0]) - 1)
+    last = min(hats[1], math.ceil(span[1]) + 1)
     rows = _window_gradients(profiles, nu_sign, h, xs, first,
                              last - first + 1)
+    seen = np.flatnonzero(rows.any(axis=0))
+    if seen.size:
+        rows = rows[:, seen[0]:seen[-1] + 1]
+        first += int(seen[0])
     return first - 1, rows, xs, ws
 
 
@@ -417,8 +428,9 @@ def assemble(kernel, nu, A, f, mesh):
         _x_breaks(kernel, sign, mesh), mesh.h)
     for s, (offset, width) in enumerate(zip(offsets, widths)):
         cells = cell[label == s]
+        hats = (1 - cells[-1], mesh.n_cells - 1 - cells[0])
         shift, rows, points, ws = _shape_gradients(profiles, sign, mesh.h,
-                                                   offset, width)
+                                                   offset, width, hats)
         weights = a_fn(cells[:, None] * mesh.h + points) * ws
         _add_shape(band, rows, weights, cells, shift)
     np.cumsum(band, axis=1, out=band)

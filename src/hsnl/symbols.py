@@ -23,16 +23,19 @@ oscillatory middle zone on panels no wider than a quarter period with
 exact: each power-law term C r^q of the profile on (a, b) adds C [T(a) -
 T(b) - (b^alpha - a^alpha)/alpha], alpha = p + q + 1, with T(t) =
 int_t^inf r^(alpha-1) e^{2 pi i c r} dr a continued fraction of the
-incomplete gamma function, and Gamma(alpha) at t = 0 (log_regularized
-pieces are expanded into such terms in delta/r).  For a kernel made only
-of power-law pieces (constant_ball, riesz_truncated, fractional_vanishing,
-log_truncated and their min_level, rescaled and cutoff forms) a frequency
-whose phase is at least 4 pi at every finite positive piece end has no
-Taylor zone and no panels: its far tail starts at r = 0 and is the whole
-of S.  fractional_vanishing, one piece on (0, inf), is such a frequency at
-every |c|.  log_regularized and tabulated pieces keep their panels to 6
-delta and over their support.  Lower-bound constants are fitted infima
-over named grids, not proved bounds.
+incomplete gamma function, and Gamma(alpha) at t = 0.  A log_regularized
+piece is a sum of shifted power laws: its tail takes partial fractions,
+each term (r + s)^e adding e^{-iws} T(t + s), where it starts below 6
+delta, and the expansion into power-law terms in delta/r further out.
+Its Taylor moments come from a recurrence in the order.  For a kernel
+made only of power-law pieces (constant_ball, riesz_truncated,
+fractional_vanishing, log_truncated and their min_level, rescaled and
+cutoff forms) a frequency whose phase is at least 4 pi at every finite
+positive piece end has no Taylor zone and no panels: its far tail starts
+at r = 0 and is the whole of S.  fractional_vanishing, one piece on (0,
+inf), is such a frequency at every |c|.  Tabulated pieces keep their
+panels over their support.  Lower-bound constants are fitted infima over
+named grids, not proved bounds.
 
 A d=2 symbol integrates theta S(xi . theta) over the half circle of
 directions theta with theta . nu >= 0.  The angle rule is folded about the
@@ -52,12 +55,14 @@ BLOCK_ENTRIES (65536) nodes; a frequency with more is integrated alone,
 in slices of 65536 nodes from its first panel.  These working arrays
 thus hold at most 65536 entries whatever the batch size.  A frequency
 that needs more than 3e5 quarter-period panels raises SymbolError before
-anything is built for its batch.
+anything is built for its batch.  The engine keeps its latest batches, at
+most 65536 frequencies in all (see _Memo): a repeated batch costs a copy.
 """
 
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,16 +141,64 @@ def _half_line_symbol(kernel, c, power):
     every finite positive piece end t gets z1 = r_osc = n_base = 0, so its
     far tail from r = 0 is all of it, in closed form; every other entry
     gets the zones of _zones.  Each entry is computed on its own, so a
-    frequency gets the same bits in any batch.  Raises SymbolError, before
-    any quadrature array is built, when 2 pi |c| overflows or a frequency
-    needs over 3e5 quarter-period panels.
+    frequency gets the same bits in any batch, and a batch whose |c| the
+    memo holds is not computed again.  Raises SymbolError, before any
+    quadrature array is built, when 2 pi |c| overflows, a frequency needs
+    over 3e5 quarter-period panels or the profile overflows where its
+    panels start.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("symbol frequencies must be finite")
     flat = c.ravel()
-    out = np.zeros(flat.size, dtype=complex)
     mag = np.abs(flat)
+    key = (kernel, power, mag.tobytes())
+    out = _MEMO.get(key)
+    if out is None:
+        out = _magnitude_symbol(kernel, mag, power)
+        _MEMO.put(key, out)
+    # np.where builds a new array, so the memo's copy stays untouched
+    return np.where(flat < 0.0, np.conj(out), out).reshape(c.shape)
+
+
+class _Memo:
+    """The latest engine batches by (kernel, power, |c| bytes), holding at
+    most BLOCK_ENTRIES frequencies in all; the oldest batches go first.
+
+    An entry's value does not depend on its batch, so a repeated batch
+    (`bounds` asks for the same one four times) gets the same bits.
+    """
+
+    def __init__(self):
+        self._batches = {}
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            return self._batches.get(key)
+
+    def put(self, key, values):
+        with self._lock:
+            if key in self._batches or values.size > BLOCK_ENTRIES:
+                return
+            while self._held + values.size > BLOCK_ENTRIES:
+                self._held -= self._batches.pop(next(iter(self._batches))).size
+            self._batches[key] = values
+            self._held += values.size
+
+    def clear(self):
+        with self._lock:
+            self._batches.clear()
+            self._held = 0
+
+
+_MEMO = _Memo()
+
+
+def _magnitude_symbol(kernel, mag, power):
+    """S(|c|) per entry of the flat array mag of frequency magnitudes."""
+    out = np.zeros(mag.size, dtype=complex)
     if mag.size and mag.max() > np.finfo(float).max / _TWO_PI:
         raise SymbolError("2 pi |c| overflows at frequency %.6g; frequency "
                           "out of supported range" % mag.max())
@@ -160,14 +213,23 @@ def _half_line_symbol(kernel, c, power):
             "oscillatory quadrature would need %.6g > 3e5 panels at "
             "frequency %.6g; frequency out of supported range"
             % (n_base[worst], mag[worst]))
+    if np.any(z1 > 0.0):
+        # the panels start at z1, where a logreg profile ~ 1/(r dl^dd) at
+        # the largest frequencies meets the float range
+        low = z1[z1 > 0.0].min()
+        with np.errstate(over="ignore"):
+            peak = _kern.eval(kernel, low) * low ** power
+        if not peak < np.finfo(float).max / 64.0:
+            raise SymbolError(
+                "kernel profile overflows at r = %.3g, frequency %.6g; "
+                "frequency out of supported range" % (low, mag.max()))
     n_base = n_base.astype(np.int64)
     step = BLOCK_ENTRIES // _COLUMNS
     for s in range(0, live.size, step):
         blk = slice(s, s + step)
         out[live[blk]] = _half_line_block(kernel, mag[blk], power, z1[blk],
                                           r_osc[blk], n_base[blk])
-    out = np.where(flat < 0.0, np.conj(out), out)
-    return out.reshape(c.shape)
+    return out
 
 
 def _closed_form_reach(pieces, power):
@@ -199,18 +261,14 @@ def _zones(kernel, c):
     The Taylor zone (0, z1] keeps the phase below pi/2.  The panel zone
     reaches a phase of 4 pi, or 40 radians where z1 = 1 falls short of a
     quarter period (other ends would move the error of those too coarse
-    panels), and covers tabulated pieces and log_regularized ones to 6
-    delta, past which their far-tail expansion converges.  Frequencies
-    with z1 at the support top get no panels.
+    panels), and covers tabulated pieces, which have no closed-form tail.
+    A log_regularized tail is exact from any start (_tail_zone), so its
+    panels end at 4 pi too: at most 7 of them for |c| >= 1/4.
+    Frequencies with z1 at the support top get no panels.
     """
     pieces = _kern._pieces(kernel)
     hi = pieces[-1][2]
-    r_exp = -math.inf
-    for piece in pieces:
-        if piece[0] == "logreg":
-            r_exp = max(r_exp, min(hi, 6.0 * piece[4]))
-        elif piece[0] == "loglin":
-            r_exp = max(r_exp, piece[2])
+    r_exp = max((p[2] for p in pieces if p[0] == "loglin"), default=-math.inf)
     quarter = 1.0 / (4.0 * c)
     z1 = np.minimum(min(hi, 1.0), quarter)
     phase = np.where(z1 < quarter, 40.0, _TAIL_PHASE)
@@ -246,7 +304,10 @@ def _taylor_zone(kernel, w, z1, power):
     """sum_k (i w)^k / k! int_0^z1 r^{power+k} profile dr per entry.
 
     The phase is at most pi/2 on (0, z1], so the series decays fast; the
-    closed-form partial moments absorb integrable singularities at 0.  An
+    closed-form partial moments absorb integrable singularities at 0.  A
+    log_regularized kernel, one logreg piece from 0, takes its moments from
+    the recurrence of _logreg_taylor_moments, as (i w z1)^k / k! times the
+    moment over z1^k, which stays in range at any frequency.  An
     entry stops after the first term past k = 3 below 1e-17 (1 + |sum|).
     _COLUMNS orders are taken at a time for the entries still
     running; the running coefficient and sum lead each block's cumulative
@@ -255,13 +316,20 @@ def _taylor_zone(kernel, w, z1, power):
     """
     out = np.empty(w.size, dtype=complex)
     idx = np.arange(w.size)
-    iw = 1j * w
+    piece = _kern._pieces(kernel)[0]
+    logreg = piece[0] == "logreg"
+    # a logreg kernel is that one piece from 0; its terms are taken as
+    # (i w z1)^k / k! times the moment over z1^k
+    iw = 1j * w * z1 if logreg else 1j * w
     coef = np.ones(w.size, dtype=complex)
     total = np.zeros(w.size, dtype=complex)
     for k0 in range(1, _TAYLOR_TERMS + 1, _COLUMNS):
         ks = np.arange(k0, min(k0 + _COLUMNS, _TAYLOR_TERMS + 1))
-        moments = _kern._radial_integrals(kernel, 0.0, z1[idx][:, None],
-                                          power + ks)
+        if logreg:
+            moments = _logreg_taylor_moments(piece, z1[idx], power, ks)
+        else:
+            moments = _kern._radial_integrals(kernel, 0.0, z1[idx][:, None],
+                                              power + ks)
         coefs = np.cumprod(np.column_stack([coef, iw[:, None] / ks]),
                            axis=1)[:, 1:]
         terms = coefs * moments
@@ -276,6 +344,21 @@ def _taylor_zone(kernel, w, z1, power):
         coef, total = coefs[keep, -1], sums[keep, -1]
     out[idx] = total
     return out
+
+
+def _logreg_taylor_moments(piece, z, power, ks):
+    """int_0^z r^(power+k) profile dr / z^k of a logreg piece, k in ks.
+
+    With m = power + k - 1 the integral is coeff z^(m+1) dl^-dd times the
+    scaled moment of kernels._logreg_moments at u = z / dl, so the ratio is
+    coeff u^power dl^(power-dd) times it: bounded at any z, where the
+    moment and (i w)^k / k! apart would underflow and overflow.
+    """
+    coeff, dl, dd = piece[3], piece[4], piece[5]
+    u = z / dl
+    scaled = _kern._logreg_moments(dd, u, power + int(ks[0]) - 1,
+                                   power + int(ks[-1]) - 1)
+    return (coeff * dl ** float(power - dd)) * u[:, None] ** power * scaled
 
 
 def _panel_zone(kernel, w, z1, r_osc, n_base, power):
@@ -356,13 +439,23 @@ def _tail_zone(kernel, w, lo, power):
 
     alpha = p + power + 1 and T(t) = int_t^inf r^(p + power) e^{iwr} dr
     (see _tail_end).  The terms of all entries are summed together in blocks
-    of rows and added to each entry in term order.  alpha = 0 never comes
+    of rows and added to each entry in term order, after the partial
+    fractions of a log_regularized tail that starts below 6 delta
+    (_logreg_near_tail).  alpha = 0 never comes
     here: no kernel family has a pow piece with p = -1 - power
     (_closed_form_reach rejects one anyway), and logreg terms have alpha =
     -1 - j.
     """
+    pieces = _kern._pieces(kernel)
     total = np.zeros(w.size, dtype=complex)
-    terms = _tail_power_terms(_kern._pieces(kernel), lo)
+    for piece in pieces:
+        if piece[0] == "logreg":
+            a = np.maximum(piece[1], lo)
+            near = np.flatnonzero((a < piece[2]) & (a < 6.0 * piece[4]))
+            if near.size:
+                total[near] += _logreg_near_tail(piece, w[near], a[near],
+                                                 power)
+    terms = _tail_power_terms(pieces, lo)
     if not terms:
         return total
     owner = np.concatenate([np.flatnonzero(t[4]) for t in terms])
@@ -380,6 +473,39 @@ def _tail_zone(kernel, w, lo, power):
                                                               b[cut])
     np.add.at(total, owner, coeff * val)
     return total
+
+
+def _logreg_near_tail(piece, w, a, power):
+    """int_a^b r^power profile (e^{iwr} - 1) dr of a logreg piece on (0, b).
+
+    Partial fractions write r^m (r + dl)^-dd, m = power - 1, as terms f
+    (r + s)^e with s = 0 or dl, whose oscillatory parts are f e^{-iws}
+    [T(a + s) - T(b + s)], T(t) = int_t^inf r^e e^{iwr} dr from _osc_tail
+    (T(inf) = 0); the "-1" part of them all is the primitive P of
+    kernels._logreg_primitive, -log1p(dl/t) / dl at m = -1, so it adds P(a)
+    - P(b).  The terms cancel by up to (a + dl) / dl, so this serves starts
+    a below 6 dl; further out the binomial expansion of _tail_power_terms
+    does.  Takes m <= 0, as the symbols of d = 1 and 2 have.
+    """
+    coeff, b, dl, dd = piece[3], piece[2], piece[4], piece[5]
+    m = power - 1
+    if m < 0:   # 1/(r (r+dl)^dd) = dl^-dd / r - sum_k dl^(k-1-dd) (r+dl)^-k
+        fractions = [(dl ** -float(dd), 0.0, -1.0)] + [
+            (-dl ** float(k - 1 - dd), dl, -float(k)) for k in range(1, dd + 1)]
+    else:       # r^m = ((r + dl) - dl)^m, binomially
+        fractions = [(math.comb(m, j) * (-dl) ** (m - j), dl, float(j - dd))
+                     for j in range(m + 1)]
+    total = np.zeros(w.size, dtype=complex)
+    for f, s, e in fractions:
+        exps = np.full(w.size, e)
+        osc = _osc_tail(exps, w, a + s)
+        if b < math.inf:
+            osc -= _osc_tail(exps, w, np.full(w.size, b + s))
+        total += f * (np.exp(-1j * w * s) * osc if s else osc)
+    total += _kern._logreg_primitive(m, dl, dd, a)
+    if b < math.inf:
+        total -= _kern._logreg_primitive(m, dl, dd, np.full(w.size, b))
+    return coeff * total
 
 
 def _tail_end(e, w, t):
@@ -409,25 +535,28 @@ def _tail_power_terms(pieces, lo_cut):
 
     lo_cut is an array; a is the per-entry start max(piece start, lo_cut)
     and live marks the entries a term applies to.  log_regularized pieces
-    are expanded binomially in (delta/r), which the caller guarantees is
-    <= 1/6 on the region, and each entry drops the expansion once a term
+    are expanded binomially in (delta/r) for the entries that start at 6
+    delta or later, where delta/r <= 1/6 (nearer starts take
+    _logreg_near_tail), and each entry drops the expansion once a term
     past j = 4 falls below 1e-25 at its own start; loglin pieces never
     reach here because the panel zone is extended over their support.
     """
     out = []
     for piece in pieces:
-        a, b = np.maximum(piece[1], lo_cut), piece[2]
+        kind, a, b = piece[0], np.maximum(piece[1], lo_cut), piece[2]
         live = a < b
+        if kind == "logreg":  # nearer starts take _logreg_near_tail
+            live &= a >= 6.0 * piece[4]
         if not live.any():
             continue
-        kind = piece[0]
         if kind == "pow":
             out.append((piece[3], piece[4], a, b, live))
         elif kind == "logreg":
             coeffs, exps = _logreg_tail_terms(*piece[3:])
             # row j - 5: the entries whose terms 5..j all reach 1e-25
+            far = np.where(live, a, math.inf)
             lives = live & ~np.logical_or.accumulate(
-                np.abs(coeffs[5:, None]) * a ** exps[5:, None] < 1e-25,
+                np.abs(coeffs[5:, None]) * far ** exps[5:, None] < 1e-25,
                 axis=0)
             some = lives.any(axis=1)
             count = 5 + (some.size if some.all() else int(np.argmin(some)))

@@ -2,6 +2,8 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
+from hsnl import symbols
+
 settings.register_profile("ci", derandomize=True, max_examples=50, deadline=None)
 settings.load_profile("ci")
 
@@ -18,3 +20,10 @@ def factor_count(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def empty_symbol_memo():
+    """Every test starts with an empty symbol-engine memo, so a test that
+    patches the engine sees its batches evaluated, not recalled."""
+    symbols._MEMO.clear()

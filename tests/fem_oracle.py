@@ -29,10 +29,10 @@ def x_panels(kernel, nu_sign, mesh):
 
 def window_starts(mesh, nu_sign, top, xs, width):
     """First interior hat of each point's window of width hats, clamped
-    to the interior hats 1 .. n_cells - 1."""
+    to the interior hats 1 .. n_cells - 1: floor(lo / h), lo the start of
+    the point's horizon, the first hat whose stencil can meet it."""
     lo = xs if nu_sign > 0 else xs - top
-    return np.clip(np.floor(lo / mesh.h) - 1, 1,
-                   mesh.n_cells - width).astype(int)
+    return np.clip(np.floor(lo / mesh.h), 1, mesh.n_cells - width).astype(int)
 
 
 def add_strip(band, s0, strip):

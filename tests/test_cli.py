@@ -599,11 +599,30 @@ def test_symbol_rows_match_pointwise_symbols(args, kernel, nu, tmp_path,
         assert row[d:] == [*sample.re_part, *sample.im_part]
 
 
-def test_symbol_panel_budget_exits_2(tmp_path, monkeypatch, capsys):
+def test_symbol_out_of_range_frequency_exits_2(tmp_path, monkeypatch,
+                                              capsys):
+    # log_regularized takes 7 panels at any |xi| >= 1/4 (2e5 once needed
+    # more than the 3e5-panel budget allows); only the float range ends it
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(["symbol", "--kernel-family", "log_regularized",
-                            "--kernel-delta", "0.1", "--xis", "2e5"], capsys)
-    assert code == 2
-    assert err.startswith("error: oscillatory quadrature would need")
-    assert "Traceback" not in err
-    assert not (tmp_path / "symbol.csv").exists()
+    args = ["symbol", "--kernel-family", "log_regularized",
+            "--kernel-delta", "0.1", "--xis"]
+    assert run_cli(args + ["2e5"], capsys)[0] == 0
+    _, _, rows = read_csv(tmp_path / "symbol.csv")
+    assert np.all(np.isfinite(rows))
+    (tmp_path / "symbol.csv").unlink()
+    for xi, message in (("1e307", "kernel profile overflows"),
+                        ("-1e308", "2 pi |c| overflows")):
+        code, _, err = run_cli(args + [xi], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "symbol.csv").exists()
+
+
+def test_horizon_past_a_tiny_domain_solves(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["solve", "--length", "1e-12", "--kernel-family",
+                            "riesz_truncated", "--kernel-s", "0.5"], capsys)
+    assert code == 0 and err == ""
+    _, _, rows = read_csv(tmp_path / "solve.csv")
+    assert len(rows) == 65 and np.all(np.isfinite(rows))

@@ -197,9 +197,11 @@ def test_gauss_points_on_nodes_give_finite_spd_stiffness(kern, n, nu):
 
 
 def test_window_width_clamps_to_the_interior_hats():
+    # ceil(top / h) + 2 hats, at most the n - 1 interior ones
     mesh = F.Mesh1D(1.0, 8)
-    assert F._window_width(mesh, 0.05) == 4
-    assert F._window_width(mesh, 0.2) == 5
+    assert F._window_width(mesh, 0.05) == 3
+    assert F._window_width(mesh, 0.2) == 4
+    assert F._window_width(mesh, 0.5) == 6
     assert F._window_width(mesh, 2.0) == 7
     assert F._window_width(mesh, math.inf) == 7
 
@@ -228,18 +230,45 @@ def test_window_holds_every_nonzero_hat_gradient(kern, nu, n):
 @pytest.mark.parametrize("nu", [1, -1])
 @pytest.mark.parametrize("kern", WINDOW_KERNELS, ids=WINDOW_IDS)
 def test_shape_window_holds_every_nonzero_hat_gradient(kern, nu, n):
-    # three more hats on each side of every shape's window are all zero
+    # the window is exactly the hats a shape's points see among those that
+    # are unknowns in some cell of the shape: its end columns are not all
+    # zero, and three more hats on each side are zero or no such unknown;
+    # a panel inside one cell sees at most ceil(top / h) + 2 hats
     mesh = F.Mesh1D(1.0, n)
     profiles = F._hat_profiles(kern)
-    _, offsets, widths, _ = F._panel_shapes(F._x_breaks(kern, nu, mesh),
-                                            mesh.h)
-    for offset, width in zip(offsets, widths):
+    cell, offsets, widths, label = F._panel_shapes(
+        F._x_breaks(kern, nu, mesh), mesh.h)
+    for s, (offset, width) in enumerate(zip(offsets, widths)):
+        cells = cell[label == s]
+        hats = (1 - cells[-1], n - 1 - cells[0])
         shift, rows, points, _ = F._shape_gradients(profiles, nu, mesh.h,
-                                                    offset, width)
+                                                    offset, width, hats)
         wide = F._window_gradients(profiles, nu, mesh.h, points, shift - 2,
                                    rows.shape[1] + 6)
         assert np.array_equal(wide[:, 3:-3], rows)
-        assert not wide[:, :3].any() and not wide[:, -3:].any()
+        assert rows[:, 0].any() and rows[:, -1].any()
+        outside = np.r_[0:3, rows.shape[1] + 3:rows.shape[1] + 6]
+        unknown = ((shift - 2 + outside >= hats[0])
+                   & (shift - 2 + outside <= hats[1]))
+        assert not wide[:, outside[unknown]].any()
+        if offset >= 0.0 and offset + width <= mesh.h:
+            assert rows.shape[1] <= math.ceil(profiles[3] / mesh.h) + 2
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+def test_horizon_far_past_a_tiny_mesh_assembles_a_finite_band(nu):
+    # horizon 1 over a mesh of length 1e-12: a point left of the domain
+    # sees every hat, and a window sized by top / h asked for 8e12 hats
+    mesh = F.Mesh1D(1e-12, 8)
+    kern = K.riesz_truncated(1, 0.5)
+    band = F.assemble(kern, nu, 1.0, 1.0, mesh).stiffness_band
+    assert band.shape == (7, 7) and np.all(np.isfinite(band))
+    assert np.all(np.linalg.eigvalsh(F._dense(band)) > 0.0)
+    # differences of H0 and H1 across h = 1.25e-13 at radii near 1 keep
+    # about seven digits, in the strip path as here; a dropped hat would
+    # move an entry by its whole size
+    want = fem_oracle.stiffness_band(kern, nu, 1.0, mesh)
+    assert np.abs(band - want).max() <= 1e-5 * np.abs(want).max()
 
 
 SINGULAR_KERNELS = [
@@ -596,6 +625,8 @@ def test_band_has_window_width_rows(name):
     assert system.factor[0].shape == (width, n)
     stiff = system.stiffness
     assert not np.triu(stiff, width).any()
+    # and no wider: the outermost diagonal pairs hats some point sees
+    assert np.diagonal(stiff, width - 1).any()
     band = np.zeros((width, n))
     fem_oracle.add_strip(band, 0, stiff)
     assert np.array_equal(band, system.stiffness_band)

@@ -343,7 +343,7 @@ ORACLE_KERNELS = {
 
 # c = 0 and c < 0, Taylor-only frequencies (z1 at the support top), the
 # panel zone, the far tail, and log_regularized Taylor moments on both
-# sides of the 0.9 delta series split
+# sides of the split between the forward and the backward recurrence
 ORACLE_CS = np.array([0.0, -0.35, -41.0, 1e-7, 0.02, 0.2, 0.26, 0.9, 2.4,
                       3.1, 8.0, 27.5, 140.0, 900.0])
 
@@ -461,8 +461,11 @@ def test_log_regularized_far_tail_matches_mpmath():
 
     k = ORACLE_KERNELS["log_regularized"](1)
     coeff = K._pieces(k)[0][3]
-    cs = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    # from |c| = 1/(3 delta) on the tail starts below 6 delta, and its
+    # partial fractions take over from the expansion in delta/r
+    cs = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3.0, 3.4, 9.0, 27.5, 1e3])
     r_osc = S._zones(k, cs)[1]
+    assert np.any(r_osc < 0.6) and np.any(r_osc > 0.6)
     got = S._tail_zone(k, 2.0 * math.pi * cs, r_osc, 0)
     with mpmath.workdps(40):
         dl = mpmath.mpf(0.1)
@@ -474,26 +477,137 @@ def test_log_regularized_far_tail_matches_mpmath():
             assert abs(value - want) <= 1e-15 * abs(want)
 
 
+def log_regularized_reference(kernel, c, power):
+    """S(c) of a logreg piece coeff / (r (r + dl)^d) on (0, R), d = power + 1,
+    from mpmath's exponential integrals, z = -iw dl, w = 2 pi |c|:
+
+        d = 1: coeff / dl [-gamma - log z - e^z E1(z)],
+        d = 2: coeff / dl [e^z E2(z) - 1],
+
+    less, for R < inf, the same integral from R on: coeff / dl [E1(-iwR) -
+    e^z E1(-iw(R + dl)) - log1p(dl / R)] and coeff [e^z E2(-iw(R + dl)) -
+    1] / (R + dl).  Negative c take the conjugate.
+    """
+    import mpmath
+
+    ((_, _, big_r, coeff, dl, dd),) = K._pieces(kernel)
+    assert dd == power + 1
+    with mpmath.workdps(30):
+        w = 2 * mpmath.pi * abs(mpmath.mpf(c))
+        dl = mpmath.mpf(dl)
+        z = -1j * w * dl
+        if dd == 1:
+            value = (-mpmath.euler - mpmath.log(z)
+                     - mpmath.exp(z) * mpmath.e1(z)) / dl
+        else:
+            value = (mpmath.exp(z) * mpmath.expint(2, z) - 1) / dl
+        if big_r < math.inf:
+            big_r = mpmath.mpf(big_r)
+            far = -1j * w * (big_r + dl)
+            if dd == 1:
+                value -= (mpmath.e1(-1j * w * big_r)
+                          - mpmath.exp(z) * mpmath.e1(far)
+                          - mpmath.log1p(dl / big_r)) / dl
+            else:
+                value -= ((mpmath.exp(z) * mpmath.expint(2, far) - 1)
+                          / (big_r + dl))
+        value = complex(coeff * value)
+    return value if c > 0.0 else value.conjugate()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("variant", ["plain", "cutoff", "rescaled"])
+def test_log_regularized_symbol_matches_closed_form(variant, d):
+    base = K.log_regularized(d, 0.1)
+    k = {"plain": base, "cutoff": K.cutoff(base, 1.0),
+         "rescaled": K.rescaled(base, 0.5)}[variant]
+    dl = K._pieces(k)[0][4]
+    # |c| >= 1/4, both sides of 1/(3 delta) where the tail starts at 6
+    # delta, and frequencies far past the old 3e5-panel budget
+    cs = np.concatenate([np.geomspace(0.25, 1e3, 33), [-7.7, 2e5, 1e12],
+                         1.0 / (3.0 * dl) * np.array([1.0 - 1e-9, 1.0 + 1e-9])])
+    got = S._half_line_symbol(k, cs, d - 1)
+    want = np.array([log_regularized_reference(k, c, d - 1) for c in cs])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_logreg_moments_match_hypergeometric():
+    # int_0^1 s^m (1 + u s)^-dd ds = 2F1(dd, m + 1; m + 2; -u) / (m + 1),
+    # on both sides of the forward/backward split and of u = 0.9, where the
+    # primitive the Taylor zone took before cancels
+    import mpmath
+
+    us = np.concatenate([np.geomspace(1e-3, 10.0, 17), [0.899, 0.901, 1.0]])
+    for dd in (1, 2):
+        with mpmath.workdps(30):
+            want = np.array([[float(mpmath.hyp2f1(dd, m + 1, m + 2, -u)
+                                    / (m + 1)) for m in range(31)]
+                             for u in us])
+        # the windows of the first 32 Taylor orders in d = 1 and d = 2
+        for lo, hi in ((0, 31), (1, 32)):
+            got = K._logreg_moments(dd, us, lo, hi)[:, :31 - lo]
+            assert np.all(np.abs(got - want[:, lo:]) <= 1e-13 * want[:, lo:])
+
+
+def test_memo_returns_the_same_bits_without_evaluating(monkeypatch):
+    k = K.log_regularized(1, 0.1)
+    cs = np.array([0.3, -2.0, 0.0, 45.0])
+    first = S._half_line_symbol(k, cs, 0)
+
+    def evaluated(*args):
+        raise AssertionError("batch evaluated again")
+
+    monkeypatch.setattr(S, "_magnitude_symbol", evaluated)
+    again = S._half_line_symbol(k, cs, 0)
+    assert np.array_equal(again, first)
+    # the same magnitudes with the other signs: conjugates, from the memo
+    assert np.array_equal(S._half_line_symbol(k, -cs, 0), np.conj(first))
+    # a returned array is the caller's: changing it changes no later call
+    again[:] = 7.0
+    assert np.array_equal(S._half_line_symbol(k, cs, 0), first)
+    # another power or kernel is another batch
+    for other in ((k, 1), (K.log_regularized(1, 0.2), 0)):
+        with pytest.raises(AssertionError, match="evaluated again"):
+            S._half_line_symbol(other[0], cs, other[1])
+
+
+def test_memo_holds_at_most_a_block_of_frequencies(monkeypatch):
+    monkeypatch.setattr(S, "BLOCK_ENTRIES", 64)
+    k = K.constant_ball(1)
+    batches = [np.linspace(0.1, 5.0, n) + i for i, n in
+               enumerate((30, 20, 30, 65, 10))]
+    for cs in batches:
+        S._half_line_symbol(k, cs, 0)
+        assert S._MEMO._held == sum(v.size
+                                    for v in S._MEMO._batches.values()) <= 64
+    # the 65-entry batch is never held, and the first went out for the third
+    held = [np.frombuffer(key[2]).size for key in S._MEMO._batches]
+    assert held == [20, 30, 10]
+
+
 def test_oracle_frequencies_reach_every_zone():
     ball = K.constant_ball(1)
     z1, r_osc, n_base = S._zones(ball, np.abs(ORACLE_CS[1:]))
     assert np.any(z1 >= 1.0)                  # Taylor only
     assert np.any((z1 < 1.0) & (r_osc == 1.0))  # panels to the support top
     assert np.any(r_osc < 1.0)                # far tail
+    # the first 32 Taylor orders recur forward where z1 / delta >= 16^(1/31)
     logreg = K.log_regularized(1, 0.1)
     z1, _, _ = S._zones(logreg, np.abs(ORACLE_CS[1:]))
-    assert np.any(z1 < 0.09) and np.any(z1 > 0.09)
+    split = 0.1 * 16.0 ** (1.0 / 31.0)
+    assert np.any(z1 < split) and np.any(z1 > split)
 
 
 def test_batch_larger_than_a_block_matches_small_batches():
     rng = np.random.default_rng(3)
     cs = np.concatenate([rng.uniform(-40.0, 40.0, 4500),
-                         [0.0, 1500.0, -2600.0]])
-    # more entries than one engine block; for log_regularized 1500 is a
-    # panel group of its own and 2600 is integrated in more than one slice
+                         [0.0, 600.0, -1000.0]])
+    # more entries than one engine block; for tabulated, whose panels
+    # cover its support, 600 is a panel group of its own and 1000 is
+    # integrated in more than one slice
     assert cs.size > S.BLOCK_ENTRIES // S._COLUMNS
-    n_base = S._zones(ORACLE_KERNELS["log_regularized"](1),
-                      np.array([1500.0, 2600.0]))[2]
+    n_base = S._zones(ORACLE_KERNELS["tabulated"](1),
+                      np.array([600.0, 1000.0]))[2]
     assert S._GROUP_PANELS < n_base[0] < 2 * S._GROUP_PANELS < n_base[1]
     # min_level's piece end at r = 0.104 has phase 4 pi at |c| = 19.3, so
     # the batch splits between the closed form and the quadrature engine
@@ -543,12 +657,13 @@ def test_panels_end_at_phase_4pi():
     # a Taylor zone cut at r = 1 keeps its panels to phase 40
     low = np.array([0.02, 0.2])
     assert np.all(S._zones(frac, low)[1] == 40.0 / (2.0 * math.pi * low))
-    # log_regularized pieces keep their panels to 6 delta
-    logreg = ORACLE_KERNELS["log_regularized"](1)
-    r_osc = S._zones(logreg, cs)[1]
-    six_delta = 6.0 * 0.1
-    assert np.all(r_osc >= six_delta)
-    assert np.all(r_osc[end < six_delta] == six_delta)
+    # log_regularized panels end at phase 4 pi too, where the partial
+    # fractions of its tail take over: at most 7 panels from |c| = 1/(3
+    # delta) on, where the panels reached 6 delta before
+    for k in (ORACLE_KERNELS["log_regularized"](1), ORACLE_KERNELS["cutoff"](1)):
+        z1, r_osc, n_base = S._zones(k, cs)
+        assert np.all(r_osc == np.minimum(K.support(k)[1], end))
+        assert np.all(n_base[cs >= 1.0 / (3.0 * 0.1)] <= 7)
 
 
 def test_half_line_scalar_input_is_a_batch_of_one():
@@ -568,15 +683,28 @@ def test_half_line_rejects_nonfinite_frequency():
 
 
 def test_panel_budget_raises_symbol_error():
-    k = K.log_regularized(1, 0.1)
+    # a tabulated kernel takes quarter-period panels over its support
+    k = ORACLE_KERNELS["tabulated"](1)
     with pytest.raises(S.SymbolError, match="3e5 panels"):
-        S._half_line_symbol(k, np.array([2.0, 2e5]), 0)
+        S._half_line_symbol(k, np.array([2.0, 1e5]), 0)
     assert issubclass(S.SymbolError, RuntimeError)
     # 2 pi |c| overflows: no panels are counted, and the closed form of a
     # power-law kernel would return NaN
-    for kernel in (k, K.constant_ball(), K.fractional_vanishing(1, 0.1)):
+    for kernel in (k, K.constant_ball(), K.fractional_vanishing(1, 0.1),
+                   K.log_regularized(1, 0.1)):
         with pytest.raises(S.SymbolError, match="out of supported range"):
             S._half_line_symbol(kernel, np.array([2.0, -1e308]), 0)
+
+
+def test_log_regularized_profile_overflow_raises_symbol_error():
+    # the first panel starts at r = 1/(4|c|), where the profile ~ 4|c| /
+    # delta^d; up to there every frequency has 7 panels and no budget
+    for d in (1, 2):
+        k = K.log_regularized(d, 0.1)
+        assert np.all(np.isfinite(S._half_line_symbol(k, np.array([2e5, 1e300]),
+                                                      d - 1)))
+        with pytest.raises(S.SymbolError, match="profile overflows"):
+            S._half_line_symbol(k, np.array([2.0, 1e307]), d - 1)
 
 
 def test_batched_d2_matches_pointwise_values(monkeypatch):
