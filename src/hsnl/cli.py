@@ -8,7 +8,6 @@ significant digits; identical configs give identical bytes.
 """
 
 import math
-import os
 import sys
 
 import numpy as np
@@ -578,7 +577,6 @@ def run(argv):
         print("error: unknown subcommand %r" % command, file=sys.stderr)
         return 1
     handler, allowed = _COMMANDS[command]
-    old_threads = os.environ.get("HSNL_THREADS")
     try:
         flags = _parse_flags(argv[1:])
         merged = {}
@@ -590,8 +588,9 @@ def run(argv):
         if file_command != command:
             raise CliError("config file belongs to subcommand %r"
                            % file_command)
-        # the worker count steers execution, not results, so it stays out
-        # of the echoed configuration
+        # sweeps run serially, so a thread count changes nothing; configs
+        # and scripts pass one, so it is still accepted and checked, and
+        # it stays out of the echoed configuration
         raw_threads = merged.pop("threads", None)
         for key in merged:
             if key not in allowed:
@@ -603,7 +602,6 @@ def run(argv):
                 raise CliError("threads expects an integer")
             if threads < 1:
                 raise CliError("threads must be at least 1")
-            os.environ["HSNL_THREADS"] = str(threads)
         cfg = Config(merged, command)
         summary = handler(cfg)
         print(summary)
@@ -618,11 +616,6 @@ def run(argv):
     except (_kern.AssumptionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    finally:
-        if old_threads is None:
-            os.environ.pop("HSNL_THREADS", None)
-        else:
-            os.environ["HSNL_THREADS"] = old_threads
 
 
 def main():

@@ -1,8 +1,6 @@
 """Parameter sweeps for asymptotic compatibility and Poincare stability."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +161,6 @@ def _reference_h(hs, reference_h, length):
     return ref_h
 
 
-def parallel_map(fn, items):
-    """Map preserving order; threads only when HSNL_THREADS asks for them."""
-    items = list(items)
-    try:
-        workers = int(os.environ.get("HSNL_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _l2_error(u_fn, ref_fn, length, n_cells):
     # the 8-point Gauss rule of fem1d per cell; exact for piecewise
     # polynomials up to degree 7 on cells aligned with both functions
@@ -260,10 +245,8 @@ def _run_ac(config, allowed):
                          % (allowed,))
     ref_fn, n_ref = _reference(config)
     kernels = {p: config.family(p) for p in config.params}
-    cells = [(p, h) for p in config.params for h in config.hs]
-    errors = parallel_map(
-        lambda cell: _solve_cell(config, kernels[cell[0]], cell[1],
-                                 ref_fn, n_ref), cells)
+    errors = [_solve_cell(config, kernels[p], h, ref_fn, n_ref)
+              for p in config.params for h in config.hs]
     return _build_table(config.params, config.hs, errors)
 
 
@@ -297,9 +280,8 @@ def poincare_sweep(family, params, h=None, length=1.0, nu=1, cap=0.5):
         if h is None:
             raise ValueError("a mesh size is required with a kernel family")
         mesh = _fem.Mesh1D(length, _cells_for(h, length))
-        values = parallel_map(
-            lambda p: _fem.poincare_constant(family(p), nu, mesh), params)
-        rows = [(p, h, cp) for p, cp in zip(params, values)]
+        rows = [(p, h, _fem.poincare_constant(family(p), nu, mesh))
+                for p in params]
     constants = [r[2] for r in rows]
     verdict = (max(constants) <= cap
                and plateau_reached(constants, rel=0.05))

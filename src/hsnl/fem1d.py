@@ -24,8 +24,11 @@ differences, summed once at the end, so the weights enter through their
 steps from cell to cell.  A constant A steps only at the ends of each run
 of cells that holds a shape, a varying A in every cell; the steps are
 scattered directly, one Gram block each, or, where that counts less work,
-correlated by FFT, a few band diagonals at a time.  No array of all
-x-points is held, so the number of panels is not limited.
+correlated by FFT, a few band diagonals at a time.  In the direct scatter
+a step equal or opposite to an earlier one shares that step's block
+(negated, which is exact), so the +w and -w steps of a constant A build
+one block per shape.  No array of all x-points is held, so the number of
+panels is not limited.
 
 Since a point sees only its window, the stiffness and mass matrices are
 banded, and a `FemSystem` stores only their upper bands, in the
@@ -298,20 +301,45 @@ def _add_columns(diff, d, at, vals):
         diff[bw - d, 0] += vals[:, :-at].sum(axis=1)
 
 
+def _repeats(steps):
+    """For every step, the first step equal (sign 1) or opposite (sign -1)
+    to it, found by exact value; a step with neither is its own first."""
+    seen, first, sign = {}, [], []
+    for r, weights in enumerate(steps):
+        hit = seen.get(weights.tobytes())
+        if hit is None:
+            hit = seen[weights.tobytes()] = (r, 1)
+            seen.setdefault((-weights).tobytes(), (r, -1))
+        first.append(hit[0])
+        sign.append(hit[1])
+    return first, sign
+
+
 def _add_steps(diff, rows, steps, cols):
     """Direct scatter: the Gram block of window weights steps[r] at band
-    column cols[r], for every r."""
+    column cols[r], for every r.  A step equal or opposite to an earlier
+    one adds that step's block (negated), so the +w and -w steps of a
+    constant A build one block; negation is exact."""
     bw, wide = diff.shape[0] - 1, rows.shape[1]
+    first, sign = _repeats(steps)
+    reused = {f for r, f in enumerate(first) if f != r}
+    padded = np.zeros((len(rows), bw + wide))
     chunk = max(1, BLOCK_ENTRIES // (len(rows) * wide))
     for d0 in range(0, bw + 1, chunk):
         d = np.arange(d0, min(bw + 1, d0 + chunk))
-        for at, weights in zip(cols, steps):
-            padded = np.concatenate([np.zeros((len(rows), bw)),
-                                     rows * weights[:, None]], axis=1)
-            # diag[i, k] pairs window hats k - d[i] and k
-            diag = np.einsum("qik,qk->ik",
-                             padded[:, bw - d[:, None] + np.arange(wide)],
-                             rows)
+        # diag[i, k] pairs window hats k - d[i] and k
+        pairs = bw - d[:, None] + np.arange(wide)
+        blocks = {}
+        for r, at in enumerate(cols):
+            if first[r] != r:
+                diag = blocks[first[r]]
+                if sign[r] < 0:
+                    diag = -diag
+            else:
+                np.multiply(rows, steps[r][:, None], out=padded[:, bw:])
+                diag = np.einsum("qik,qk->ik", padded[:, pairs], rows)
+                if r in reused:
+                    blocks[r] = diag
             _add_columns(diff, d, at, diag)
 
 

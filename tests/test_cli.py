@@ -142,8 +142,10 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
     (["control", "--delta", "1e-300"], "delta 1e-300 overflows"),
     (["localize", "--deltas", "1e-300"], "delta 1e-300 overflows"),
     (["validate", "--kernel-delta", "1e-300"], "delta 1e-300 overflows"),
+    (["ac", "--threads", "0"], "threads must be at least 1"),
+    (["ac", "--threads", "two"], "threads expects an integer"),
 ], ids=["poincare-h", "ac-hs", "solve-delta", "control-delta",
-        "localize-deltas", "validate-delta"])
+        "localize-deltas", "validate-delta", "threads-0", "threads-two"])
 def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,
                                                  capsys, args, match):
     monkeypatch.chdir(tmp_path)
@@ -522,12 +524,14 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     assert summaries[0] == summaries[1]
 
 
-def test_threads_env_is_restored(tmp_path, monkeypatch, capsys):
-    import os
+def test_threads_leave_the_environment_unchanged(tmp_path, monkeypatch,
+                                                 capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HSNL_THREADS", raising=False)
-    run_cli(["appendix", "--deltas", "0.1", "--threads", "3"], capsys)
-    assert "HSNL_THREADS" not in os.environ
+    before = dict(os.environ)
+    code, _, _ = run_cli(["appendix", "--deltas", "0.1", "--threads", "3"],
+                         capsys)
+    assert code == 0
+    assert dict(os.environ) == before
 
 
 def test_module_entry_point(tmp_path):

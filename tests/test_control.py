@@ -163,7 +163,7 @@ def test_inactive_bounds_match_the_dense_kkt_solve():
     system = F.assemble(prob.kernel, 1, 1.0, 0.0, mesh)
     stiff = 0.5 * (system.stiffness + system.stiffness.T)
     coup = C._coupling_matrix(mesh)
-    xq, wq = C._cell_quad(mesh)
+    xq, wq = F._cell_rule(mesh)
     target = F._hat_pairing(mesh, u_des_parabola(xq), wq)
     gamma_int = np.diag(F._as_fn(prob.gamma)(xq) @ wq)
     ni, n = 15, 16
@@ -401,7 +401,7 @@ def test_found_active_set_matches_the_dense_kkt_solve(prob):
     system = (F.assemble_local(prob.A, 0.0, mesh) if prob.kernel is None
               else F.assemble(prob.kernel, prob.nu, prob.A, 0.0, mesh))
     coup = C._coupling_matrix(mesh)
-    xq, wq = C._cell_quad(mesh)
+    xq, wq = F._cell_rule(mesh)
     target = F._hat_pairing(mesh, F._as_fn(prob.u_des)(xq), wq)
     ni, n = mesh.n_cells - 1, mesh.n_cells
     # free cells: C^T p + lam Gamma g = 0; active cells: g at its bound

@@ -193,15 +193,6 @@ def test_sweep_is_deterministic():
     assert first.row_orders == second.row_orders
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    cfg = E.SweepConfig(family=ball_family, params=(0.2, 0.1),
-                        hs=(1 / 8, 1 / 16))
-    serial = E.ac_local_sweep(cfg)
-    monkeypatch.setenv("HSNL_THREADS", "4")
-    threaded = E.ac_local_sweep(cfg)
-    assert serial.rows == threaded.rows
-
-
 def test_poincare_sweep_over_horizons():
     table = E.poincare_sweep(ball_family, (0.2, 0.1, 0.05), h=1 / 64)
     cps = [cp for _, _, cp in table.rows]

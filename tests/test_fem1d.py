@@ -347,11 +347,13 @@ def test_assembly_in_small_blocks_matches_one_block(monkeypatch, kern, nu):
 def test_step_scatters_match_the_entry_sums(monkeypatch, block):
     # the direct and the FFT scatter of a shape's weight steps against
     # entry-by-entry sums; window columns left of 0 add to column 0, those
-    # past the last are dropped
+    # past the last are dropped; steps 4 and 6 repeat step 1 and its
+    # negation, whose block the direct scatter reuses
     monkeypatch.setattr(F, "BLOCK_ENTRIES", block)
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((8, 6))
     steps = rng.standard_normal((9, 8))
+    steps[4], steps[6] = steps[1], -steps[1]
     bw, n = 4, 10
     for at in (-12, -7, -2, 0, 3, 9):
         cols = at + np.arange(len(steps))
@@ -375,12 +377,14 @@ def one(x):
     return np.ones(np.shape(x))
 
 
-# a smooth A, a rapidly varying A, and an A with a jump inside a cell of
-# every mesh below
+# a smooth A, a rapidly varying A, an A with a jump inside a cell of
+# every mesh below, and a piecewise-constant A whose steps at the start
+# and at the jump are equal, so both share one Gram block
 COEFS = {
     "one_plus_x": lambda x: 1.0 + x,
     "sin40": lambda x: 2.0 + np.sin(40.0 * x),
     "jump": lambda x: np.where(x < 0.37, 1.0, 3.0),
+    "half_step": lambda x: np.where(x < 0.5, 1.0, 2.0),
 }
 
 
