@@ -16,6 +16,15 @@ def gauss_rule(n):
     return x, w
 
 
+def panel_rule(a, b, n):
+    """n-point Gauss points and weights of the panels [a[i], b[i]], one
+    row per panel."""
+    x, w = gauss_rule(n)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w
+
+
 def panel_points(breaks, n):
     """Gauss points and weights for the panels delimited by `breaks`.
 
@@ -23,13 +32,7 @@ def panel_points(breaks, n):
     (points, weights) covering every panel with the n-point rule.
     """
     breaks = np.asarray(breaks, dtype=float)
-    a = breaks[:-1]
-    b = breaks[1:]
-    x, w = gauss_rule(n)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    wts = half[:, None] * w[None, :]
+    pts, wts = panel_rule(breaks[:-1], breaks[1:], n)
     return pts.ravel(), wts.ravel()
 
 

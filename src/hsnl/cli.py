@@ -152,11 +152,30 @@ def _echo_lines(cfg):
     return ["# %s=%s" % (k, v) for k, v in sorted(cfg.resolved.items())]
 
 
+def _spec(kind):
+    """The % conversion that prints a value of this type as _fmt does."""
+    if kind is bool or kind is np.bool_ or kind is int \
+            or issubclass(kind, np.integer):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def _write_csv(path, cfg, header, rows):
+    """Echoed config, header and rows, each row formatted with one %
+    template made from the first row's value types; a row of other types
+    is joined value by value with _fmt, which gives the same bytes."""
     lines = _echo_lines(cfg)
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if len(rows):
+        kinds = tuple(map(type, rows[0]))
+        template = ",".join(map(_spec, kinds))
+        for row in rows:
+            if tuple(map(type, row)) == kinds:
+                lines.append(template % tuple(row))
+            else:
+                lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

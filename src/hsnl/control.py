@@ -27,6 +27,12 @@ _as_xfn = _as_fn
 _cell_quad = _cell_rule
 
 
+# the residual's roundoff floor in units of eps times the control's size;
+# the projected Newton iterates of a large control wander between about
+# 50 and 3000 of them
+_ROUNDOFF = 1e4
+
+
 class NonconvergenceError(RuntimeError):
     """The control solver ran out of iterations or of descent; carries
     the residual."""
@@ -319,7 +325,10 @@ def solve_optimal(problem, tol=1e-8, max_iter=500, g0=None, callback=None):
 
     Each iteration solves the state and the adjoint for the current
     control g and stops when the fixed-point residual
-    |g - clip(-C^T p/(lam Gamma))| in L2 is at most tol; otherwise it picks
+    |g - clip(-C^T p/(lam Gamma))| in L2 is at most tol, or at most the
+    roundoff floor 1e4 eps max|g| sqrt(length) (_ROUNDOFF) when that is
+    larger: a control of size 1e8 carries residuals of 1e-5 from rounding
+    alone, which no tol below them can meet.  Otherwise it picks
     a direction d (newton_direction, or -G/(lam Gamma) on every cell for a
     custom F) and halves the step t from 1 until clip(g + t d) decreases
     the objective enough; a trial whose objective change is not finite
@@ -366,7 +375,9 @@ def _descend(reduced, g, tol, max_iter, callback, newton):
                     math.inf)
             if callback is not None:
                 reduced.user(callback, it, g, objective(u, g, problem))
-            if residual <= tol:
+            floor = _ROUNDOFF * np.finfo(float).eps * float(
+                np.max(np.abs(g))) * math.sqrt(problem.mesh.length)
+            if residual <= max(tol, floor):
                 return OptimalTriple(
                     u=u, g=g, p=p, residual=residual,
                     objective_value=reduced.user(objective, u, g, problem),

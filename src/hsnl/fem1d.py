@@ -16,13 +16,19 @@ nodes shifted by the horizon and the kernel breakpoints.  Panels at the
 same offset in their cells and of the same width (one panel shape) have
 the same hat gradients at their 8 points, one hat further per cell, so
 assembly groups the panels by shape and evaluates each shape's points
-once, on the axis of one cell; a uniform mesh has one to four shapes.
-Only the weights A(x_q) w_q change from cell to cell.  Per shape, each band
+once, on the axis of one cell; a uniform mesh has one to four shapes, a
+kernel with breakpoints more.  The points of all shapes go through one
+hat-gradient evaluation per assembly, each point with its own window
+(one evaluation per group of shapes when the windows would hold more
+than BLOCK_ENTRIES entries), and the kernel's radial antiderivatives are
+built once per kernel and memoized.  Only the weights A(x_q) w_q change
+from cell to cell.  Per shape, each band
 diagonal is a correlation along the cells of those weights with the
 shape's per-point Gram diagonals.  The band is kept as column
 differences, summed once at the end, so the weights enter through their
-steps from cell to cell.  A constant A steps only at the ends of each run
-of cells that holds a shape, a varying A in every cell; the steps are
+steps from cell to cell.  A number A steps only at the ends of each run
+of cells that holds a shape, and is not sampled; a callable A is sampled
+in every cell and steps wherever it changes; the steps are
 scattered directly, one Gram block each, or, where that counts less work,
 correlated by FFT, a few band diagonals at a time.  In the direct scatter
 a step equal or opposite to an earlier one shares that step's block
@@ -50,7 +56,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels as _kern
-from ._quad import BLOCK_ENTRIES, merge_breaks, panel_points
+from ._quad import BLOCK_ENTRIES, merge_breaks, panel_rule
 from .symbols import _nu_sign
 
 _CALL = 4096    # work units of one NumPy call in _add_shape (measured)
@@ -132,9 +138,11 @@ def _as_fn(g):
     return lambda x: np.full(np.shape(x), val)
 
 
+@functools.lru_cache(maxsize=256)
 def _hat_profiles(kernel):
     """Radial antiderivatives H_0 and H_1, H_0 at infinity (the value at
-    the support top for compact support), and the top."""
+    the support top for compact support), and the top; built once per
+    kernel."""
     h0, h0_inf = _kern.radial_antideriv(kernel, 0)
     h1, _ = _kern.radial_antideriv(kernel, 1)
     if not math.isfinite(h0_inf):
@@ -257,37 +265,50 @@ def _panel_shapes(breaks, h):
     return cell.astype(int), offset[first], width[first], label
 
 
-def _shape_gradients(profiles, nu_sign, h, offset, width, hats):
-    """Hat gradients at the 8 Gauss points of one panel shape.
+def _gradients_by_shape(profiles, nu_sign, h, offsets, widths, hats):
+    """Hat gradients at the 8 Gauss points of every panel shape.
 
-    The points lie in [offset, offset + width] on the axis of one cell,
-    which has hat k's node at k * h; in every other cell the panel of this
-    shape sees the same gradients, one hat further per cell.  Returns
-    (shift, rows, points, weights): rows[q, k] is the gradient at point q
-    of the k-th hat of one window that holds every hat the 8 points see,
-    and for the panel cell * h + [offset, offset + width] of a mesh that
-    hat is band column cell + shift + k (a negative column or one past the
-    last names a hat that is not an unknown); point q lies at cell * h +
-    points[q].  A point x sees the hats whose stencil [(k-1)h, (k+1)h]
-    meets [x, x + top] (nu = 1) or [x - top, x] (nu = -1), ceil(top/h) +
-    2 of them at most; the window is cut to the hats seen and to hats[0]
-    .. hats[1], the hats of this axis that are unknowns in some cell of
-    the shape, so a horizon longer than the mesh costs no more hats.
+    Shape s has its points in [offsets[s], offsets[s] + widths[s]] on the
+    axis of one cell, which has hat k's node at k * h; in every other cell
+    a panel of that shape sees the same gradients, one hat further per
+    cell.  Yields (shift, rows, points, weights) for each shape in turn:
+    rows[q, k] is the gradient at point q of the k-th hat of one window
+    that holds every hat the 8 points see, and for the panel cell * h +
+    [offset, offset + width] of a mesh that hat is band column cell +
+    shift + k (a negative column or one past the last names a hat that is
+    not an unknown); point q lies at cell * h + points[q].  A point x sees
+    the hats whose stencil [(k-1)h, (k+1)h] meets [x, x + top] (nu = 1) or
+    [x - top, x] (nu = -1), ceil(top/h) + 2 of them at most; the window is
+    cut to the hats seen and to hats[0][s] .. hats[1][s], the hats of this
+    axis that are unknowns in some cell of the shape, so a horizon longer
+    than the mesh costs no more hats.
+
+    The points of all shapes go through one `_window_gradients` call, each
+    with its own first hat, on the widest shape's window; when that holds
+    more than BLOCK_ENTRIES entries, through one call per group of shapes.
     """
     top = profiles[3]
-    xs, ws = panel_points(np.array([offset, offset + width]), 8)
-    reach = xs[[0, -1]] + ((-top, 0.0) if nu_sign < 0 else (0.0, top))
-    span = np.clip(reach / h, hats[0] - 1, hats[1] + 1)
+    xs, ws = panel_rule(offsets, offsets + widths, 8)
+    reach = xs[:, [0, -1]] + ((-top, 0.0) if nu_sign < 0 else (0.0, top))
+    span = np.clip(reach / h, hats[0][:, None] - 1, hats[1][:, None] + 1)
     # a hat of margin against rounding, then only the hats seen are kept
-    first = max(hats[0], math.floor(span[0]) - 1)
-    last = min(hats[1], math.ceil(span[1]) + 1)
-    rows = _window_gradients(profiles, nu_sign, h, xs, first,
-                             last - first + 1)
-    seen = np.flatnonzero(rows.any(axis=0))
-    if seen.size:
-        rows = rows[:, seen[0]:seen[-1] + 1]
-        first += int(seen[0])
-    return first - 1, rows, xs, ws
+    first = np.maximum(hats[0], np.floor(span[:, 0]).astype(int) - 1)
+    count = np.minimum(hats[1], np.ceil(span[:, 1]).astype(int) + 1) \
+        - first + 1
+    wide = int(count.max())
+    group = max(1, BLOCK_ENTRIES // (8 * (wide + 2)))
+    for g0 in range(0, len(xs), group):
+        g = slice(g0, g0 + group)
+        rows = _window_gradients(profiles, nu_sign, h, xs[g].ravel(),
+                                 np.repeat(first[g], 8), wide)
+        rows = rows.reshape(-1, 8, wide)
+        seen = rows.any(axis=1) & (np.arange(wide) < count[g, None])
+        hit = seen.any(axis=1)
+        lo = np.where(hit, seen.argmax(axis=1), 0)
+        hi = np.where(hit, wide - seen[:, ::-1].argmax(axis=1), count[g])
+        for j, s in enumerate(range(g0, g0 + len(rows))):
+            yield (first[s] + lo[j] - 1, rows[j, :, lo[j]:hi[j]], xs[s],
+                   ws[s])
 
 
 def _add_columns(diff, d, at, vals):
@@ -361,27 +382,44 @@ def _correlate_steps(diff, rows, steps, at, size):
                      np.fft.irfft(product, size, axis=1)[:, :length])
 
 
-def _add_shape(diff, rows, weights, cells, shift):
-    """Add one panel shape's Gram blocks, weighted by weights[r] in cell
-    cells[r] (a cell without the shape weighs 0), to the column
-    differences of the upper band; in cell c, window hat k is band column
-    c + shift + k.  The work of a scatter counts one unit per FFT entry
-    and log2 of its length, 4 per entry of a contraction, _CALL per call.
+def _weight_steps(weights, cells):
+    """Steps from cell to cell of a shape's weights, weights[r] in cell
+    cells[r] and 0 in a cell without the shape; step r is at cell
+    cells[0] + r."""
+    held = np.zeros((cells[-1] - cells[0] + 3, weights.shape[1]))
+    held[cells - cells[0] + 1] = weights
+    return np.diff(held, axis=0)
+
+
+def _run_steps(weights, cells):
+    """_weight_steps for the same weights in every cell of the shape:
+    +weights where a run of consecutive cells starts, -weights one past
+    where it ends, 0 elsewhere; the same bits, with no sampling."""
+    at = cells - cells[0]
+    gap = np.diff(at) != 1
+    steps = np.zeros((at[-1] + 2, len(weights)))
+    steps[at[np.concatenate(([True], gap))]] = weights
+    steps[at[np.concatenate((gap, [True]))] + 1] = -weights
+    return steps
+
+
+def _add_shape(diff, rows, steps, at):
+    """Add one panel shape's Gram blocks, weighted by its weight steps, to
+    the column differences of the upper band; at step r, window hat k is
+    band column at + r + k.  The work of a scatter counts one unit per FFT
+    entry and log2 of its length, 4 per entry of a contraction, _CALL per
+    call.
     """
     bw, wide = diff.shape[0] - 1, rows.shape[1]
-    c0 = cells[0]
-    held = np.zeros((cells[-1] - c0 + 3, len(rows)))
-    held[cells - c0 + 1] = weights
-    steps = np.diff(held, axis=0)       # step r is at cell c0 + r
     live = np.flatnonzero(steps.any(axis=1))
     if not live.size:
         return
     size = 1 << (len(steps) + wide - 2).bit_length()     # FFT length
     if (len(live) * (_CALL + 4 * (bw + 1) * wide)
             <= 3 * _CALL + (bw + 1) * size * math.log2(size)):
-        _add_steps(diff, rows, steps[live], c0 + shift + live)
+        _add_steps(diff, rows, steps[live], at + live)
     else:
-        _correlate_steps(diff, rows, steps, c0 + shift, size)
+        _correlate_steps(diff, rows, steps, at, size)
 
 
 def _hat_pairing(mesh, vals, wq):
@@ -448,25 +486,35 @@ def assemble(kernel, nu, A, f, mesh):
     if _kern.support(kernel)[1] == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
-    sign, a_fn = _nu_sign(nu), _as_fn(A)
+    sign = _nu_sign(nu)
+    number = None if callable(A) else float(A)
     profiles = _hat_profiles(kernel)
     band = np.zeros((_window_width(mesh, profiles[3]), mesh.n_cells - 1),
                     order="F")
     cell, offsets, widths, label = _panel_shapes(
         _x_breaks(kernel, sign, mesh), mesh.h)
-    for s, (offset, width) in enumerate(zip(offsets, widths)):
-        cells = cell[label == s]
-        hats = (1 - cells[-1], mesh.n_cells - 1 - cells[0])
-        shift, rows, points, ws = _shape_gradients(profiles, sign, mesh.h,
-                                                   offset, width, hats)
-        weights = a_fn(cells[:, None] * mesh.h + points) * ws
-        _add_shape(band, rows, weights, cells, shift)
+    # each shape's cells, increasing, as panels come in position order
+    cells = cell[np.argsort(label, kind="stable")]
+    counts = np.bincount(label)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    hats = (1 - cells[ends - 1], mesh.n_cells - 1 - cells[starts])
+    shapes = _gradients_by_shape(profiles, sign, mesh.h, offsets, widths,
+                                 hats)
+    for a, b, (shift, rows, points, ws) in zip(starts, ends, shapes):
+        held = cells[a:b]
+        if number is None:
+            steps = _weight_steps(A(held[:, None] * mesh.h + points) * ws,
+                                  held)
+        else:
+            steps = _run_steps(number * ws, held)
+        _add_shape(band, rows, steps, held[0] + shift)
     np.cumsum(band, axis=1, out=band)
     # entries left of a band row's first column pair a hat with one
     # before hat 1; the band layout keeps them zero
     bw = band.shape[0] - 1
-    for d in range(1, bw + 1):
-        band[bw - d, :d] = 0.0
+    head = band[:, :bw]
+    head[np.add.outer(np.arange(bw + 1), np.arange(bw)) < bw] = 0.0
     return _system(band, mesh, f)
 
 

@@ -1,13 +1,20 @@
-"""The strip path of P1 stiffness assembly, kept as the oracle for the
+"""Two earlier paths of P1 stiffness assembly, kept as oracles for the
 shape-grouped assembly of `hsnl.fem1d`.
 
-It is the point-by-point assembly that `fem1d.assemble` used for a
-callable coefficient A: the 8-point Gauss points of every x-panel, sorted,
-each with the hat gradients of its own window, a block of points at a
-time.  Each run of points with the same window adds one Gram product to a
-dense strip of hats, which joins the band once the points pass it.  It
-holds every x-point at once, so it refuses more than `MAX_PANELS` panels.
+The strip path (`stiffness_band`) is the point-by-point assembly that
+`fem1d.assemble` used for a callable coefficient A: the 8-point Gauss
+points of every x-panel, sorted, each with the hat gradients of its own
+window, a block of points at a time.  Each run of points with the same
+window adds one Gram product to a dense strip of hats, which joins the
+band once the points pass it.  It holds every x-point at once, so it
+refuses more than `MAX_PANELS` panels.
+
+The shape-by-shape path (`shape_band`) evaluates the hat gradients of
+each panel shape in a call of its own and samples A at every point; its
+band must equal `fem1d.assemble`'s bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -73,4 +80,52 @@ def stiffness_band(kernel, nu, A, mesh):
             s = first[a] - 1 - s0
             strip[s:s + width, s:s + width] += weighted[a:b].T @ rows[a:b]
     add_strip(band, s0, strip)
+    return band
+
+
+def shape_gradients(profiles, nu_sign, h, offset, width, hats):
+    """Hat gradients at the 8 Gauss points of one panel shape, in one
+    `_window_gradients` call of their own: (shift, rows, points, weights)
+    as `fem1d._gradients_by_shape` yields them for that shape.  hats[0] ..
+    hats[1] are the hats of the cell's axis that are unknowns in some cell
+    of the shape; the window is cut to those and to the hats seen."""
+    top = profiles[3]
+    xs, ws = panel_points(np.array([offset, offset + width]), 8)
+    reach = xs[[0, -1]] + ((-top, 0.0) if nu_sign < 0 else (0.0, top))
+    span = np.clip(reach / h, hats[0] - 1, hats[1] + 1)
+    first = max(hats[0], math.floor(span[0]) - 1)
+    last = min(hats[1], math.ceil(span[1]) + 1)
+    rows = _fem._window_gradients(profiles, nu_sign, h, xs, first,
+                                  last - first + 1)
+    seen = np.flatnonzero(rows.any(axis=0))
+    if seen.size:
+        rows = rows[:, seen[0]:seen[-1] + 1]
+        first += int(seen[0])
+    return first - 1, rows, xs, ws
+
+
+def shape_band(kernel, nu, A, mesh):
+    """Upper stiffness band from the panel shapes one at a time, each
+    with its own hat-gradient evaluation, and A sampled at every point of
+    every cell even when it is a number; the Gram scatter is
+    `fem1d._add_shape`.  `fem1d.assemble` must give these bits."""
+    nu_sign, a_fn = _nu_sign(nu), _fem._as_fn(A)
+    profiles = _fem._hat_profiles(kernel)
+    band = np.zeros((_fem._window_width(mesh, profiles[3]),
+                     mesh.n_cells - 1), order="F")
+    cell, offsets, widths, label = _fem._panel_shapes(
+        _fem._x_breaks(kernel, nu_sign, mesh), mesh.h)
+    for s, (offset, width) in enumerate(zip(offsets, widths)):
+        cells = cell[label == s]
+        hats = (1 - cells[-1], mesh.n_cells - 1 - cells[0])
+        shift, rows, points, ws = shape_gradients(profiles, nu_sign, mesh.h,
+                                                  offset, width, hats)
+        weights = a_fn(cells[:, None] * mesh.h + points) * ws
+        held = np.zeros((cells[-1] - cells[0] + 3, len(ws)))
+        held[cells - cells[0] + 1] = weights
+        _fem._add_shape(band, rows, np.diff(held, axis=0), cells[0] + shift)
+    np.cumsum(band, axis=1, out=band)
+    bw = band.shape[0] - 1
+    for d in range(1, bw + 1):
+        band[bw - d, :d] = 0.0
     return band

@@ -379,6 +379,17 @@ def test_control_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     assert "iterations" in err
 
 
+def test_control_of_a_large_target_converges(tmp_path, monkeypatch, capsys):
+    # a control of size 1e8 meets its roundoff floor, not the default tol
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        ["control", "--n", "128", "--delta", "0.1", "--lam", "1e-5",
+         "--alpha", "-1e12", "--beta", "1e12", "--udes-scale", "1e8"],
+        capsys)
+    assert code == 0
+    assert int(out.strip().rsplit("iters=", 1)[1]) <= 5
+
+
 @pytest.mark.parametrize("args,key", [
     (["--max-iter", "0"], "max_iter"), (["--max-iter", "-3"], "max_iter"),
     (["--tol", "0"], "tol"), (["--tol", "-1"], "tol")])
@@ -557,6 +568,28 @@ def test_floats_echo_with_full_precision(tmp_path, monkeypatch, capsys):
     comments, _, _ = read_csv(tmp_path / "solve.csv")
     assert comments["kernel.delta"] == "%.17g" % 0.1
     assert float(comments["kernel.delta"]) == 0.1
+
+
+@pytest.mark.parametrize("rows", [
+    # bounds: name, grid ends, margin and a verdict of either bool type
+    [("linear", 0.01, 100.0, 0.25, True), ("large_xi", 1e3, 1e4, -0.5,
+                                           np.False_)],
+    # localize: the first delta has no rate yet
+    [(0.5, 1e-3, None), (0.25, 2.5e-4, 2.0), (0.125, 6.25e-5, 2.0)],
+    # control: a Python int cell index next to NumPy floats
+    list(zip(range(4), np.array([-1.0, 0.1, 1.0 / 3.0, 1e-300]))),
+    # ac: a cell that did not converge reports NaN errors
+    [(0.1, 0.0625, 1e-3), (0.1, 0.03125, math.nan), (np.float64(0.05),
+                                                     0.03125, -math.inf)],
+    [(np.int64(3), 0.5, "x"), (3, 0.5, "x"), (True, 1, np.float32(0.1))],
+    [],
+], ids=["bounds", "localize", "control", "ac", "mixed", "empty"])
+def test_csv_rows_match_the_value_by_value_join(tmp_path, rows):
+    cfg = cli.Config({}, "solve")
+    cli._write_csv(tmp_path / "out.csv", cfg, "h1,h2", rows)
+    want = "".join(line + "\n" for line in cli._echo_lines(cfg) + ["h1,h2"]
+                   + [",".join(cli._fmt(v) for v in row) for row in rows])
+    assert (tmp_path / "out.csv").read_bytes() == want.encode()
 
 
 def test_fractional_family_requires_delta(capsys):

@@ -425,6 +425,24 @@ def test_benchmark_problem_converges_in_few_iterations():
     assert triple.residual <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e10])
+def test_large_control_stops_at_its_roundoff_floor(scale):
+    # the benchmark problem with its target scaled and the box far away:
+    # at scale 1e8 rounding alone leaves residuals near 1e-5, above the
+    # default tol, and the solver used to run out of its 500 iterations
+    prob = C.ControlProblem(
+        mesh=F.Mesh1D(1.0, 128), kernel=K.rescaled(K.constant_ball(), 0.1),
+        alpha=-1e12, beta=1e12, lam_reg=1e-5,
+        u_des=lambda x: scale * 0.5 * x * (1.0 - x))
+    triple = C.solve_optimal(prob, max_iter=20)
+    size = np.abs(triple.g).max()
+    assert triple.iterations <= 5
+    assert triple.residual <= max(
+        1e-8, C._ROUNDOFF * np.finfo(float).eps * size)
+    # the floor is relative roundoff, far below the control's size
+    assert triple.residual <= 1e-11 * size
+
+
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
 @pytest.mark.parametrize("delta,lam", [(0.1, 1e-5), (0.0, 1e-4),
                                        (0.05, 1e-6)])

@@ -238,18 +238,21 @@ def test_shape_window_holds_every_nonzero_hat_gradient(kern, nu, n):
     profiles = F._hat_profiles(kern)
     cell, offsets, widths, label = F._panel_shapes(
         F._x_breaks(kern, nu, mesh), mesh.h)
+    every = [cell[label == s] for s in range(len(offsets))]
+    hats = (np.array([1 - cells[-1] for cells in every]),
+            np.array([n - 1 - cells[0] for cells in every]))
+    shapes = list(F._gradients_by_shape(profiles, nu, mesh.h, offsets,
+                                        widths, hats))
+    assert len(shapes) == len(offsets)
     for s, (offset, width) in enumerate(zip(offsets, widths)):
-        cells = cell[label == s]
-        hats = (1 - cells[-1], n - 1 - cells[0])
-        shift, rows, points, _ = F._shape_gradients(profiles, nu, mesh.h,
-                                                    offset, width, hats)
+        shift, rows, points, _ = shapes[s]
         wide = F._window_gradients(profiles, nu, mesh.h, points, shift - 2,
                                    rows.shape[1] + 6)
         assert np.array_equal(wide[:, 3:-3], rows)
         assert rows[:, 0].any() and rows[:, -1].any()
         outside = np.r_[0:3, rows.shape[1] + 3:rows.shape[1] + 6]
-        unknown = ((shift - 2 + outside >= hats[0])
-                   & (shift - 2 + outside <= hats[1]))
+        unknown = ((shift - 2 + outside >= hats[0][s])
+                   & (shift - 2 + outside <= hats[1][s]))
         assert not wide[:, outside[unknown]].any()
         if offset >= 0.0 and offset + width <= mesh.h:
             assert rows.shape[1] <= math.ceil(profiles[3] / mesh.h) + 2
@@ -431,6 +434,39 @@ def test_constant_callable_assembles_the_number_band(name, nu):
     want = F.assemble(kern, nu, 1.0, 1.0, mesh).stiffness_band
     assert np.array_equal(F.assemble(kern, nu, one, 1.0, mesh)
                           .stiffness_band, want)
+
+
+TABULATED = K.tabulated(1, [0.1, 0.2, 0.3, 0.45], [3.0, 2.0, 1.5, 0.5])
+BALL2 = K.rescaled(K.constant_ball(), 2.0)
+
+
+def test_run_steps_are_the_steps_of_the_sampled_weights():
+    # runs of cells with gaps between them, and a run of one cell
+    w = np.random.default_rng(5).standard_normal(8)
+    cells = np.array([2, 3, 4, 7, 9, 10, 14])
+    want = F._weight_steps(np.tile(w, (len(cells), 1)), cells)
+    assert np.array_equal(F._run_steps(w, cells), want)
+
+
+@pytest.mark.parametrize("block", [None, 600, 40])
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("kern,n", [
+    (BALL01, 13), (K.rescaled(RIESZ, 0.1), 64), (MIN_LEVEL, 16),
+    (LOGREG_CUT, 40), (TABULATED, 37), (BALL2, 8),
+], ids=["ball0.1-13", "riesz0.1-64", "min_level-16", "logreg_cut-40",
+        "tabulated-37", "ball2-8"])
+def test_batched_gradients_give_the_shape_by_shape_bits(monkeypatch, kern,
+                                                       n, nu, block):
+    # one hat-gradient evaluation for all panel shapes (or, with a small
+    # BLOCK_ENTRIES, one per group of shapes) and the steps of a number A
+    # taken from the ends of its runs give the band of one evaluation per
+    # shape and A sampled everywhere, bit for bit
+    if block is not None:
+        monkeypatch.setattr(F, "BLOCK_ENTRIES", block)
+    mesh = F.Mesh1D(1.0, n)
+    for a in (1.0, 2.5, one, COEFS["one_plus_x"], COEFS["half_step"]):
+        got = F.assemble(kern, nu, a, 1.0, mesh).stiffness_band
+        assert np.array_equal(got, fem_oracle.shape_band(kern, nu, a, mesh))
 
 
 SHAPE_FAMILIES = {
