@@ -164,18 +164,16 @@ def _spec(kind):
 
 def _write_csv(path, cfg, header, rows):
     """Echoed config, header and rows, each row formatted with one %
-    template made from the first row's value types; a row of other types
-    is joined value by value with _fmt, which gives the same bytes."""
+    template per tuple of value types; the bytes are the _fmt join's."""
     lines = _echo_lines(cfg)
     lines.append(header)
-    if len(rows):
-        kinds = tuple(map(type, rows[0]))
-        template = ",".join(map(_spec, kinds))
-        for row in rows:
-            if tuple(map(type, row)) == kinds:
-                lines.append(template % tuple(row))
-            else:
-                lines.append(",".join(_fmt(v) for v in row))
+    templates = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_spec, kinds))
+        lines.append(template % tuple(row))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -382,44 +382,27 @@ def _correlate_steps(diff, rows, steps, at, size):
                      np.fft.irfft(product, size, axis=1)[:, :length])
 
 
-def _weight_steps(weights, cells):
-    """Steps from cell to cell of a shape's weights, weights[r] in cell
-    cells[r] and 0 in a cell without the shape; step r is at cell
-    cells[0] + r."""
-    held = np.zeros((cells[-1] - cells[0] + 3, weights.shape[1]))
-    held[cells - cells[0] + 1] = weights
-    return np.diff(held, axis=0)
-
-
-def _run_steps(weights, cells):
-    """_weight_steps for the same weights in every cell of the shape:
-    +weights where a run of consecutive cells starts, -weights one past
-    where it ends, 0 elsewhere; the same bits, with no sampling."""
-    at = cells - cells[0]
-    gap = np.diff(at) != 1
-    steps = np.zeros((at[-1] + 2, len(weights)))
-    steps[at[np.concatenate(([True], gap))]] = weights
-    steps[at[np.concatenate((gap, [True]))] + 1] = -weights
-    return steps
-
-
-def _add_shape(diff, rows, steps, at):
-    """Add one panel shape's Gram blocks, weighted by its weight steps, to
-    the column differences of the upper band; at step r, window hat k is
-    band column at + r + k.  The work of a scatter counts one unit per FFT
-    entry and log2 of its length, 4 per entry of a contraction, _CALL per
-    call.
+def _add_shape(diff, rows, weights, cells, shift):
+    """Add one panel shape's Gram blocks, weighted by weights[r] in cell
+    cells[r] (a cell without the shape weighs 0), to the column
+    differences of the upper band; in cell c, window hat k is band column
+    c + shift + k.  The work of a scatter counts one unit per FFT entry
+    and log2 of its length, 4 per entry of a contraction, _CALL per call.
     """
     bw, wide = diff.shape[0] - 1, rows.shape[1]
+    c0 = cells[0]
+    held = np.zeros((cells[-1] - c0 + 3, len(rows)))
+    held[cells - c0 + 1] = weights
+    steps = np.diff(held, axis=0)       # step r is at cell c0 + r
     live = np.flatnonzero(steps.any(axis=1))
     if not live.size:
         return
     size = 1 << (len(steps) + wide - 2).bit_length()     # FFT length
     if (len(live) * (_CALL + 4 * (bw + 1) * wide)
             <= 3 * _CALL + (bw + 1) * size * math.log2(size)):
-        _add_steps(diff, rows, steps[live], at + live)
+        _add_steps(diff, rows, steps[live], c0 + shift + live)
     else:
-        _correlate_steps(diff, rows, steps, at, size)
+        _correlate_steps(diff, rows, steps, c0 + shift, size)
 
 
 def _hat_pairing(mesh, vals, wq):
@@ -504,17 +487,16 @@ def assemble(kernel, nu, A, f, mesh):
     for a, b, (shift, rows, points, ws) in zip(starts, ends, shapes):
         held = cells[a:b]
         if number is None:
-            steps = _weight_steps(A(held[:, None] * mesh.h + points) * ws,
-                                  held)
+            weights = A(held[:, None] * mesh.h + points) * ws
         else:
-            steps = _run_steps(number * ws, held)
-        _add_shape(band, rows, steps, held[0] + shift)
+            weights = np.broadcast_to(number * ws, (len(held), len(ws)))
+        _add_shape(band, rows, weights, held, shift)
     np.cumsum(band, axis=1, out=band)
     # entries left of a band row's first column pair a hat with one
     # before hat 1; the band layout keeps them zero
     bw = band.shape[0] - 1
     head = band[:, :bw]
-    head[np.add.outer(np.arange(bw + 1), np.arange(bw)) < bw] = 0.0
+    head[np.arange(bw + 1)[:, None] < bw - np.arange(bw)] = 0.0
     return _system(band, mesh, f)
 
 

@@ -121,9 +121,7 @@ def shape_band(kernel, nu, A, mesh):
         shift, rows, points, ws = shape_gradients(profiles, nu_sign, mesh.h,
                                                   offset, width, hats)
         weights = a_fn(cells[:, None] * mesh.h + points) * ws
-        held = np.zeros((cells[-1] - cells[0] + 3, len(ws)))
-        held[cells - cells[0] + 1] = weights
-        _fem._add_shape(band, rows, np.diff(held, axis=0), cells[0] + shift)
+        _fem._add_shape(band, rows, weights, cells, shift)
     np.cumsum(band, axis=1, out=band)
     bw = band.shape[0] - 1
     for d in range(1, bw + 1):

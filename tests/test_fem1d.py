@@ -440,14 +440,6 @@ TABULATED = K.tabulated(1, [0.1, 0.2, 0.3, 0.45], [3.0, 2.0, 1.5, 0.5])
 BALL2 = K.rescaled(K.constant_ball(), 2.0)
 
 
-def test_run_steps_are_the_steps_of_the_sampled_weights():
-    # runs of cells with gaps between them, and a run of one cell
-    w = np.random.default_rng(5).standard_normal(8)
-    cells = np.array([2, 3, 4, 7, 9, 10, 14])
-    want = F._weight_steps(np.tile(w, (len(cells), 1)), cells)
-    assert np.array_equal(F._run_steps(w, cells), want)
-
-
 @pytest.mark.parametrize("block", [None, 600, 40])
 @pytest.mark.parametrize("nu", [1, -1])
 @pytest.mark.parametrize("kern,n", [
