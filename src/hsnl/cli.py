@@ -327,6 +327,7 @@ def _cmd_symbol(cfg):
 
 def _cmd_bounds(cfg):
     kernel = _build_kernel(cfg)
+    _kern.standing_moments(kernel)
     nu = _parse_nu(cfg, kernel.d)
     grid = _xi_grid(cfg)
     out = cfg.get("out", "bounds.csv")
@@ -387,13 +388,11 @@ def _cmd_solve(cfg):
 def _cmd_poincare(cfg):
     cap = cfg.get_float("cap", 0.5)
     out = cfg.get("out", "poincare.csv")
-    family_name = cfg.get("kernel.family", "constant_ball")
-    if family_name == "local":
-        cfg.resolved["kernel.family"] = "local"
+    base = _build_kernel(cfg, allow_local=True)
+    if base is None:
         hs = cfg.get_floats("hs", required=True)
         table = _exp.poincare_sweep(None, hs, cap=cap)
     else:
-        base = _build_kernel(cfg)
         nu = _parse_nu(cfg, base.d)
         h = cfg.get_float("h", 1.0 / 256.0)
         if cfg.has("levels"):

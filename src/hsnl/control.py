@@ -232,12 +232,12 @@ class _Reduced:
                 raise ValueError("u_des is so large that the tracking term "
                                  "overflows")
         self.gamma_int = _as_fn(problem.gamma)(self.xq) @ self.wq
-        if not math.isfinite(float(problem.lam_reg)
-                             * float(np.max(self.gamma_int))):
-            raise ValueError("lam_reg times the integral of gamma over a "
-                             "cell overflows")
         # lam Gamma: the penalty's diagonal Hessian, one entry per cell
-        self.scale = problem.lam_reg * self.gamma_int
+        with np.errstate(over="ignore"):
+            self.scale = problem.lam_reg * self.gamma_int
+        if not np.all((0.0 < self.scale) & (self.scale < math.inf)):
+            raise ValueError("lam_reg times the integral of gamma over a "
+                             "cell overflows or underflows")
         self.lo, self.hi = _cell_bounds(mesh, problem.alpha, problem.beta)
         # the Newton system's K and M part, built once; none for a custom F
         self.kkt = (None if self.des is None

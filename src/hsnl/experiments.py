@@ -28,9 +28,6 @@ class RateTable:
         if any(r[2] < 0.0 for r in self.rows):
             raise ValueError("errors must be nonnegative")
 
-    def row_errors(self, param):
-        return [r[2] for r in self.rows if r[0] == param]
-
     def diagonal(self):
         return _diagonal(self.rows)
 
@@ -166,9 +163,13 @@ def _l2_error(u_fn, ref_fn, length, n_cells):
     # polynomials up to degree 7 on cells aligned with both functions
     mesh = _fem.Mesh1D(length, n_cells)
     xq, _ = _fem._cell_rule(mesh)
-    diff = np.asarray(u_fn(xq), dtype=float) - np.asarray(ref_fn(xq),
-                                                          dtype=float)
-    return float(math.sqrt(0.5 * mesh.h * np.sum(_fem._GW * diff * diff)))
+    with np.errstate(over="ignore"):
+        diff = np.asarray(u_fn(xq), dtype=float) - np.asarray(ref_fn(xq),
+                                                              dtype=float)
+        err = float(math.sqrt(0.5 * mesh.h * np.sum(_fem._GW * diff * diff)))
+    if not math.isfinite(err):
+        raise ValueError("the L2 error overflows")
+    return err
 
 
 def _reference(config):
@@ -177,6 +178,8 @@ def _reference(config):
         if callable(config.A) or callable(config.f):
             raise ValueError("the closed-form reference needs constant "
                              "coefficients; use fine_local_fem instead")
+        if float(config.A) == 0.0:
+            raise ValueError("the closed-form reference needs a nonzero A")
         scale = float(config.f) / float(config.A)
         length = config.length
 

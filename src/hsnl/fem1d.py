@@ -50,13 +50,14 @@ O(n * width) banded back-substitution; band products go through BLAS
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import kernels as _kern
-from ._quad import BLOCK_ENTRIES, merge_breaks, panel_rule
+from ._quad import BLOCK_ENTRIES, gauss_rule, merge_breaks, panel_rule
 from .symbols import _nu_sign
 
 _CALL = 4096    # work units of one NumPy call in _add_shape (measured)
@@ -85,12 +86,8 @@ class Mesh1D:
     def nodes(self):
         return np.linspace(0.0, self.length, self.n_cells + 1)
 
-    @property
-    def interior(self):
-        return np.arange(1, self.n_cells)
 
-
-_GX, _GW = np.polynomial.legendre.leggauss(8)
+_GX, _GW = gauss_rule(8)
 _GS = 0.5 * (_GX + 1.0)
 
 
@@ -418,7 +415,11 @@ def _hat_pairing(mesh, vals, wq):
 
 def _load_vector(f, mesh):
     xq, wq = _cell_rule(mesh)
-    return _hat_pairing(mesh, _as_fn(f)(xq), wq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = _hat_pairing(mesh, _as_fn(f)(xq), wq)
+    if not np.all(np.isfinite(load)):
+        raise ValueError("the load vector is not finite")
+    return load
 
 
 def _dense(band):
@@ -465,12 +466,24 @@ def assemble(kernel, nu, A, f, mesh):
     too.  A is a number or a callable on arrays of points; a callable
     that returns a constant gives the band of that number, bit for bit.
     """
+    if kernel.d != 1:
+        raise ValueError("the Galerkin solver is one-dimensional")
     _kern.standing_moments(kernel)
-    if _kern.support(kernel)[1] == math.inf:
+    top = _kern.support(kernel)[1]
+    if top == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
+    # past 2**52 cells a node shifted by the horizon rounds onto its
+    # neighbours, and the x-panels between them vanish
+    if top / mesh.h >= 2.0 ** 52:
+        raise ValueError("the horizon spans %.3g cells; at most 2**52 are "
+                         "resolved" % (top / mesh.h))
     sign = _nu_sign(nu)
     number = None if callable(A) else float(A)
+    # the x-quadrature weights are below h
+    if number is not None and math.isinf(number * mesh.h) \
+            and math.isfinite(number):
+        raise ValueError("A = %g overflows the quadrature weights" % number)
     profiles = _hat_profiles(kernel)
     band = np.zeros((_window_width(mesh, profiles[3]), mesh.n_cells - 1),
                     order="F")
@@ -502,6 +515,9 @@ def assemble(kernel, nu, A, f, mesh):
 
 def assemble_local(A, f, mesh):
     """Standard local P1 system for -(A u')' with zero boundary values."""
+    if not sys.float_info.min <= mesh.h * mesh.h < math.inf:
+        raise ValueError("h = %g is out of range: h**2 leaves the normal "
+                         "floats" % mesh.h)
     xq, wq = _cell_rule(mesh)
     k = np.sum(wq * _as_fn(A)(xq), axis=1) / mesh.h ** 2
     band = np.zeros((2, mesh.n_cells - 1))
@@ -516,10 +532,13 @@ def solve_state(system):
     The system's factor is reused; a hand-built system factors here once.
     """
     u = sla.cho_solve_banded(system.factor, system.load)
-    residual = np.linalg.norm(_band_product(system.stiffness_band, u)
-                              - system.load)
-    scale = max(np.linalg.norm(system.load), 1e-300)
-    if residual > 1e-10 * scale:
+    # norms of the vectors scaled to max|load| = 1, so that a load near
+    # the top of the float range does not overflow them
+    size = max(float(np.max(np.abs(system.load))), 1e-300)
+    residual = np.linalg.norm((_band_product(system.stiffness_band, u)
+                               - system.load) / size)
+    scale = max(np.linalg.norm(system.load / size), 1e-300)
+    if not residual <= 1e-10 * scale:
         raise AssemblyError("solver residual %.3e exceeds tolerance"
                             % (residual / scale))
     return u

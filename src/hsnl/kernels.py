@@ -32,6 +32,7 @@ Kernels are immutable; every operation is a pure function of its inputs.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,6 +104,8 @@ def riesz_truncated(d, s):
     if not 0.0 < s < 1.0:
         raise ValueError("riesz exponent s must lie in (0, 1)")
     _check_d(d)
+    if d + s == d:
+        raise ValueError("riesz exponent s = %g is lost in d + s" % s)
     return Kernel("riesz_truncated", d, (("s", float(s)),))
 
 
@@ -143,6 +146,9 @@ def log_truncated(d, delta):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_d(d)
+    # the profile peaks at |z| = delta, about delta^{-d-1}
+    if delta ** (d + 1.0) < sys.float_info.min:
+        raise ValueError("delta %g overflows the kernel profile" % delta)
     return Kernel("log_truncated", d, (("delta", float(delta)),))
 
 
@@ -157,6 +163,7 @@ def rescaled(base, delta):
     """Horizon rescaling delta^{-d-1} w_base(z/delta)."""
     if delta <= 0:
         raise ValueError("rescaling delta must be positive")
+    _delta_power(delta, -base.d - 1)    # the profile's scale must be a float
     return Kernel("rescaled", base.d, (("delta", float(delta)),), base=base)
 
 
@@ -235,12 +242,15 @@ def _pieces(kernel):
 
 def _delta_power(delta, exponent):
     """delta ** exponent for a rescaled coefficient; ValueError if it
-    overflows."""
+    overflows or underflows to 0."""
     try:
-        return delta ** exponent
+        power = delta ** exponent
     except OverflowError:
-        raise ValueError("rescaling delta %g overflows the kernel "
-                         "coefficient" % delta) from None
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError("rescaling delta %g %s the kernel coefficient"
+                         % (delta, "overflows" if power else "underflows"))
+    return power
 
 
 def _build_pieces(kernel):
@@ -474,15 +484,8 @@ def _logreg_integrals(piece, q, a, b):
     out = np.zeros(a.shape)
     series = np.flatnonzero(a < split)
     if series.size:
-        ms, top = m[series], np.minimum(b[series], split)
-        # every interval reaching past the split shares its head (0, split)
-        head = (a[series] == 0.0) & (top == split) & (ms >= 0)
-        for mk in np.unique(ms[head]):
-            out[series[head & (ms == mk)]] = _logreg_head(int(mk), dl, dd)
-        rest = series[~head]
-        if rest.size:
-            out[rest] = _logreg_series(ms[~head], dl, dd, a[rest], top[~head])
-        out[series] *= coeff
+        out[series] = coeff * _logreg_series(
+            m[series], dl, dd, a[series], np.minimum(b[series], split))
     closed = np.maximum(a, split) < b
     if closed.any():
         lo, hi, mc = np.maximum(a[closed], split), b[closed], m[closed]
@@ -491,13 +494,6 @@ def _logreg_integrals(piece, q, a, b):
         val = b_val - _logreg_primitive(mc, dl, dd, lo)
         out[closed] = out[closed] + coeff * val
     return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _logreg_head(m, dl, dd):
-    """int_0^{0.9 dl} t^m (t+dl)^{-dd} dt, shared by every long interval."""
-    return float(_logreg_series(np.array([m]), dl, dd, np.zeros(1),
-                                np.array([0.9 * dl]))[0])
 
 
 _SERIES_TERMS = 600

@@ -8,9 +8,12 @@ directly: the difference is O(|z|) near the origin for Lipschitz u, so the
 integral is absolutely convergent whenever the first moment of the kernel
 over the unit ball is finite and no principal value is ever needed.  The
 quadrature drops a tiny origin neighbourhood whose contribution is bounded
-by the Lipschitz constant times a partial moment, integrates the rest on
-geometrically graded Gauss panels, and replaces the far tail (where u has
-decayed) by the closed-form tail mass times -u(x).
+by the Lipschitz constant times a partial moment, integrates the rest in
+polar form z = t theta, on graded Gauss panels in t times a rule for the
+directions theta . nu >= 0 (nu itself in d=1, Gauss panels on the
+half-circle in d=2), and replaces the far tail (where u has decayed) by
+the closed-form tail mass times -u(x).  The gradient, the divergence (its
+trace on a vector field) and the localization study share this one rule.
 
 The spectral path acts on periodic samples by Fourier multiplication with
 the symbol; it approximates the whole-space operator applied to the
@@ -32,6 +35,7 @@ from .symbols import _nu_sign, _nu_unit2, _rotation_to, _symbol_values
 
 _ABS_TOL = 1e-10        # error allowed for the dropped origin and far tail
 _MAX_PANELS = 16384     # radial quadrature panels allowed per evaluation
+_SUP_SAMPLES = {1: 4097, 2: 129}    # sup-norm samples per axis, by d
 
 
 @dataclass(frozen=True)
@@ -89,32 +93,26 @@ class SampledField:
         return (isinstance(self.domain, tuple)
                 and all(isinstance(t, numbers.Real) for t in self.domain))
 
-    def grid(self):
-        """Sample coordinates (periodic grids are uniform, start at 0)."""
-        if not self.periodic:
-            return np.asarray(self.domain, dtype=float)
-        if isinstance(self.domain, numbers.Real):
-            n = self.values.shape[0]
-            return np.arange(n) * (float(self.domain) / n)
-        axes = [np.arange(n) * (float(length) / n)
-                for length, n in zip(self.domain, self.values.shape)]
-        return axes
+
+def _values(handle, pts):
+    """Values of a k-component handle at the points pts, a (d, ...) array
+    of coordinates, as a (k, ...) array.  A d=1 handle takes the
+    coordinates themselves, a d=2 handle an (N, 2) array of points."""
+    d, lead = pts.shape[0], pts.shape[1:]
+    vals = np.asarray(handle(pts[0] if d == 1 else pts.reshape(d, -1).T),
+                      dtype=float)
+    return vals.reshape(math.prod(lead), -1).T.reshape((-1,) + lead)
 
 
-def _sup_norm_estimate(handle, center, d):
+def _sup_norm_estimate(handle, xs):
     if handle.sup_norm is not None:
         return handle.sup_norm
     radius = handle.support_radius if handle.support_radius is not None \
         else 64.0
-    if d == 1:
-        pts = np.linspace(center - radius, center + radius, 4097)
-        vals = handle(pts)
-    else:
-        side = np.linspace(center[0] - radius, center[0] + radius, 129)
-        side2 = np.linspace(center[1] - radius, center[1] + radius, 129)
-        xx, yy = np.meshgrid(side, side2)
-        vals = handle(np.column_stack([xx.ravel(), yy.ravel()]))
-    return float(np.max(np.abs(vals)))
+    axes = [np.linspace(c - radius, c + radius, _SUP_SAMPLES[len(xs)])
+            for c in xs.mean(axis=1)]
+    pts = np.stack(np.meshgrid(*axes))
+    return float(np.max(np.abs(_values(handle, pts))))
 
 
 def _tail_start(kernel, sup_u):
@@ -168,56 +166,46 @@ def _radial_nodes(kernel, t0, top):
     return panel_points(breaks, 24)
 
 
-def _prepare_1d(kernel, handle, xs):
-    _kern.standing_moments(kernel)
-    sup_u = _sup_norm_estimate(handle, float(np.mean(xs)), 1)
-    top, closed_tail = _tail_start(kernel, sup_u)
-    t0 = _inner_start(kernel, handle.lipschitz, 1, 1.0)
-    t, wt = _radial_nodes(kernel, t0, top)
-    wbar = _kern.eval(kernel, t)
-    tail = _kern.radial_integral(kernel, top, math.inf, 0) if closed_tail \
-        else 0.0
-    return t, wt * wbar, tail
-
-
-def _gradient_values_1d(kernel, nu, handle, xs):
-    """Half-space gradient of a scalar handle at each point of xs (1-D)."""
-    sign = _nu_sign(nu)
-    xs = np.asarray(xs, dtype=float)
-    t, weights, tail = _prepare_1d(kernel, handle, xs)
-    ux = np.asarray(handle(xs), dtype=float)
-    diff = handle(xs[:, None] + sign * t[None, :]) - ux[:, None]
-    out = diff @ weights
-    out -= ux * tail
-    return sign * out
-
-
-def _theta_rule(panels=8, order=16):
+def _directions(nu, d, panels=8):
+    """Unit directions (m, d) and weights (m,) of a rule on the half-sphere
+    theta . nu >= 0: nu itself in d=1, and in d=2 the half-circle on
+    16-point Gauss panels, rotated to nu."""
+    if d == 1:
+        return np.array([[_nu_sign(nu)]]), np.ones(1)
     edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, panels + 1)
-    return panel_points(edges, order)
+    theta, weights = panel_points(edges, 16)
+    rot = _rotation_to(_nu_unit2(nu))
+    return (rot @ np.stack([np.cos(theta), np.sin(theta)])).T, weights
 
 
-def _gradient_point_2d(kernel, nu, handle, x):
+def _apply(kernel, nu, handle, xs):
+    """Half-space gradient of each component of the handle at each column
+    of xs, a (d, n) array: an (n, d, k) array for a k-component handle.
+
+    G u(x) = sum_theta w_theta theta P(x, theta), where the radial profile
+    P(x, theta) = int_0^top w(t) t^(d-1) (u(x + t theta) - u(x)) dt minus
+    u(x) times the closed-form mass of w(t) t^(d-1) beyond top.
+    """
     _kern.standing_moments(kernel)
-    nu2 = _nu_unit2(nu)
-    rot = _rotation_to(nu2)
-    x = np.asarray(x, dtype=float)
-    sup_u = _sup_norm_estimate(handle, x, 2)
-    top, closed_tail = _tail_start(kernel, sup_u)
-    t0 = _inner_start(kernel, handle.lipschitz, 2, math.pi)
+    d = kernel.d
+    top, closed_tail = _tail_start(kernel, _sup_norm_estimate(handle, xs))
+    t0 = _inner_start(kernel, handle.lipschitz, d,
+                      _kern.surface_measure(d) / 2.0)
     t, wt = _radial_nodes(kernel, t0, top)
-    radial_w = wt * _kern.eval(kernel, t) * t
-    theta, wtheta = _theta_rule()
-    dirs = (rot @ np.stack([np.cos(theta), np.sin(theta)])).T
-    pts = x[None, None, :] + t[:, None, None] * dirs[None, :, :]
-    ux = float(handle(x[None, :])[0])
-    vals = handle(pts.reshape(-1, 2)).reshape(len(t), len(theta))
-    profile = radial_w @ (vals - ux)
-    out = (dirs * (wtheta * profile)[:, None]).sum(axis=0)
-    if closed_tail:
-        out -= ux * _kern.radial_integral(kernel, top, math.inf, 1) \
-            * 2.0 * nu2
-    return out
+    radial_w = wt * _kern.eval(kernel, t) * t ** (d - 1)
+    tail = _kern.radial_integral(kernel, top, math.inf, d - 1) \
+        if closed_tail else 0.0
+    dirs, wdir = _directions(nu, d)
+    ux = _values(handle, xs)
+    # (d, n, m, nt) points and (k, n, m, nt) differences: the radial nodes
+    # run along the last, contiguous axis
+    pts = xs[:, :, None, None] + (dirs.T[:, :, None] * t)[:, None]
+    diff = _values(handle, pts) - ux[:, :, None, None]
+    profile = (diff.reshape(-1, len(t)) @ radial_w).reshape(diff.shape[:-1])
+    profile -= ux[:, :, None] * tail
+    terms = dirs.T[:, None, None, :] * (wdir * profile)
+    # -0.0 is the exact additive identity: one direction keeps its bits
+    return terms.sum(axis=-1, initial=-0.0).transpose(2, 0, 1)
 
 
 def gradient_pointwise(kernel, nu, u, x):
@@ -226,30 +214,18 @@ def gradient_pointwise(kernel, nu, u, x):
     Returns a length-d vector.  u may be a bare vectorized callable or a
     SmoothFunction; singular kernels require the Lipschitz constant.
     """
-    handle = as_handle(u)
-    if kernel.d == 1:
-        val = _gradient_values_1d(kernel, nu, handle,
-                                  np.array([float(x)]))[0]
-        return np.array([val])
-    return _gradient_point_2d(kernel, nu, handle, x)
+    xs = np.asarray(x, dtype=float).reshape(kernel.d, 1)
+    return _apply(kernel, nu, as_handle(u), xs)[0, :, 0]
 
 
 def divergence_pointwise(kernel, nu, v, x):
     """Half-space nonlocal divergence of a vector field handle at x."""
-    handle = as_handle(v)
-    if kernel.d == 1:
-        val = _gradient_values_1d(kernel, nu, handle,
-                                  np.array([float(x)]))[0]
-        return float(val)
-    total = 0.0
-    for j in range(2):
-        comp = SmoothFunction(
-            fn=(lambda pts, jj=j: np.asarray(handle(pts))[..., jj]),
-            lipschitz=handle.lipschitz,
-            support_radius=handle.support_radius,
-            sup_norm=handle.sup_norm)
-        total += _gradient_point_2d(kernel, nu, comp, x)[j]
-    return total
+    xs = np.asarray(x, dtype=float).reshape(kernel.d, 1)
+    grad = _apply(kernel, nu, as_handle(v), xs)[0]
+    if grad.shape[1] != kernel.d:
+        raise ValueError("the divergence needs a %d-component field"
+                         % kernel.d)
+    return float(np.diagonal(grad).sum(initial=-0.0))
 
 
 def _require_pow2(n):
@@ -334,7 +310,7 @@ def localization_study(base_kernel, u, delta_list, p=2):
     errors = []
     for delta in delta_list:
         scaled = _kern.rescaled(base_kernel, delta)
-        grad = _gradient_values_1d(scaled, 1, handle, grid)
+        grad = _apply(scaled, 1, handle, grid[None, :])[:, 0, 0]
         residual = grad - np.asarray(handle.derivative(grid), dtype=float)
         if p == 2:
             errors.append(float(np.sqrt(spacing * np.sum(residual ** 2))))
@@ -360,14 +336,8 @@ def direction_moment_matrix(kernel, nu):
         raise _kern.AssumptionError("needs a finite full first moment")
     d = kernel.d
     rhs = (full / (2.0 * d)) * np.eye(d)
-    if d == 1:
-        lhs = np.array([[_kern.radial_integral(kernel, 0.0, math.inf, 1)]])
-        return lhs, rhs
-    radial = _kern.radial_integral(kernel, 0.0, math.inf, 2)
-    theta, wtheta = _theta_rule(panels=4, order=16)
-    nu2 = _nu_unit2(nu)
-    rot = _rotation_to(nu2)
-    dirs = (rot @ np.stack([np.cos(theta), np.sin(theta)])).T
+    radial = _kern.radial_integral(kernel, 0.0, math.inf, d)
+    dirs, wdir = _directions(nu, d, panels=4)
     angular = (dirs[:, :, None] * dirs[:, None, :]
-               * wtheta[:, None, None]).sum(axis=0)
+               * wdir[:, None, None]).sum(axis=0)
     return radial * angular, rhs

@@ -664,7 +664,8 @@ def _symbol_e1_2d(kernel, xis):
     gets 33-point Gauss panels, ceil(length / (pi/2) * ceil(|xi|/4)) of
     them.  All nodes of a run of rows go to the engine in one call; a run
     closes once it holds BLOCK_ENTRIES nodes, so a single row is always
-    one call, and every row's nodes and sums are its own arithmetic.
+    one call, and every row's nodes and sums are its own arithmetic.  A
+    row that needs over 3e5 panels per quadrant raises SymbolError.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, 2)
     out = np.zeros(xis.shape, dtype=complex)
@@ -678,6 +679,11 @@ def _symbol_e1_2d(kernel, xis):
     phi0 = np.arctan2(u[:, 1], u[:, 0])
     lengths = np.column_stack([half_pi - np.abs(phi0), np.abs(phi0)])
     per_quadrant = np.maximum(1.0, np.ceil(norm[live] / 4.0))
+    if per_quadrant.max() > _MAX_PANELS:
+        raise SymbolError("angle quadrature would need %.6g > 3e5 panels "
+                          "per quadrant at frequency %.6g; frequency out of "
+                          "supported range"
+                          % (per_quadrant.max(), norm[live].max()))
     counts = np.ceil(lengths / half_pi
                      * per_quadrant[:, None]).astype(np.int64)
     e_m = np.sign(phi0)[:, None] * np.column_stack([u[:, 1], -u[:, 0]])
@@ -810,9 +816,14 @@ def _norms(values):
     """np.linalg.norm of each row of an (n,) or (n, d) array, to the bit:
     dot products of the real parts, plus those of the imaginary parts."""
     rows = np.asarray(values).reshape(len(values), 1, -1)
-    squares = (rows.real @ rows.real.transpose(0, 2, 1)).ravel()
-    if np.iscomplexobj(rows):
-        squares = squares + (rows.imag @ rows.imag.transpose(0, 2, 1)).ravel()
+    with np.errstate(over="ignore"):
+        squares = (rows.real @ rows.real.transpose(0, 2, 1)).ravel()
+        if np.iscomplexobj(rows):
+            squares = squares + (rows.imag
+                                 @ rows.imag.transpose(0, 2, 1)).ravel()
+    if np.isinf(squares).any():
+        raise SymbolError("a squared norm overflows; frequency out of "
+                          "supported range")
     return np.sqrt(squares)
 
 
@@ -1001,6 +1012,7 @@ def appendix_limit_table(delta_list):
     rows = []
     for delta in delta_list:
         raw = _kern.fractional_vanishing(1, delta, normalize=False)
+        _kern.standing_moments(raw)
         lam = _half_line_symbol(raw, 1.0, 0)
         lam1 = _half_line_symbol(_kern.cutoff(raw, 1.0), 1.0, 0)
         rows.append({

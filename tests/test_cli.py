@@ -1,15 +1,19 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hsnl
 from hsnl import cli
@@ -144,8 +148,38 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
     (["validate", "--kernel-delta", "1e-300"], "delta 1e-300 overflows"),
     (["ac", "--threads", "0"], "threads must be at least 1"),
     (["ac", "--threads", "two"], "threads expects an integer"),
+    (["ac", "--coef", "const:0"], "needs a nonzero A"),
+    (["ac", "--rhs", "const:1e300"], "L2 error overflows"),
+    (["appendix", "--deltas", "1e-300"], "M1 = inf"),
+    (["bounds", "--kernel-family", "fractional_vanishing",
+      "--kernel-delta", "1e-300"], "M1 = inf"),
+    (["bounds", "--kernel-d", "2", "--kernel-delta", "1e300"],
+     "delta 1e+300 underflows"),
+    (["localize", "--kernel-family", "riesz_truncated", "--kernel-s", "0.5",
+      "--deltas", "1e-300"], "delta 1e-300 overflows"),
+    (["bounds", "--kernel-family", "riesz_truncated", "--kernel-s",
+      "1e-300"], "s = 1e-300 is lost"),
+    (["validate", "--kernel-family", "log_truncated", "--kernel-delta",
+      "1e-300"], "overflows the kernel profile"),
+    (["solve", "--length", "1e-300"], "at most 2**52"),
+    (["solve", "--kernel-family", "local", "--length", "1e-300"],
+     "h**2 leaves"),
+    (["solve", "--kernel-family", "local", "--length", "1e300"],
+     "h**2 leaves"),
+    (["solve", "--coef", "const:1e300", "--length", "1e300"],
+     "overflows the quadrature weights"),
+    (["solve", "--rhs", "const:1e300", "--length", "1e300"],
+     "load vector is not finite"),
+    (["control", "--lam", "1e-300", "--gamma", "const:1e-300"],
+     "underflows"),
+    (["ac", "--kernel-d", "2", "--hs", "0.25,0.125"], "one-dimensional"),
 ], ids=["poincare-h", "ac-hs", "solve-delta", "control-delta",
-        "localize-deltas", "validate-delta", "threads-0", "threads-two"])
+        "localize-deltas", "validate-delta", "threads-0", "threads-two",
+        "ac-zero-coef", "ac-huge-rhs", "appendix-tiny-delta",
+        "bounds-tiny-delta", "bounds-huge-delta", "localize-riesz-delta",
+        "bounds-tiny-s", "validate-log-truncated", "solve-tiny-domain",
+        "local-tiny-domain", "local-huge-domain", "solve-huge-coef",
+        "solve-huge-load", "control-tiny-penalty", "ac-d2"])
 def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,
                                                  capsys, args, match):
     monkeypatch.chdir(tmp_path)
@@ -154,6 +188,35 @@ def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert match in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,match", [
+    (["bounds", "--xi-max", "1e300"], "squared norm overflows"),
+    (["bounds", "--kernel-d", "2", "--tau", "1e300"], "angle quadrature"),
+], ids=["bounds-huge-xi", "bounds-d2-huge-tau"])
+def test_frequencies_past_the_float_range_exit_2(tmp_path, monkeypatch,
+                                                 capsys, args, match):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args + ["--xi-count", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_load_near_the_float_range_solves_without_overflow(
+        tmp_path, monkeypatch, capsys):
+    # a power-of-two load scales u exactly; the residual check used to
+    # overflow in the norm of the unscaled residual
+    monkeypatch.chdir(tmp_path)
+    solutions = []
+    for rhs in ("1", repr(2.0 ** 996)):
+        code, _, err = run_cli(["solve", "--n", "8", "--rhs",
+                                "const:" + rhs], capsys)
+        assert code == 0 and err == ""
+        solutions.append(np.array(read_csv(tmp_path / "solve.csv")[2])[:, 1])
+    assert np.all(np.isfinite(solutions[1]))
+    assert np.array_equal(solutions[1], solutions[0] * 2.0 ** 996)
 
 
 @pytest.mark.parametrize("args,key", [
@@ -663,3 +726,93 @@ def test_horizon_past_a_tiny_domain_solves(tmp_path, monkeypatch, capsys):
     assert code == 0 and err == ""
     _, _, rows = read_csv(tmp_path / "solve.csv")
     assert len(rows) == 65 and np.all(np.isfinite(rows))
+
+
+# Settings that keep each subcommand's work small; a draw overrides some
+# of them and adds others.
+FUZZ_BASE = {
+    "symbol": ["--xi-count", "3"],
+    "bounds": ["--xi-count", "3"],
+    "localize": ["--deltas", "0.2,0.1"],
+    "solve": ["--n", "16"],
+    "poincare": ["--deltas", "0.2", "--h", "0.125"],
+    "ac": ["--hs", "0.25,0.125", "--deltas", "0.2", "--levels", "4"],
+    "control": ["--n", "16", "--max-iter", "20"],
+    "appendix": ["--deltas", "0.1"],
+    "basis": ["--count", "3"],
+    "validate": [],
+}
+# sizes stay small: n <= 33, counts <= 3, threads <= 2
+FUZZ_SIZES = {"n": ("2", "33"), "xi_count": ("1", "3"), "count": ("1", "3"),
+              "max_iter": ("1", "3"), "threads": ("1", "2")}
+FUZZ_BAD = ("0", "-1", "x", "1e300", "nan", "")
+FUZZ_NUMBERS = ("0", "-0", "0.5", "1e300", "-1e300", "1e-300", "inf", "nan",
+                "0.5,,0.25", "0.2,0.1", ",", "abc", "bogus_name")
+FUZZ_VALUES = {
+    "kernel.family": cli._FAMILIES + ("bogus_name",),
+    "kernel.d": ("1", "2", "3", "0"),
+    "nu": ("1", "-1", "1:0", "0:0", "nan:1", "2"),
+    "coef": ("const:0", "const:-0", "const:1e300", "const:1e-300",
+             "const:inf", "func:sine", "func:bogus_name", "const:"),
+    "mode": ("local", "nonlocal", "bogus_name"),
+    "norm": ("l2", "linf", "bogus_name"),
+    "reference": ("analytic_local", "fine_local_fem", "bogus_name"),
+    "udes": ("zero", "parabola", "sine", "bogus_name"),
+    "xis": ("1", "0", "1e300", "1:1", "nan", "1,,2"),
+}
+FUZZ_VALUES["rhs"] = FUZZ_VALUES["gamma"] = FUZZ_VALUES["coef"]
+
+
+def _fuzz_values(key):
+    if key in FUZZ_SIZES:
+        return FUZZ_SIZES[key] + FUZZ_BAD
+    return FUZZ_VALUES.get(key, FUZZ_NUMBERS)
+
+
+@st.composite
+def cli_draws(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    keys = [k for k in cli._COMMANDS[command][1] if not k.endswith("out")]
+    chosen = draw(st.lists(st.sampled_from(keys + ["threads"]), max_size=3,
+                           unique=True))
+    args = [command] + FUZZ_BASE[command]
+    for key in chosen:
+        args += ["--" + key.replace("_", "-"),
+                 draw(st.sampled_from(_fuzz_values(key)))]
+    return args
+
+
+def _csv_numbers(path):
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    for line in lines[1:]:
+        for cell in line.split(","):
+            try:
+                yield float(cell)
+            except ValueError:
+                pass
+
+
+@settings(max_examples=200)
+@given(cli_draws())
+def test_cli_contract_holds_on_extreme_inputs(args):
+    # exit 0 with finite numbers in every CSV, or exit 1 or 2 with one
+    # error line; RuntimeWarnings are errors under the pytest settings
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.run(args)
+            numbers = [v for path in Path(work).glob("*.csv")
+                       for v in _csv_numbers(path)]
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert all(math.isfinite(v) for v in numbers), args
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), args

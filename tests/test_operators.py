@@ -96,8 +96,8 @@ def test_integration_by_parts(kernel):
     gx, gw = np.polynomial.legendre.leggauss(8)
     xs = (mid[:, None] + half * gx[None, :]).ravel()
     ws = np.tile(half * gw, len(mid))
-    gu = O._gradient_values_1d(kernel, 1, BUMP, xs)
-    dv = O._gradient_values_1d(kernel, -1, VF, xs)
+    gu = O._apply(kernel, 1, BUMP, xs[None, :])[:, 0, 0]
+    dv = O._apply(kernel, -1, VF, xs[None, :])[:, 0, 0]
     lhs = float(np.sum(ws * gu * vfield(xs)))
     rhs = -float(np.sum(ws * bump(xs) * dv))
     assert lhs == pytest.approx(rhs, abs=1e-6)
@@ -177,7 +177,7 @@ def test_spectral_sine_mode():
     assert np.abs(out.values - closed).max() <= 1e-12
     handle = O.SmoothFunction(fn=lambda t: np.sin(2 * np.pi * t / length),
                               lipschitz=np.pi, sup_norm=1.0)
-    pw = O._gradient_values_1d(k, 1, handle, x[:16])
+    pw = O._apply(k, 1, handle, x[None, :16])[:, 0, 0]
     assert np.abs(out.values[:16] - pw).max() <= 1e-6
 
 
@@ -286,7 +286,7 @@ def test_sampled_field_checks():
     with pytest.raises(ValueError):
         O.SampledField(1.0, np.ones(4), kind="tensor")
     f = O.SampledField(2.0, np.ones(8))
-    assert f.periodic and f.grid()[1] == pytest.approx(0.25)
+    assert f.periodic
 
 
 def test_spectral_2d_matches_pointwise():
@@ -353,3 +353,39 @@ def test_radial_identity():
     with pytest.raises(K.AssumptionError):
         O.direction_moment_matrix(K.fractional_vanishing(1, 0.2,
                                                          normalize=False), 1)
+
+
+def _swirl(p):
+    p = np.asarray(p, dtype=float)
+    bump2 = np.exp(-(p[..., 0] ** 2 + 2.0 * p[..., 1] ** 2))
+    return np.stack([bump2 * np.sin(p[..., 0] + 0.5 * p[..., 1]),
+                     bump2 * (p[..., 0] * p[..., 1] + 0.3)], axis=-1)
+
+
+@pytest.mark.parametrize("kernel", [K.rescaled(K.constant_ball(2), 0.3),
+                                    K.riesz_truncated(2, 0.5),
+                                    K.fractional_vanishing(2, 0.3)])
+def test_divergence_2d_is_the_trace_of_the_component_gradients(kernel):
+    field = O.SmoothFunction(fn=_swirl, lipschitz=3.0, sup_norm=1.5)
+    nu, x = np.array([0.6, -0.8]), np.array([0.2, -0.1])
+    parts = [O.gradient_pointwise(
+        kernel, nu, O.SmoothFunction(fn=lambda p, j=j: _swirl(p)[..., j],
+                                     lipschitz=3.0, sup_norm=1.5), x)[j]
+        for j in range(2)]
+    div = O.divergence_pointwise(kernel, nu, field, x)
+    assert div == pytest.approx(sum(parts), rel=1e-13)
+
+
+def test_divergence_2d_builds_one_radial_rule(monkeypatch):
+    calls = []
+    real = O._radial_nodes
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(O, "_radial_nodes", counted)
+    field = O.SmoothFunction(fn=_swirl, lipschitz=3.0, sup_norm=1.5)
+    O.divergence_pointwise(K.riesz_truncated(2, 0.5), np.array([1.0, 0.0]),
+                           field, np.array([0.1, 0.2]))
+    assert len(calls) == 1
