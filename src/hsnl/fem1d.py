@@ -12,24 +12,24 @@ Unknowns are the interior nodes, which enforces the volume constraint
 u = 0 outside the domain.
 
 The x-integral runs over 8-point Gauss panels between the nodes and the
-nodes shifted by the horizon and the kernel breakpoints.  Panels at the
-same offset in their cells and of the same width (one panel shape) have
-the same hat gradients at their 8 points, one hat further per cell, so
-assembly groups the panels by shape and evaluates each shape's points
-once, on the axis of one cell; a uniform mesh has one to four shapes, a
-kernel with breakpoints more.  The points of all shapes go through one
-hat-gradient evaluation per assembly, each point with its own window
-(one evaluation per group of shapes when the windows would hold more
-than BLOCK_ENTRIES entries), and the kernel's radial antiderivatives are
-built once per kernel and memoized.  Only the weights A(x_q) w_q change
-from cell to cell.  Per shape, each band
+nodes shifted by the horizon and the kernel breakpoints, laid out in cell
+coordinates: an edge is a cell and an exact offset in it, and panels with
+the same start offset, cell count and end offset (one panel shape) have
+the same hat gradients at their 8 points, one hat further per cell.  So
+assembly evaluates each shape's points once, on the axis of one cell; a
+uniform mesh has one to four shapes, a kernel with breakpoints more.  The
+points of all shapes go through one hat-gradient evaluation per assembly,
+each point with its own window (one evaluation per group of shapes when
+the windows would hold more than BLOCK_ENTRIES entries), and the kernel's
+radial antiderivatives are built once per kernel and memoized.  Only the
+weights A(x_q) w_q change from cell to cell.  Per shape, each band
 diagonal is a correlation along the cells of those weights with the
 shape's per-point Gram diagonals.  The band is kept as column
 differences, summed once at the end, so the weights enter through their
 steps from cell to cell.  A number A steps only at the ends of each run
 of cells that holds a shape, and is not sampled; a callable A is sampled
-in every cell and steps wherever it changes; the steps are
-scattered directly, one Gram block each, or, where that counts less work,
+in every cell and steps wherever it changes; the steps are scattered
+directly, one Gram block each, or, where that counts less work,
 correlated by FFT, a few band diagonals at a time.  In the direct scatter
 a step equal or opposite to an earlier one shares that step's block
 (negated, which is exact), so the +w and -w steps of a constant A build
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels as _kern
-from ._quad import BLOCK_ENTRIES, gauss_rule, merge_breaks, panel_rule
+from ._quad import BLOCK_ENTRIES, gauss_rule, panel_rule
 from .symbols import _nu_sign
 
 _CALL = 4096    # work units of one NumPy call in _add_shape (measured)
@@ -212,54 +212,39 @@ def hat_gradient(kernel, nu, mesh, i, x):
     return float(rows[0, 0])
 
 
-def _x_breaks(kernel, nu_sign, mesh):
-    """Edges of the x-panels over the extended support of every hat
-    gradient: the nodes, and each node shifted by the horizon and by every
-    kernel breakpoint against nu.
+def _panel_shapes(kernel, nu_sign, mesh):
+    """Cell of every x-panel, offset in a cell and width of every shape,
+    and the shape label of every panel (cell * h + [offset, offset + width]).
 
-    A shift that is a multiple of h lands on a node only up to roundoff;
-    of edges within 1e-12 h of each other only the first is kept (and the
-    ends), so no panel is a few ulps wide.
+    The edges are the nodes and the nodes shifted by -nu times the horizon
+    and every kernel breakpoint, from node 0 shifted by the horizon to node
+    n (nu = 1) or from node 0 to node n shifted by it (nu = -1).  A shift
+    moves node j to node j + q plus an offset in [0, h), exact by fmod.
+    Offsets within 1e-12 h of each other or of a node (0 or h) are one, so
+    no panel is a few ulps wide; no tolerance acts on an edge.
+    An edge is the integer cell * m + (index of its offset among m), and a
+    shape the exact triple (start offset, cell count, end offset).
     """
-    top = _kern.support(kernel)[1]
-    if nu_sign > 0:
-        lo, hi = -top, mesh.length
-    else:
-        lo, hi = 0.0, mesh.length + top
-    offsets = np.array([0.0, top, *_kern.breakpoints(kernel)])
-    cand = (mesh.nodes[:, None] - nu_sign * offsets).ravel()
-    breaks = merge_breaks(lo, hi, cand, mesh.nodes)
-    gap, inner = 1e-12 * mesh.h, breaks[1:-1]
-    keep = (np.diff(breaks[:-1]) > gap) & (breaks[-1] - inner > gap)
-    return np.concatenate([breaks[:1], inner[keep], breaks[-1:]])
-
-
-def _cluster(values, tol):
-    """Labels 0, 1, ... of values, joining sorted neighbours within tol."""
-    order = np.argsort(values, kind="stable")
-    labels = np.empty(len(values), dtype=int)
-    labels[order] = np.cumsum(np.r_[0, np.diff(values[order]) > tol])
-    return labels
-
-
-def _panel_shapes(breaks, h):
-    """Cell, offset in the cell and width of every panel, and shape labels.
-
-    A panel [a, b] is cell * h + [offset, offset + width], the cell being
-    the node a rounds to when a is within 1e-9 h of it (so that panels
-    starting on a node share an offset near 0 whichever way the node
-    rounded), else the cell a lies in.  Panels whose offsets and widths
-    agree to 1e-12 h share a label; the offset and width returned for a
-    label are those of its first panel.
-    """
-    a, b = breaks[:-1], breaks[1:]
-    q = a / h
-    cell = np.where(np.abs(q - np.round(q)) < 1e-9, np.round(q), np.floor(q))
-    offset, width = a - cell * h, b - a
-    key = (_cluster(offset, 1e-12 * h) * len(a)
-           + _cluster(width, 1e-12 * h))
-    _, first, label = np.unique(key, return_index=True, return_inverse=True)
-    return cell.astype(int), offset[first], width[first], label
+    h, tol = mesh.h, 1e-12 * mesh.h
+    q, rem = np.divmod(-nu_sign * np.array(
+        [0.0, _kern.support(kernel)[1], *_kern.breakpoints(kernel)]), h)
+    up = rem > h - tol
+    q = q.astype(np.int64) + up
+    rem[up] = 0.0
+    srt = np.sort(rem)
+    offsets = srt[np.r_[True, np.diff(srt) > tol]]
+    family = np.searchsorted(offsets, rem, side="right") - 1
+    # m is a few and |q| at most 2**52 + 1, so the keys fit in int64
+    m, n = len(offsets), mesh.n_cells
+    edge = q[1] * m + family[1]     # node 0 shifted by the horizon
+    lo, hi = (edge, n * m) if nu_sign > 0 else (0, n * m + edge)
+    keys = ((np.arange(n + 1)[:, None] + q) * m + family).ravel()
+    cell, o = np.divmod(np.unique(keys[(lo <= keys) & (keys <= hi)]), m)
+    shapes, label = np.unique(np.stack([o[:-1], np.diff(cell), o[1:]], 1),
+                              axis=0, return_inverse=True)
+    start, count, end = shapes.T
+    return (cell[:-1], offsets[start],
+            count * h + offsets[end] - offsets[start], label)
 
 
 def _gradients_by_shape(profiles, nu_sign, h, offsets, widths, hats):
@@ -473,22 +458,22 @@ def assemble(kernel, nu, A, f, mesh):
     if top == math.inf:
         raise AssemblyError("assembly needs a compactly supported kernel; "
                             "apply cutoff first")
-    # past 2**52 cells a node shifted by the horizon rounds onto its
-    # neighbours, and the x-panels between them vanish
+    # past 2**52 cells the horizon's count of whole cells is not exact in
+    # a float, and the x-panel keys could overflow
     if top / mesh.h >= 2.0 ** 52:
         raise ValueError("the horizon spans %.3g cells; at most 2**52 are "
                          "resolved" % (top / mesh.h))
     sign = _nu_sign(nu)
     number = None if callable(A) else float(A)
+    if number is not None and not math.isfinite(number):
+        raise ValueError("A = %g is not finite" % number)
     # the x-quadrature weights are below h
-    if number is not None and math.isinf(number * mesh.h) \
-            and math.isfinite(number):
+    if number is not None and math.isinf(number * mesh.h):
         raise ValueError("A = %g overflows the quadrature weights" % number)
     profiles = _hat_profiles(kernel)
     band = np.zeros((_window_width(mesh, profiles[3]), mesh.n_cells - 1),
                     order="F")
-    cell, offsets, widths, label = _panel_shapes(
-        _x_breaks(kernel, sign, mesh), mesh.h)
+    cell, offsets, widths, label = _panel_shapes(kernel, sign, mesh)
     # each shape's cells, increasing, as panels come in position order
     cells = cell[np.argsort(label, kind="stable")]
     counts = np.bincount(label)
@@ -500,7 +485,12 @@ def assemble(kernel, nu, A, f, mesh):
     for a, b, (shift, rows, points, ws) in zip(starts, ends, shapes):
         held = cells[a:b]
         if number is None:
-            weights = A(held[:, None] * mesh.h + points) * ws
+            xs = held[:, None] * mesh.h + points
+            samples = A(xs)
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("A is not finite at x = %g"
+                                 % xs[~np.isfinite(samples)][0])
+            weights = samples * ws
         else:
             weights = np.broadcast_to(number * ws, (len(held), len(ws)))
         _add_shape(band, rows, weights, held, shift)

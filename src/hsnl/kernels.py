@@ -829,9 +829,15 @@ def validate_assumptions(kernel):
     report["m2_ok"] = bool(m2 < math.inf)
     lo, hi = support(kernel)
     lo_s = 1e-8 if lo == 0.0 else lo * (1.0 + 1e-9)
+    if lo == 0.0 and hi < lo_s:     # ends below 1e-8: its last two decades
+        lo_s = max(0.01 * hi, math.ulp(0.0))
     hi_eff = min(hi, max(8.0, 100.0 * lo_s))
     rs = np.geomspace(lo_s, hi_eff, 200)
-    vals = eval(kernel, rs)
+    with np.errstate(over="ignore"):
+        vals = eval(kernel, rs)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("the kernel profile overflows at r = %.3g, inside "
+                         "its support" % rs[~np.isfinite(vals)][-1])
     report["nonnegative"] = bool(np.all(vals >= -1e-14))
     if kernel.d == 1 and declared_monotone(kernel):
         inside = vals[(rs > lo) & (rs <= hi_eff)]

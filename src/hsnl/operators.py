@@ -186,6 +186,8 @@ def _apply(kernel, nu, handle, xs):
     P(x, theta) = int_0^top w(t) t^(d-1) (u(x + t theta) - u(x)) dt minus
     u(x) times the closed-form mass of w(t) t^(d-1) beyond top.
     """
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("the gradient points must be finite")
     _kern.standing_moments(kernel)
     d = kernel.d
     top, closed_tail = _tail_start(kernel, _sup_norm_estimate(handle, xs))

@@ -7,7 +7,11 @@ points of every x-panel, sorted, each with the hat gradients of its own
 window, a block of points at a time.  Each run of points with the same
 window adds one Gram product to a dense strip of hats, which joins the
 band once the points pass it.  It holds every x-point at once, so it
-refuses more than `MAX_PANELS` panels.
+refuses more than `MAX_PANELS` panels.  Its panels come from `x_breaks`,
+the layout `fem1d` used before it built the panels in cell coordinates:
+absolute break positions (node minus nu times each shift), with edges
+within 1e-12 h of each other merged.  It shares no code with
+`fem1d._panel_shapes`, so it is an independent reference for it.
 
 The shape-by-shape path (`shape_band`) evaluates the hat gradients of
 each panel shape in a call of its own and samples A at every point; its
@@ -20,15 +24,37 @@ import numpy as np
 
 from hsnl import fem1d as _fem
 from hsnl import kernels as _kern
-from hsnl._quad import BLOCK_ENTRIES, panel_points
+from hsnl._quad import BLOCK_ENTRIES, merge_breaks, panel_points
 from hsnl.symbols import _nu_sign
 
 MAX_PANELS = 16384     # x-panels of one assembly, all held at once
 
 
+def x_breaks(kernel, nu_sign, mesh):
+    """Edges of the x-panels over the extended support of every hat
+    gradient: the nodes, and each node shifted by the horizon and by every
+    kernel breakpoint against nu.
+
+    A shift that is a multiple of h lands on a node only up to roundoff;
+    of edges within 1e-12 h of each other only the first is kept (and the
+    ends), so no panel is a few ulps wide.
+    """
+    top = _kern.support(kernel)[1]
+    if nu_sign > 0:
+        lo, hi = -top, mesh.length
+    else:
+        lo, hi = 0.0, mesh.length + top
+    offsets = np.array([0.0, top, *_kern.breakpoints(kernel)])
+    cand = (mesh.nodes[:, None] - nu_sign * offsets).ravel()
+    breaks = merge_breaks(lo, hi, cand, mesh.nodes)
+    gap, inner = 1e-12 * mesh.h, breaks[1:-1]
+    keep = (np.diff(breaks[:-1]) > gap) & (breaks[-1] - inner > gap)
+    return np.concatenate([breaks[:1], inner[keep], breaks[-1:]])
+
+
 def x_panels(kernel, nu_sign, mesh):
     """8-point Gauss points and weights of every x-panel."""
-    breaks = _fem._x_breaks(kernel, nu_sign, mesh)
+    breaks = x_breaks(kernel, nu_sign, mesh)
     if len(breaks) - 1 > MAX_PANELS:
         raise _fem.AssemblyError("assembly panel budget exceeded")
     return panel_points(breaks, 8)
@@ -113,8 +139,7 @@ def shape_band(kernel, nu, A, mesh):
     profiles = _fem._hat_profiles(kernel)
     band = np.zeros((_fem._window_width(mesh, profiles[3]),
                      mesh.n_cells - 1), order="F")
-    cell, offsets, widths, label = _fem._panel_shapes(
-        _fem._x_breaks(kernel, nu_sign, mesh), mesh.h)
+    cell, offsets, widths, label = _fem._panel_shapes(kernel, nu_sign, mesh)
     for s, (offset, width) in enumerate(zip(offsets, widths)):
         cells = cell[label == s]
         hats = (1 - cells[-1], mesh.n_cells - 1 - cells[0])

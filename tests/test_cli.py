@@ -161,6 +161,10 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
       "1e-300"], "s = 1e-300 is lost"),
     (["validate", "--kernel-family", "log_truncated", "--kernel-delta",
       "1e-300"], "overflows the kernel profile"),
+    (["validate", "--kernel-family", "riesz_truncated", "--kernel-s", "0.5",
+      "--kernel-cutoff", "1e-250"], "profile overflows at r = 1e-250"),
+    (["validate", "--kernel-family", "riesz_truncated", "--kernel-s", "0.5",
+      "--kernel-cutoff", "1e-300"], "profile overflows at r = 1e-300"),
     (["solve", "--length", "1e-300"], "at most 2**52"),
     (["solve", "--kernel-family", "local", "--length", "1e-300"],
      "h**2 leaves"),
@@ -177,7 +181,8 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
         "localize-deltas", "validate-delta", "threads-0", "threads-two",
         "ac-zero-coef", "ac-huge-rhs", "appendix-tiny-delta",
         "bounds-tiny-delta", "bounds-huge-delta", "localize-riesz-delta",
-        "bounds-tiny-s", "validate-log-truncated", "solve-tiny-domain",
+        "bounds-tiny-s", "validate-log-truncated", "validate-cutoff-1e-250",
+        "validate-cutoff-1e-300", "solve-tiny-domain",
         "local-tiny-domain", "local-huge-domain", "solve-huge-coef",
         "solve-huge-load", "control-tiny-penalty", "ac-d2"])
 def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,

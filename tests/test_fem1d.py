@@ -147,6 +147,16 @@ def test_assembly_requires_compact_support():
                    F.Mesh1D(1.0, 8))
 
 
+@pytest.mark.parametrize("a", [
+    math.inf, -math.inf, math.nan,
+    lambda x: np.where(x > 0.5, np.nan, 1.0),
+    lambda x: np.where(x < 0.25, np.inf, 2.0),
+], ids=["inf", "-inf", "nan", "nan-right", "inf-left"])
+def test_non_finite_coefficient_is_rejected(a):
+    with pytest.raises(ValueError, match="A .*not finite"):
+        F.assemble(BALL02, 1, a, 1.0, F.Mesh1D(1.0, 16))
+
+
 @pytest.mark.parametrize("n", [8, 13])
 @pytest.mark.parametrize("kern", WINDOW_KERNELS[:-1] + [pytest.param(
     WINDOW_KERNELS[-1], marks=pytest.mark.xfail(strict=True, reason=(
@@ -236,8 +246,7 @@ def test_shape_window_holds_every_nonzero_hat_gradient(kern, nu, n):
     # a panel inside one cell sees at most ceil(top / h) + 2 hats
     mesh = F.Mesh1D(1.0, n)
     profiles = F._hat_profiles(kern)
-    cell, offsets, widths, label = F._panel_shapes(
-        F._x_breaks(kern, nu, mesh), mesh.h)
+    cell, offsets, widths, label = F._panel_shapes(kern, nu, mesh)
     every = [cell[label == s] for s in range(len(offsets))]
     hats = (np.array([1 - cells[-1] for cells in every]),
             np.array([n - 1 - cells[0] for cells in every]))
@@ -512,8 +521,7 @@ def test_panel_shapes_are_few():
                         (K.rescaled(RIESZ, 0.1), 256, -1), (RIESZ, 256, 1),
                         (BALL01, 384, 1), (BALL01, 384, -1), (BALL01, 15, 1)):
         mesh = F.Mesh1D(1.0, n)
-        cell, offsets, widths, label = F._panel_shapes(
-            F._x_breaks(kern, nu, mesh), mesh.h)
+        cell, offsets, widths, label = F._panel_shapes(kern, nu, mesh)
         assert len(offsets) <= 4
         for s in range(len(offsets)):
             assert np.all(np.diff(cell[label == s]) == 1)
@@ -521,13 +529,62 @@ def test_panel_shapes_are_few():
 
 @pytest.mark.parametrize("nu", [1, -1])
 def test_no_x_panel_is_roundoff_wide(nu):
-    # breakpoints at multiples of h shift nodes onto nodes up to roundoff;
-    # unmerged, those edges left panels 1e-16 h to 4e-15 h wide
+    # a breakpoint at a multiple of h has an offset in its cell within
+    # roundoff of 0 or h; taken as it is, it left panels 1e-16 h to
+    # 4e-15 h wide
     for kern, ns in ((MIN_LEVEL, (16, 32, 64, 256)), (LOGREG_CUT, (40,))):
         for n in ns:
             mesh = F.Mesh1D(1.0, n)
-            widths = np.diff(F._x_breaks(kern, nu, mesh))
+            widths = F._panel_shapes(kern, nu, mesh)[2]
             assert widths.min() >= 1e-9 * mesh.h
+
+
+# the ball inside a cell and past the domain, a singular profile, a
+# breakpoint at a multiple of h, the log and fractional cut-offs, and a
+# breakpoint 0.1 congruent to the top 1 mod h = 0.075
+LAYOUT_CASES = {
+    "ball0.1": (BALL01, 1.0, 13),
+    "ball2": (BALL2, 1.0, 13),
+    "riesz": (RIESZ, 1.0, 13),
+    "min_level": (MIN_LEVEL, 1.0, 64),
+    "logreg_cut": (LOGREG_CUT, 1.0, 40),
+    "fractional_cut": (FRACTIONAL_CUT, 1.0, 48),
+    "log_truncated": (K.log_truncated(1, 0.1), 3.0, 40),
+}
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("name", list(LAYOUT_CASES))
+def test_panel_layout_matches_the_position_breaks(name, nu):
+    # the panels built in cell coordinates are the oracle's panels between
+    # absolute break positions, every edge within roundoff of its position
+    kern, length, n = LAYOUT_CASES[name]
+    mesh = F.Mesh1D(length, n)
+    cell, offsets, widths, label = F._panel_shapes(kern, nu, mesh)
+    last = label[-1]
+    edges = np.r_[cell * mesh.h + offsets[label],
+                  cell[-1] * mesh.h + offsets[last] + widths[last]]
+    want = fem_oracle.x_breaks(kern, nu, mesh)
+    assert len(edges) == len(want)
+    assert np.abs(edges - want).max() <= 1e-11 * mesh.h
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+def test_panel_offsets_are_exact_past_a_tiny_mesh(nu):
+    # a horizon of 8e12 cells: break positions near -1 or 1 round by
+    # ulp(1) = 1.8e-3 h, offsets in a cell are exact
+    mesh = F.Mesh1D(1e-12, 8)
+    offsets = F._panel_shapes(RIESZ, nu, mesh)[1]
+    assert set(offsets.tolist()) <= {0.0, (-nu * 1.0) % mesh.h}
+
+
+def test_reflection_holds_to_roundoff_on_a_small_mesh():
+    # x -> L - x swaps the two directions: B(-1) = J B(+1) J with J the
+    # reversal, for a constant A
+    mesh = F.Mesh1D(1e-3, 8)
+    bp = F.assemble(RIESZ, 1, 1.0, 1.0, mesh).stiffness
+    bm = F.assemble(RIESZ, -1, 1.0, 1.0, mesh).stiffness
+    assert np.abs(bm - bp[::-1, ::-1]).max() <= 1e-14 * np.abs(bp).max()
 
 
 def test_callable_coefficient_has_no_panel_budget():
@@ -536,7 +593,7 @@ def test_callable_coefficient_has_no_panel_budget():
     # solves, and a constant one still gives the number band
     mesh = F.Mesh1D(1.0, 9001)
     kern = K.rescaled(K.constant_ball(), 0.02)
-    panels = len(F._x_breaks(kern, 1, mesh)) - 1
+    panels = len(F._panel_shapes(kern, 1, mesh)[0])
     assert panels > fem_oracle.MAX_PANELS
     with pytest.raises(F.AssemblyError, match="panel budget"):
         fem_oracle.x_panels(kern, 1, mesh)

@@ -164,6 +164,16 @@ def test_divergence_2d_linear_field():
     assert dv == pytest.approx(1.3, abs=1e-10)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_pointwise_operators_reject_a_non_finite_point(x):
+    kern = K.riesz_truncated(1, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        O.gradient_pointwise(kern, 1, np.sin, x)
+    with pytest.raises(ValueError, match="finite"):
+        O.divergence_pointwise(K.constant_ball(2), np.array([0.6, 0.8]),
+                               BUMP, np.array([0.1, x]))
+
+
 def test_spectral_sine_mode():
     k = K.constant_ball()
     length, n = 2.0, 32
