@@ -28,13 +28,11 @@ shape's per-point Gram diagonals.  The band is kept as column
 differences, summed once at the end, so the weights enter through their
 steps from cell to cell.  A number A steps only at the ends of each run
 of cells that holds a shape, and is not sampled; a callable A is sampled
-in every cell and steps wherever it changes; the steps are scattered
-directly, one Gram block each, or, where that counts less work,
-correlated by FFT, a few band diagonals at a time.  In the direct scatter
-a step equal or opposite to an earlier one shares that step's block
-(negated, which is exact), so the +w and -w steps of a constant A build
-one block per shape.  No array of all x-points is held, so the number of
-panels is not limited.
+in every cell and steps wherever it changes.  A shape's steps are
+scattered directly, all in one product with its Gram diagonals, or,
+where that counts less work, correlated by FFT, a few band diagonals at
+a time.  No array of all x-points is held, so the number of panels is
+not limited.
 
 Since a point sees only its window, the stiffness and mass matrices are
 banded, and a `FemSystem` stores only their upper bands, in the
@@ -55,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as _kern
 from ._quad import BLOCK_ENTRIES, gauss_rule, panel_rule
@@ -222,8 +221,9 @@ def _panel_shapes(kernel, nu_sign, mesh):
     moves node j to node j + q plus an offset in [0, h), exact by fmod.
     Offsets within 1e-12 h of each other or of a node (0 or h) are one, so
     no panel is a few ulps wide; no tolerance acts on an edge.
-    An edge is the integer cell * m + (index of its offset among m), and a
-    shape the exact triple (start offset, cell count, end offset).
+    An edge is the integer (rank of its cell) * m + (index of its offset
+    among m), and a shape the exact triple (start offset, cell count, end
+    offset), labelled by the integer (start * R + rank of count) * m + end.
     """
     h, tol = mesh.h, 1e-12 * mesh.h
     q, rem = np.divmod(-nu_sign * np.array(
@@ -234,17 +234,25 @@ def _panel_shapes(kernel, nu_sign, mesh):
     srt = np.sort(rem)
     offsets = srt[np.r_[True, np.diff(srt) > tol]]
     family = np.searchsorted(offsets, rem, side="right") - 1
-    # m is a few and |q| at most 2**52 + 1, so the keys fit in int64
+    # ranks, not cells 2**52 apart: keys < (n + 1) k m for k shifts, labels
+    # < m**2 R for R < 2**27 counts: int64 holds both below 2**18 breakpoints
     m, n = len(offsets), mesh.n_cells
-    edge = q[1] * m + family[1]     # node 0 shifted by the horizon
-    lo, hi = (edge, n * m) if nu_sign > 0 else (0, n * m + edge)
-    keys = ((np.arange(n + 1)[:, None] + q) * m + family).ravel()
-    cell, o = np.divmod(np.unique(keys[(lo <= keys) & (keys <= hi)]), m)
-    shapes, label = np.unique(np.stack([o[:-1], np.diff(cell), o[1:]], 1),
-                              axis=0, return_inverse=True)
-    start, count, end = shapes.T
+    cells, rank = np.unique(np.arange(n + 1)[:, None] + q,
+                            return_inverse=True)
+    keys = rank.reshape(n + 1, -1) * m + family
+    # column 0 holds the nodes, column 1 the nodes shifted by the horizon
+    lo, hi = keys[[0, n], [1, 0] if nu_sign > 0 else [0, 1]]
+    # a sort, as np.unique hashes ints, several times slower for these
+    keys = np.sort(keys[(lo <= keys) & (keys <= hi)])
+    edge, o = np.divmod(keys[np.r_[True, keys[1:] > keys[:-1]]], m)
+    cell = cells[edge]
+    counts, size = np.unique(np.diff(cell), return_inverse=True)
+    r = len(counts)
+    codes, label = np.unique((o[:-1] * r + size) * m + o[1:],
+                             return_inverse=True)
+    start, size, end = codes // (r * m), codes // m % r, codes % m
     return (cell[:-1], offsets[start],
-            count * h + offsets[end] - offsets[start], label)
+            counts[size] * h + offsets[end] - offsets[start], label)
 
 
 def _gradients_by_shape(profiles, nu_sign, h, offsets, widths, hats):
@@ -304,46 +312,25 @@ def _add_columns(diff, d, at, vals):
         diff[bw - d, 0] += vals[:, :-at].sum(axis=1)
 
 
-def _repeats(steps):
-    """For every step, the first step equal (sign 1) or opposite (sign -1)
-    to it, found by exact value; a step with neither is its own first."""
-    seen, first, sign = {}, [], []
-    for r, weights in enumerate(steps):
-        hit = seen.get(weights.tobytes())
-        if hit is None:
-            hit = seen[weights.tobytes()] = (r, 1)
-            seen.setdefault((-weights).tobytes(), (r, -1))
-        first.append(hit[0])
-        sign.append(hit[1])
-    return first, sign
+def _gram_diagonals(rows, d):
+    """Gram diagonals of every point, [q, i, k] = rows[q, k - d[i]] *
+    rows[q, k] (0 where k < d[i]), for a run d of consecutive diagonals."""
+    padded = np.concatenate([np.zeros((len(rows), d[-1])), rows], axis=1)
+    # window s pairs with diagonal d[-1] - s: it is rows[:, k - d[-1] + s]
+    windows = sliding_window_view(padded, rows.shape[1], axis=1)
+    return windows[:, len(d) - 1::-1] * rows[:, None]
 
 
 def _add_steps(diff, rows, steps, cols):
     """Direct scatter: the Gram block of window weights steps[r] at band
-    column cols[r], for every r.  A step equal or opposite to an earlier
-    one adds that step's block (negated), so the +w and -w steps of a
-    constant A build one block; negation is exact."""
-    bw, wide = diff.shape[0] - 1, rows.shape[1]
-    first, sign = _repeats(steps)
-    reused = {f for r, f in enumerate(first) if f != r}
-    padded = np.zeros((len(rows), bw + wide))
-    chunk = max(1, BLOCK_ENTRIES // (len(rows) * wide))
+    column cols[r], for every r, all steps in one product."""
+    bw, (points, wide) = diff.shape[0] - 1, rows.shape
+    chunk = max(1, BLOCK_ENTRIES // (max(points, len(steps)) * wide))
     for d0 in range(0, bw + 1, chunk):
         d = np.arange(d0, min(bw + 1, d0 + chunk))
-        # diag[i, k] pairs window hats k - d[i] and k
-        pairs = bw - d[:, None] + np.arange(wide)
-        blocks = {}
-        for r, at in enumerate(cols):
-            if first[r] != r:
-                diag = blocks[first[r]]
-                if sign[r] < 0:
-                    diag = -diag
-            else:
-                np.multiply(rows, steps[r][:, None], out=padded[:, bw:])
-                diag = np.einsum("qik,qk->ik", padded[:, pairs], rows)
-                if r in reused:
-                    blocks[r] = diag
-            _add_columns(diff, d, at, diag)
+        blocks = steps @ _gram_diagonals(rows, d).reshape(points, -1)
+        for block, at in zip(blocks.reshape(len(steps), len(d), wide), cols):
+            _add_columns(diff, d, at, block)
 
 
 def _correlate_steps(diff, rows, steps, at, size):
@@ -351,15 +338,13 @@ def _correlate_steps(diff, rows, steps, at, size):
     column at + r for every r, one correlation along r per diagonal, with
     FFTs of length size."""
     bw, wide = diff.shape[0] - 1, rows.shape[1]
-    padded = np.concatenate([np.zeros((len(rows), bw)), rows], axis=1)
     spectra = np.fft.rfft(steps, size, axis=0)
     length = len(steps) + wide - 1
     chunk = max(1, BLOCK_ENTRIES // (len(rows) * size))
     for d0 in range(0, bw + 1, chunk):
         d = np.arange(d0, min(bw + 1, d0 + chunk))
-        pairs = padded[:, bw - d[:, None] + np.arange(wide)] * rows[:, None]
-        product = np.einsum("fq,qif->if", spectra,
-                            np.fft.rfft(pairs, size, axis=2))
+        product = np.einsum("fq,qif->if", spectra, np.fft.rfft(
+            _gram_diagonals(rows, d), size, axis=2))
         _add_columns(diff, d, at,
                      np.fft.irfft(product, size, axis=1)[:, :length])
 

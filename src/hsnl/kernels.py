@@ -171,6 +171,10 @@ def cutoff(base, radius):
     """Tail cutoff w_base * chi_{|z|<=radius}."""
     if radius <= 0:
         raise ValueError("cutoff radius must be positive")
+    start = _pieces(base)[0][1]
+    if radius <= start:
+        raise ValueError("cutoff radius %g is at or below the support start "
+                         "%g of its base" % (radius, start))
     return Kernel("cutoff", base.d, (("radius", float(radius)),), base=base)
 
 

@@ -165,6 +165,8 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
       "--kernel-cutoff", "1e-250"], "profile overflows at r = 1e-250"),
     (["validate", "--kernel-family", "riesz_truncated", "--kernel-s", "0.5",
       "--kernel-cutoff", "1e-300"], "profile overflows at r = 1e-300"),
+    (["validate", "--kernel-family", "log_truncated", "--kernel-delta",
+      "0.1", "--kernel-cutoff", "1e-9"], "at or below the support start"),
     (["solve", "--length", "1e-300"], "at most 2**52"),
     (["solve", "--kernel-family", "local", "--length", "1e-300"],
      "h**2 leaves"),
@@ -182,7 +184,8 @@ def test_numbers_outside_config_name_their_key(tmp_path, monkeypatch, capsys,
         "ac-zero-coef", "ac-huge-rhs", "appendix-tiny-delta",
         "bounds-tiny-delta", "bounds-huge-delta", "localize-riesz-delta",
         "bounds-tiny-s", "validate-log-truncated", "validate-cutoff-1e-250",
-        "validate-cutoff-1e-300", "solve-tiny-domain",
+        "validate-cutoff-1e-300", "validate-cutoff-below-start",
+        "solve-tiny-domain",
         "local-tiny-domain", "local-huge-domain", "solve-huge-coef",
         "solve-huge-load", "control-tiny-penalty", "ac-d2"])
 def test_inputs_that_ended_in_a_traceback_exit_1(tmp_path, monkeypatch,
@@ -613,21 +616,45 @@ def test_threads_leave_the_environment_unchanged(tmp_path, monkeypatch,
     assert dict(os.environ) == before
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from tmp_path, where a relative PYTHONPATH resolves to
+def run_child(args, cwd, **env):
+    """`python -m hsnl.cli args` in a child process run from cwd, with the
+    environment updated by env."""
+    # The child runs from cwd, where a relative PYTHONPATH resolves to
     # nothing; point it at the directory holding the hsnl imported here.
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     package_root = str(Path(hsnl.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsnl.cli", "appendix", "--deltas", "0.1"],
-        cwd=tmp_path, capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "hsnl.cli", *args],
+                          cwd=cwd, capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_child(["appendix", "--deltas", "0.1"], tmp_path)
     assert proc.returncode == 0
     assert "sin_gap=" in proc.stdout
     assert (tmp_path / "appendix.csv").exists()
     # the package must not import cli before runpy executes it
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "512", "--kernel-delta", "0.1"],
+    ["--n", "384", "--coef", "func:one_plus_x"],
+    ["--n", "1024"],
+], ids=["ball0.1-512", "one_plus_x-384", "default-1024"])
+def test_blas_thread_count_does_not_change_bytes(tmp_path, args):
+    # assembly multiplies the weight steps by the Gram diagonals in BLAS,
+    # which may split a product over its threads
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = run_child(["solve", *args], cwd, OPENBLAS_NUM_THREADS=threads,
+                         OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((cwd / "solve.csv").read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_floats_echo_with_full_precision(tmp_path, monkeypatch, capsys):

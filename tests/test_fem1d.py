@@ -345,7 +345,7 @@ def test_assembly_matches_full_width_gram(kern, nu, n, coef):
 @pytest.mark.parametrize("kern", WINDOW_KERNELS, ids=WINDOW_IDS)
 def test_assembly_in_small_blocks_matches_one_block(monkeypatch, kern, nu):
     # Gram diagonals one or a few at a time: FFT correlations of the steps
-    # of a smooth callable A, and the shared block of a number A
+    # of a smooth callable A, and the direct product of a number A's steps
     mesh = F.Mesh1D(1.0, 13)
     coefs = (lambda x: 1.0 + x, 1.0)
     wants = [F.assemble(kern, nu, a, 1.0, mesh).stiffness for a in coefs]
@@ -356,11 +356,25 @@ def test_assembly_in_small_blocks_matches_one_block(monkeypatch, kern, nu):
 
 
 @pytest.mark.parametrize("block", [F.BLOCK_ENTRIES, 40])
+def test_opposite_steps_at_one_column_cancel_exactly(monkeypatch, block):
+    # the +w and -w steps of a constant A: a run of cells that ends where
+    # it starts adds nothing, to the bit
+    monkeypatch.setattr(F, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(5)
+    for wide, bw in ((6, 4), (17, 11), (41, 40), (200, 40)):
+        rows = rng.standard_normal((8, wide))
+        weights = rng.standard_normal(8)
+        diff = np.zeros((bw + 1, 60))
+        F._add_steps(diff, rows, np.array([weights, -weights]), [3, 3])
+        assert not diff.any()
+
+
+@pytest.mark.parametrize("block", [F.BLOCK_ENTRIES, 40])
 def test_step_scatters_match_the_entry_sums(monkeypatch, block):
     # the direct and the FFT scatter of a shape's weight steps against
     # entry-by-entry sums; window columns left of 0 add to column 0, those
     # past the last are dropped; steps 4 and 6 repeat step 1 and its
-    # negation, whose block the direct scatter reuses
+    # negation, which the direct scatter multiplies with the rest
     monkeypatch.setattr(F, "BLOCK_ENTRIES", block)
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((8, 6))
@@ -391,7 +405,7 @@ def one(x):
 
 # a smooth A, a rapidly varying A, an A with a jump inside a cell of
 # every mesh below, and a piecewise-constant A whose steps at the start
-# and at the jump are equal, so both share one Gram block
+# and at the jump are equal
 COEFS = {
     "one_plus_x": lambda x: 1.0 + x,
     "sin40": lambda x: 2.0 + np.sin(40.0 * x),
@@ -512,9 +526,23 @@ def test_reflection_swaps_the_two_directions(family, delta, n, coef):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("nu", [1, -1])
+@pytest.mark.parametrize("n", [96, 384])
+@pytest.mark.parametrize("kern", [BALL01, K.rescaled(RIESZ, 0.1),
+                                  LOGREG_CUT],
+                         ids=["ball0.1", "riesz0.1", "logreg_cut"])
+def test_number_band_has_constant_interior_diagonals(kern, n, nu):
+    # a number A is translation invariant: the diagonals of the hats more
+    # than a window from either end are constant to the bit
+    band = F.assemble(kern, nu, 2.5, 1.0, F.Mesh1D(1.0, n)).stiffness_band
+    width = band.shape[0]
+    inner = band[:, width:n - 1 - width]
+    assert np.all(inner == inner[:, :1])
+
+
 def test_panel_shapes_are_few():
     # the benchmark's constant-A solves, and meshes whose nodes are not
-    # exact multiples of h, build at most four Gram blocks each, and
+    # exact multiples of h, have at most four panel shapes each, and
     # every shape's cells form one run
     for kern, n, nu in ((BALL01, 512, 1),
                         (K.rescaled(K.constant_ball(), 0.02), 512, 1),
@@ -576,6 +604,19 @@ def test_panel_offsets_are_exact_past_a_tiny_mesh(nu):
     mesh = F.Mesh1D(1e-12, 8)
     offsets = F._panel_shapes(RIESZ, nu, mesh)[1]
     assert set(offsets.tolist()) <= {0.0, (-nu * 1.0) % mesh.h}
+
+
+@pytest.mark.parametrize("nu", [1, -1])
+def test_many_breakpoints_at_the_widest_horizon_keep_every_panel(nu):
+    # 4000 samples over a horizon of 3e15 cells: edges keyed by cell times
+    # about 4000 offsets overflowed int64 and left no panel
+    radii = np.geomspace(1e-4, 1.0, 4000)
+    mesh = F.Mesh1D(8 / 3e15, 8)
+    cell, offsets, widths, label = F._panel_shapes(
+        K.tabulated(1, radii, 1.0 / radii), nu, mesh)
+    assert len(offsets) > 4000 and widths.min() > 0.0
+    assert math.fsum(widths[label]) == pytest.approx(1.0 + mesh.length,
+                                                     rel=1e-14)
 
 
 def test_reflection_holds_to_roundoff_on_a_small_mesh():

@@ -152,6 +152,15 @@ def test_cutoff_clips_tail():
     assert K.eval(k, 1.5) == 0.0
 
 
+@pytest.mark.parametrize("radius", [0.1, 1e-9])
+def test_cutoff_at_or_below_the_support_start_is_rejected(radius):
+    # a cutoff there leaves no piece of the profile, and support() of such
+    # a kernel ended in an IndexError
+    with pytest.raises(ValueError, match="support start 0.1"):
+        K.cutoff(K.log_truncated(1, 0.1), radius)
+    assert K.support(K.cutoff(K.log_truncated(1, 0.1), 0.2)) == (0.1, 0.2)
+
+
 def test_tabulated_log_linear_interpolation():
     radii = [0.5, 1.0, 2.0]
     values = [3.0 - math.log(r) for r in radii]
