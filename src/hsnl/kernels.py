@@ -24,8 +24,11 @@ The radial profiles are piecewise analytic (powers, linear-in-log-r
 segments, or the log_regularized shape).  Each piece kind has one
 vectorized antiderivative of r^q * profile and one divergence rule, and
 every moment integral (batched, memoized or as an antiderivative) is built
-on them, never on quadrature; tests/kernel_oracle.py keeps scalar closed
-forms to check them against.  Divergent integrals are math.inf.
+on them, never on quadrature.  Below 0.9 delta, where the log_regularized
+primitive cancels, that piece takes the scaled moments of _logreg_moments
+instead, as the symbol engine's Taylor zone does.  tests/kernel_oracle.py
+keeps scalar closed forms to check them against.  Divergent integrals are
+math.inf.
 
 Kernels are immutable; every operation is a pure function of its inputs.
 """
@@ -388,7 +391,8 @@ def eval(kernel, r):
 # ---------------------------------------------------------------------------
 # Closed-form integrals int_a^b r^q * profile(r) dr, all built on one
 # antiderivative (_primitive) and one divergence rule (_divergent_ends) per
-# piece kind.  A scalar q stays a scalar, so t ** (p + q + 1) takes NumPy's
+# piece kind, and below 0.9 delta on the logreg moments (_logreg_moments).
+# A scalar q stays a scalar, so t ** (p + q + 1) takes NumPy's
 # scalar-exponent path in every caller that passes one.
 # ---------------------------------------------------------------------------
 
@@ -408,14 +412,18 @@ def _primitive(piece, q, t):
             s = t ** qp1 / qp1
             return np.where(qp1 == 0.0, u * lt + v * lt * lt / 2.0,
                             u * s + v * s * (lt - 1.0 / qp1))
-        return piece[3] * _logreg_primitive(_logreg_order(q), piece[4],
-                                            piece[5], t)
+        m = _logreg_order(q)    # a scalar q here
+        if m >= 1:  # the integral from 0: the primitive cancels near 0
+            return _logreg_integrals(piece, q, np.zeros(t.size),
+                                     t.ravel()).reshape(t.shape)
+        return piece[3] * _logreg_primitive(m, piece[4], piece[5], t)
 
 
 def _divergent_ends(piece, q):
     """Whether int t^q * profile of the piece diverges at 0 and at inf.
 
-    Where it converges, the primitive tends to 0 at inf (and at 0 for pow).
+    Where it converges, a pow primitive tends to 0 at 0 and at inf, and a
+    logreg primitive at m <= 0 tends to 0 at inf.
     """
     if piece[0] == "logreg":
         m = _logreg_order(q)
@@ -481,18 +489,26 @@ def radial_integral(kernel, a, b, q):
 
 
 def _logreg_integrals(piece, q, a, b):
-    """A logreg piece's integrals: series below 0.9 dl, primitive above."""
+    """A logreg piece's integrals: for m >= 0 below 0.9 dl, where the
+    primitive cancels, dl^-dd z^(m+1) I_m(z/dl) at both ends from one
+    _logreg_moments call per order (so an entry's bits do not depend on its
+    batch); the primitive above 0.9 dl and for m = -1."""
     coeff, dl, dd = piece[3], piece[4], piece[5]
     m = np.broadcast_to(_logreg_order(q), a.shape)
     split = 0.9 * dl
+    near = (m >= 0) & (a < split)
     out = np.zeros(a.shape)
-    series = np.flatnonzero(a < split)
-    if series.size:
-        out[series] = coeff * _logreg_series(
-            m[series], dl, dd, a[series], np.minimum(b[series], split))
-    closed = np.maximum(a, split) < b
+    for order in np.unique(m[near]):
+        idx = np.flatnonzero(near & (m == order))
+        ends = np.concatenate([np.minimum(b[idx], split), a[idx]])
+        scaled = ends ** (order + 1.0) * _logreg_moments(
+            dd, ends / dl, order, order)[:, 0]
+        out[idx] = coeff * dl ** float(-dd) * (scaled[:idx.size]
+                                              - scaled[idx.size:])
+    lo = np.where(near, np.maximum(a, split), a)
+    closed = lo < b
     if closed.any():
-        lo, hi, mc = np.maximum(a[closed], split), b[closed], m[closed]
+        lo, hi, mc = lo[closed], b[closed], m[closed]
         b_val = np.where(hi == math.inf, 0.0,
                          _logreg_primitive(mc, dl, dd, hi))
         val = b_val - _logreg_primitive(mc, dl, dd, lo)
@@ -500,60 +516,11 @@ def _logreg_integrals(piece, q, a, b):
     return out
 
 
-_SERIES_TERMS = 600
-
-
-def _logreg_series(m, dl, dd, a, b):
-    """int_a^b t^m (t+dl)^{-dd} dt per entry, for b <= 0.9 dl.
-
-    Term j of the expansion of (1 + t/dl)^{-dd} is
-    dl^{-dd} c_j (b^e - a^e) / e with e = m + 1 + j (log(b/a) at e = 0).
-    An entry stops after the first term past j = 3 below 1e-17 of its sum.
-    Running entries take blocks of terms whose cumulative products and sums
-    start from the carried powers and sum: the operations of a term-by-term
-    loop, whatever the batch.
-    """
-    out = np.empty(m.shape)
-    idx = np.arange(m.size)
-    # c_{j+1} = c_j * (-(dd + j) / (j + 1)), as a running product
-    j = np.arange(_SERIES_TERMS - 1)
-    scaled = dl ** float(-dd) * np.cumprod(np.append(1.0, -(dd + j)
-                                                     / (j + 1.0)))
-    # b^e and a^e (0 when a = 0) at the next term, and their ratios
-    pows = np.stack([b ** (m + 1.0), np.where(a > 0.0, a ** (m + 1.0), 0.0)])
-    ratios = np.stack([b, a]) / dl
-    ratio = b / a  # overflows when a is subnormal
-    log_ba = np.where(np.isinf(ratio) & (a > 0.0), np.log(b) - np.log(a),
-                      np.log(ratio))
-    total = np.zeros(m.shape)
-    width = min(128, max(4, BLOCK_ENTRIES // m.size))
-    for j0 in range(0, _SERIES_TERMS, width):
-        js = np.arange(j0, min(j0 + width, _SERIES_TERMS))
-        steps = np.broadcast_to(ratios[:, :, None], (2, idx.size, js.size - 1))
-        chain = np.cumprod(np.concatenate([pows[:, :, None], steps], axis=2),
-                           axis=2)
-        e = m[:, None] + 1 + js
-        terms = np.where(e == 0, scaled[js] * log_ba[:, None],
-                         scaled[js] * (chain[0] - chain[1]) / e)
-        sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
-        stop = (np.abs(terms) <= 1e-17 * np.abs(sums)) & (js > 3)
-        done = stop.any(axis=1)
-        out[idx[done]] = sums[done, np.argmax(stop[done], axis=1)]
-        keep = ~done
-        if not keep.any():
-            return out
-        idx, m, log_ba = idx[keep], m[keep], log_ba[keep]
-        total, ratios = sums[keep, -1], ratios[:, keep]
-        pows = chain[:, keep, -1] * ratios
-    out[idx] = total
-    return out
-
-
 def _logreg_primitive(m, dl, dd, t):
     """Antiderivative of t^m (t+dl)^{-dd} for integer m >= -1 (int or array).
 
-    It cancels catastrophically far inside (0, dl), where the integrals
-    take the series instead.
+    For m >= 0 it cancels catastrophically far inside (0, dl), where the
+    integrals take the scaled moments instead.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape
@@ -563,9 +530,14 @@ def _logreg_primitive(m, dl, dd, t):
     low = m < 0
     if low.any():
         # log(t/(t+dl)) / dl^dd + sum_{0<k<dd} 1 / (k dl^(dd-k) (t+dl)^k),
-        # the log as -log1p(dl/t), which does not cancel at large t
+        # the log as -log1p(dl/t), which does not cancel at large t, and
+        # as log t - log dl where dl/t overflows
         tl = t[low]
-        acc = -np.log1p(dl / tl) / dl ** dd
+        log = -np.log1p(dl / tl)
+        tiny = np.isinf(log)
+        if tiny.any():
+            log[tiny] = np.log(tl[tiny]) - math.log(dl)
+        acc = log / dl ** dd
         for k in range(1, dd):
             acc = acc + 1.0 / (k * dl ** (dd - k) * (tl + dl) ** k)
         out[low] = acc
@@ -599,7 +571,7 @@ def _logreg_binomials(top, dl):
 
 
 def _logreg_moments(dd, u, lo, hi):
-    """int_0^1 s^m (1 + u s)^-dd ds for m = lo .. hi, one row per u > 0.
+    """int_0^1 s^m (1 + u s)^-dd ds for m = lo .. hi, one row per u >= 0.
 
     These are the partial moments int_0^z t^m (t + dl)^-dd dt scaled by
     dl^dd / z^(m+1), u = z / dl, so they lie in (0, 1/(m+1)] and neither
@@ -609,17 +581,19 @@ def _logreg_moments(dd, u, lo, hi):
         I^j_m = (I^{j-1}_{m-1} - I^j_{m-1}) / u,
 
     run forward from m = 0, where it shrinks the error of an order by 1/u
-    a step.  For u below 16^(1/(hi-lo)), about 1.1 for 30 orders, the
-    recurrence runs backward instead, I^j_{m-1} = I^{j-1}_{m-1} - u I^j_m,
-    which shrinks errors for u < 1 and grows them by at most 16 in all
-    (forward errors pile up near u = 1, to 1e-13 by order 30 at j = 2).
-    It starts at the order hi, where (1 + u s)^-j expanded about s = 1
-    gives the series (1+u)^-j / (hi+1) sum_n (j)_n / (hi+2)_n x^n, x =
-    u / (1 + u) (DLMF 15.8.1 on 15.2.1).
+    a step.  For u below 16^(1/(hi-lo)), about 1.1 for 30 orders, and
+    below 2 for any range, the recurrence runs backward instead,
+    I^j_{m-1} = I^{j-1}_{m-1} - u I^j_m, which shrinks errors for u < 1
+    and grows them by at most 16 in all (forward errors pile up near
+    u = 1, to 1e-13 by order 30 at j = 2).  It starts at the order hi,
+    where (1 + u s)^-j expanded about s = 1 gives the series
+    (1+u)^-j / (hi+1) sum_n (j)_n / (hi+2)_n x^n, x = u / (1 + u) <= 2/3
+    (DLMF 15.8.1 on 15.2.1), summed until a term is at most 1e-17 of its
+    sum in every row.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty((u.size, hi - lo + 1))
-    split = 16.0 ** (1.0 / max(hi - lo, 1))
+    split = min(16.0 ** (1.0 / max(hi - lo, 1)), 2.0)
     fwd = np.flatnonzero(u >= split)
     if fwd.size:
         uf = u[fwd]
@@ -642,10 +616,24 @@ def _logreg_moments(dd, u, lo, hi):
         levels = np.arange(1.0, dd + 1.0)[:, None]
         term = np.full((dd, ub.size), 1.0 / (hi + 1.0))
         total = term.copy()
-        for n in range(1, 200):
-            term = term * x * ((levels + (n - 1.0)) / (hi + n + 1.0))
-            total += term
-            if np.all(term <= 1e-17 * total):
+        # term n = term n-1 * x * (j + n - 1) / (hi + n + 1), n < 200, in
+        # blocks: cumulative products over the interleaved factors and
+        # cumulative sums repeat the operations of a term-by-term loop
+        width = max(2, min(64, BLOCK_ENTRIES // (dd * ub.size)))
+        for n0 in range(1, 200, width):
+            ns = np.arange(n0, min(n0 + width, 200))
+            steps = np.empty((dd, ub.size, 2 * ns.size))
+            steps[:, :, 0::2] = x[:, None]
+            steps[:, :, 1::2] = ((levels + (ns - 1.0))
+                                 / (hi + ns + 1.0))[:, None, :]
+            terms = np.cumprod(np.concatenate([term[:, :, None], steps],
+                                              axis=2), axis=2)[:, :, 2::2]
+            sums = np.cumsum(np.concatenate([total[:, :, None], terms],
+                                            axis=2), axis=2)[:, :, 1:]
+            stop = np.flatnonzero(np.all(terms <= 1e-17 * sums, axis=(0, 1)))
+            last = stop[0] if stop.size else -1
+            term, total = terms[:, :, last], sums[:, :, last]
+            if stop.size:
                 break
         cur = total * (1.0 + ub) ** -levels    # rows I^1_hi .. I^dd_hi
         for m in range(hi, lo - 1, -1):
@@ -685,10 +673,8 @@ def radial_antideriv(kernel, q):
         consts.append(consts[i] + f_at(i, e) - f_at(i + 1, e))
     if last_b < math.inf:
         h_inf = consts[-1] + f_at(len(pieces) - 1, last_b)
-    elif _divergent_ends(pieces[-1], q)[1]:
-        h_inf = math.inf
-    else:
-        h_inf = consts[-1] + 0.0  # the primitive vanishes at infinity
+    else:  # a logreg primitive need not vanish at infinity
+        h_inf = float(_radial_integrals(kernel, [anchor], [math.inf], q)[0])
 
     def H(x):
         x = np.asarray(x, dtype=float)

@@ -2,8 +2,11 @@
 
 These are the one-interval-at-a-time closed forms of int_a^b r^q profile dr
 that `hsnl.kernels` replaced with one vectorized primitive per piece kind:
-Python scalars and `math` throughout, the logreg series below 0.9 delta
-summed term by term, and divergence decided piece by piece.
+Python scalars and `math` throughout, and divergence decided piece by
+piece.  Below 0.9 delta a logreg piece sums the binomial series in t/delta
+term by term, a route `hsnl.kernels` does not take (it takes the scaled
+moments of a recurrence in the order there), so it checks that route
+independently.
 """
 
 import math

@@ -359,13 +359,31 @@ def test_log_regularized_tail_mass_matches_mpmath():
 
 
 def test_logreg_series_survives_a_subnormal_lower_end():
-    # b / a overflows for a subnormal a; the integral itself is finite
+    # delta / a overflows for a subnormal a; the integral itself is finite
     k = K.log_regularized(1, 0.1)
     whole = K.radial_integral(k, 5e-324, 1.0, 0)
     parts = (K.radial_integral(k, 5e-324, 1e-100, 0)
              + K.radial_integral(k, 1e-100, 1.0, 0))
     assert math.isfinite(whole)
     assert whole == pytest.approx(parts, rel=1e-12)
+
+
+@pytest.mark.parametrize("dd", [1, 2, 3])
+def test_logreg_moments_of_one_or_two_orders_match_hypergeometric(dd):
+    # int_0^1 s^m (1 + u s)^-dd ds = 2F1(dd, m + 1; m + 2; -u) / (m + 1);
+    # narrow ranges take the backward series only where it converges
+    import mpmath
+
+    us = np.array([0.5, 2.0, 8.0, 15.0])
+    for lo in (0, 1, 5):
+        with mpmath.workdps(30):
+            want = np.array([[float(mpmath.hyp2f1(dd, m + 1, m + 2, -u)
+                                    / (m + 1)) for m in (lo, lo + 1)]
+                             for u in us])
+        for width in (1, 2):
+            got = K._logreg_moments(dd, us, lo, lo + width - 1)
+            assert np.all(np.abs(got - want[:, :width])
+                          <= 1e-14 * want[:, :width])
 
 
 @pytest.mark.parametrize("q", [-1, -2, 0.5])
@@ -387,7 +405,7 @@ def test_piece_table_is_built_once_per_kernel():
 
 
 # interval ends: anywhere in [0, 3], or exactly on a piece edge, the 0.9
-# delta series split of log_regularized, the origin or infinity
+# delta split of log_regularized's moments, the origin or infinity
 ENDS = st.one_of(st.floats(min_value=0.0, max_value=3.0),
                  st.sampled_from([0.0, 0.09, 0.1, 0.4, 1.0, 1.2, 2.0,
                                   math.inf]))
@@ -439,10 +457,40 @@ def test_radial_antideriv_differences_match_the_oracle(k, ends, q):
                   abs(hx) + abs(hy), rel=1e-11)
 
 
+@pytest.mark.parametrize("k", [K.log_regularized(1, 0.1),
+                               K.log_regularized(2, 0.2),
+                               K.log_regularized(3, 0.3),
+                               K.cutoff(K.log_regularized(2, 0.05), 0.5)],
+                         ids=repr)
+@pytest.mark.parametrize("q", [2, 3])
+def test_radial_antideriv_keeps_its_digits_near_the_origin(k, q):
+    # the binomial primitive of t^(q-1) (t + delta)^-d cancels near 0; H
+    # takes the integral from 0 there instead
+    xs = np.geomspace(1e-4, 0.06, 9)
+    H, _ = K.radial_antideriv(k, q)
+    hs = H(xs)
+    for i in range(xs.size):
+        for j in range(i + 1, xs.size):
+            want = oracle.radial_integral(k, xs[i], xs[j], q)
+            assert abs(hs[j] - hs[i] - want) <= 1e-13 * want
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the partial fractions of t^-1 (t + delta)^-d cancel by about "
+    "(a/delta)^(d-1) when b - a << a: 1.8e-12 apart here"))
+def test_radial_integral_rescales_on_a_short_interval_far_out():
+    # a failing example of test_radial_integral_rescales_with_the_horizon
+    # under 1000 derandomized draws; int_a^b is 3.558771896056909e-4
+    k, q, delta = K.log_regularized(3, 0.3), 0, 3.0
+    a, b = 2.9086881367278714, 3.0
+    scaled = K.radial_integral(K.rescaled(k, delta), delta * a, delta * b, q)
+    assert _close(scaled, delta ** (q - k.d) * K.radial_integral(k, a, b, q))
+
+
 @given(KERNEL, ENDS, ENDS, ORDER, st.integers(min_value=0, max_value=2999))
 def test_one_integral_equals_its_entry_in_a_batch(k, e0, e1, q, at):
-    # the batch is large enough to take the log_regularized series in
-    # narrower blocks of terms than a single entry does
+    # the batch mixes orders, which take the log_regularized moments below
+    # 0.9 delta in one call per order
     a, b = sorted((e0, e1))
     rng = np.random.default_rng(at)
     lo = rng.uniform(0.0, 0.2, 3000)
