@@ -14,52 +14,58 @@ the orthonormal frame adapted to a direction.
 
 Everything reduces to the half-line integral
 
-    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr,
+    S(c) = int_0^inf r^p profile(r) (e^{2 pi i c r} - 1) dr.
 
-computed in three zones: a Taylor zone near the origin summed against
-closed-form partial moments (this absorbs integrable singularities), an
-oscillatory middle zone on panels no wider than a quarter period with
-16-point Gauss-Legendre, and a far tail from a phase of 4 pi on, which is
-exact: each power-law term C r^q of the profile on (a, b) adds C [T(a) -
-T(b) - (b^alpha - a^alpha)/alpha], alpha = p + q + 1, with T(t) =
-int_t^inf r^(alpha-1) e^{2 pi i c r} dr a continued fraction of the
-incomplete gamma function, and Gamma(alpha) at t = 0.  A log_regularized
-piece is a sum of shifted power laws: its tail takes partial fractions,
-each term (r + s)^e adding e^{-iws} T(t + s), where it starts below 6
-delta, and the expansion into power-law terms in delta/r further out.
-Its Taylor moments come from a recurrence in the order.  For a kernel
-made only of power-law pieces (constant_ball, riesz_truncated,
-fractional_vanishing, log_truncated and their min_level, rescaled and
-cutoff forms) a frequency whose phase is at least 4 pi at every finite
-positive piece end has no Taylor zone and no panels: its far tail starts
-at r = 0 and is the whole of S.  fractional_vanishing, one piece on (0,
-inf), is such a frequency at every |c|.  Tabulated pieces keep their
-panels over their support.  Lower-bound constants are fitted infima over
-named grids, not proved bounds.
+For a kernel made only of power-law pieces (constant_ball,
+riesz_truncated, fractional_vanishing, log_truncated and their
+min_level, rescaled and cutoff forms) it is exact at every frequency.
+With w = 2 pi |c|, a piece C r^q on (a, b), alpha = p + q + 1, is split
+at t* = 2 / w, the phase 2: below t* it adds C r^alpha sum_{k>=1} (iwr)^k
+/ (k! (k + alpha)) between its ends (DLMF 8.7.1, a log where k + alpha =
+0), above it C [T(lo) - T(hi) - (hi^alpha - lo^alpha)/alpha], with T(t)
+= int_t^inf r^(alpha-1) e^{iwr} dr a continued fraction of the
+incomplete gamma function (DLMF 8.9.2).  Differences of powers are
+written with expm1, so alpha near 0 costs no digits.
+
+Other kernels take three zones: a Taylor zone near the origin summed
+against closed-form partial moments (this absorbs integrable
+singularities), an oscillatory middle zone on panels no wider than a
+quarter period with 16-point Gauss-Legendre, and a far tail from a phase
+of 4 pi on, which is exact.  A log_regularized piece is a sum of shifted
+power laws: its tail takes partial fractions, each term (r + s)^e adding
+e^{-iws} T(t + s), where it starts below 6 delta, and the expansion into
+power-law terms in delta/r further out.  Its Taylor moments come from a
+recurrence in the order.  Tabulated pieces keep their panels over their
+support.  Lower-bound constants are fitted infima over named grids, not
+proved bounds.
 
 A d=2 symbol integrates theta S(xi . theta) over the half circle of
 directions theta with theta . nu >= 0.  The angle rule is folded about the
 direction of xi: mirror images about it share c = xi . theta, and the
 angles left over pair up as c and -c, where S(-c) = conj S(c), so every
-magnitude |c| <= |xi| is sampled once (see _symbol_e1_2d).
+magnitude |c| <= |xi| is sampled once (see _symbol_e1_2d).  For kernels
+of unbounded support S has a cusp at c = 0, and the angle panels are
+graded geometrically toward it.
 
 The engine takes a whole array of frequencies c at once: a d=2 symbol is
 one call over all its angle nodes, and a d=1 grid is one call over its
-points.  Each entry gets its zones on its own, and each zone works on
-arrays with a per-entry stopping rule, so an entry gets the same value in
-any batch.  Work is blocked: at most BLOCK_ENTRIES / 32 entries at a time,
-the Taylor moments (32 terms) and the far-tail continued fractions (8
-steps) built a pass at a time for at most BLOCK_ENTRIES / 32 rows, and
-Gauss nodes evaluated in groups of whole frequencies with fewer than
-BLOCK_ENTRIES (65536) nodes; a frequency with more is integrated alone,
-in slices of 65536 nodes from its first panel.  These working arrays
-thus hold at most 65536 entries whatever the batch size.  A frequency
-that needs more than 3e5 quarter-period panels raises SymbolError before
-anything is built for its batch.  The engine keeps its latest batches, at
-most 65536 frequencies in all (see _Memo): a repeated batch costs a copy.
+points.  Each entry gets its series or zones on its own, and each works
+on arrays with a per-entry stopping rule, so an entry gets the same value
+in any batch.  Work is blocked: a power-law kernel takes BLOCK_ENTRIES /
+(32 pieces) entries at a time, at most 24 series terms and 2 continued-
+fraction ends per piece and entry; the zones take BLOCK_ENTRIES / 64
+entries at a time, the Taylor moments (32 terms) and the far-tail
+continued fractions (both ends, up to 8 steps a pass) built for at most
+BLOCK_ENTRIES / 64 rows, and Gauss nodes evaluated in groups of whole
+frequencies with fewer than BLOCK_ENTRIES (65536) nodes; a frequency
+with more is integrated alone, in slices of 65536 nodes from its first
+panel.  These working arrays thus hold at most 65536 entries whatever
+the batch size.  A frequency that needs more than 3e5 quarter-period
+panels raises SymbolError before anything is built for its batch.  The
+engine keeps its latest batches, at most 65536 frequencies in all (see
+_Memo): a repeated batch costs a copy.
 """
 
-import cmath
 import functools
 import math
 import threading
@@ -73,10 +79,19 @@ from ._quad import BLOCK_ENTRIES, gauss_rule
 _TWO_PI = 2.0 * math.pi
 _GAUSS = 16            # Gauss points per quarter-period panel
 _ANGLE_GAUSS = 33      # Gauss points per angle panel of a d=2 symbol
+_GRADE_RATIO = 0.15    # ratio of the graded angle panels at c = 0
+_GRADE_LAYERS = 12     # a graded end has _GRADE_LAYERS + 1 panels
 _TAYLOR_TERMS = 79     # most Taylor terms a frequency may take
 _COLUMNS = 32          # Taylor terms built per pass
-_CF_STEPS = 8          # far-tail continued-fraction steps per pass
+# continued-fraction steps k0 <= k < k1 per pass, 128 in all
+_CF_PASSES = [(1, 3), (3, 9)] + [(k, k + 8) for k in range(9, 129, 8)]
 _TAIL_PHASE = 4.0 * math.pi  # panels end, the far tail starts (measured)
+_SERIES_PHASE = 2.0    # a pow piece takes its series below, T above
+# term k of a pow piece's series is taken above the phase _SERIES_CUTS[k-3],
+# where 2 phase^(k-2) / k!, its size against term 2, passes 1e-17: at most
+# 24 terms up to phase 2
+_SERIES_CUTS = np.array([(math.factorial(k) * 5e-18) ** (1.0 / (k - 2))
+                         for k in range(3, 27)])
 _MIN_FREQ = 1e-307     # smaller |c| take the limit S(0) = 0
 _MAX_PANELS = 300000   # quarter-period panels allowed per frequency
 # panels per group of whole frequencies; a group holds fewer than twice
@@ -136,13 +151,11 @@ def _half_line_symbol(kernel, c, power):
     c is an array of any shape (a scalar is a batch of one); the result is
     a complex array of that shape, conj(S(|c|)) where c < 0 and 0 where
     |c| < 1e-307, the limit at c = 0 (a longer period overflows the panel
-    arithmetic).  An entry whose kernel is made of pow pieces only (see
-    _closed_form_reach) and whose phase 2 pi |c| t is at least 4 pi at
-    every finite positive piece end t gets z1 = r_osc = n_base = 0, so its
-    far tail from r = 0 is all of it, in closed form; every other entry
-    gets the zones of _zones.  Each entry is computed on its own, so a
-    frequency gets the same bits in any batch, and a batch whose |c| the
-    memo holds is not computed again.  Raises SymbolError, before any
+    arithmetic).  A kernel made of pow pieces only takes the series and
+    continued fractions of _power_law_block at every frequency; any other
+    kernel takes the zones of _zones.  Each entry is computed on its own,
+    so a frequency gets the same bits in any batch, and a batch whose |c|
+    the memo holds is not computed again.  Raises SymbolError, before any
     quadrature array is built, when 2 pi |c| overflows, a frequency needs
     over 3e5 quarter-period panels or the profile overflows where its
     panels start.
@@ -204,19 +217,25 @@ def _magnitude_symbol(kernel, mag, power):
                           "out of supported range" % mag.max())
     live = np.flatnonzero(mag >= _MIN_FREQ)
     mag = mag[live]
-    closed = (_TWO_PI * mag * _closed_form_reach(_kern._pieces(kernel), power)
-              >= _TAIL_PHASE)
-    z1, r_osc, n_base = np.where(closed, 0.0, _zones(kernel, mag))
+    pieces = _kern._pieces(kernel)
+    if all(piece[0] == "pow" for piece in pieces):
+        step = BLOCK_ENTRIES // (_COLUMNS * len(pieces))
+        for s in range(0, live.size, step):
+            blk = slice(s, s + step)
+            out[live[blk]] = _power_law_block(pieces, _TWO_PI * mag[blk],
+                                              power)
+        return out
+    z1, r_osc, n_base = _zones(kernel, mag)
     if n_base.size and n_base.max() > _MAX_PANELS:
         worst = int(np.argmax(n_base))
         raise SymbolError(
             "oscillatory quadrature would need %.6g > 3e5 panels at "
             "frequency %.6g; frequency out of supported range"
             % (n_base[worst], mag[worst]))
-    if np.any(z1 > 0.0):
+    if z1.size:
         # the panels start at z1, where a logreg profile ~ 1/(r dl^dd) at
         # the largest frequencies meets the float range
-        low = z1[z1 > 0.0].min()
+        low = z1.min()
         with np.errstate(over="ignore"):
             peak = _kern.eval(kernel, low) * low ** power
         if not peak < np.finfo(float).max / 64.0:
@@ -224,7 +243,7 @@ def _magnitude_symbol(kernel, mag, power):
                 "kernel profile overflows at r = %.3g, frequency %.6g; "
                 "frequency out of supported range" % (low, mag.max()))
     n_base = n_base.astype(np.int64)
-    step = BLOCK_ENTRIES // _COLUMNS
+    step = BLOCK_ENTRIES // (2 * _COLUMNS)
     for s in range(0, live.size, step):
         blk = slice(s, s + step)
         out[live[blk]] = _half_line_block(kernel, mag[blk], power, z1[blk],
@@ -232,27 +251,114 @@ def _magnitude_symbol(kernel, mag, power):
     return out
 
 
-def _closed_form_reach(pieces, power):
-    """Smallest finite positive piece end of a kernel with a closed form.
+def _power_law_block(pieces, w, power):
+    """S per entry for a kernel of pow pieces, w = 2 pi |c| > 0.
 
-    The far tail from r = 0 (_tail_zone) needs pow pieces only, exponents
-    e = p + power <= 1 and alpha = e + 1 != 0, alpha > -1 on a piece from
-    0 and alpha < 0 on a piece to infinity.  Returns inf when no end is
-    finite and positive, and 0 (no frequency qualifies) when a piece
-    fails these conditions.
+    A piece coeff r^p on (a, b) adds coeff int_a^b r^(alpha-1) (e^{iwr} -
+    1) dr, alpha = p + power + 1, split at t* = 2 / w: below t* the series
+    of _series_segment, above it T(lo) - T(hi) - (hi^alpha - lo^alpha) /
+    alpha with T(t) = int_t^inf r^(alpha-1) e^{iwr} dr (T(inf) = 0), so
+    no Gamma(alpha) at r = 0 is needed.  T(t*) is w^-alpha T_1(2), and
+    the series from 0 to t* w^-alpha times its value at w = 1
+    (_phase_two_terms); T at piece ends past t* comes from _osc_tail, one
+    call per block.  Every family has p <= 0 and power <= 1, so alpha <= 2
+    (the e <= 1 of _osc_tail), alpha > -1 on a piece from 0 and alpha < 0
+    on a piece to infinity.
     """
-    reach = math.inf
-    for piece in pieces:
-        if piece[0] != "pow":
-            return 0.0
-        a, b, alpha = piece[1], piece[2], piece[4] + power + 1.0
-        if (alpha > 2.0 or alpha == 0.0 or (a == 0.0 and alpha <= -1.0)
-                or (b == math.inf and alpha >= 0.0)):
-            return 0.0
-        for t in (a, b):
-            if 0.0 < t < math.inf:
-                reach = min(reach, t)
-    return reach
+    split = _SERIES_PHASE / w
+    parts, exps, ws, ts = [], [], [], []
+    for _, a, b, coeff, p in pieces:
+        alpha = p + power + 1.0
+        below = np.flatnonzero(b <= split)    # series only
+        across = np.flatnonzero((a < split) & (split < b))
+        above = np.flatnonzero(split <= a)    # continued fraction only
+        parts.append((coeff, alpha, a, b, below, across, above))
+        if b < math.inf:
+            ends = np.concatenate([across, above])
+            exps.append(np.full(ends.size, alpha - 1.0))
+            ws.append(w[ends])
+            ts.append(np.full(ends.size, b))
+        exps.append(np.full(above.size, alpha - 1.0))
+        ws.append(w[above])
+        ts.append(np.full(above.size, a))
+    tails = _osc_tail(np.concatenate(exps), np.concatenate(ws),
+                      np.concatenate(ts))
+    total = np.zeros(w.size, dtype=complex)
+    pos = 0
+    for coeff, alpha, a, b, below, across, above in parts:
+        if below.size:
+            total[below] += coeff * _series_segment(alpha, a, w[below],
+                                                    np.full(below.size, b))
+        at_b = np.zeros(across.size + above.size, dtype=complex)
+        if b < math.inf:
+            at_b = tails[pos:pos + at_b.size]
+            pos += at_b.size
+        if across.size:
+            wa, lo = w[across], split[across]
+            series, tail = _phase_two_terms(alpha)
+            if a == 0.0:
+                near = (series + tail) * wa ** -alpha
+            else:
+                near = (_series_segment(alpha, a, wa, lo)
+                        + tail * wa ** -alpha)
+            total[across] += coeff * (near - at_b[:across.size]
+                                      - _power_gap(alpha, lo, b))
+        if above.size:
+            at_a = tails[pos:pos + above.size]
+            pos += above.size
+            total[above] += coeff * (at_a - at_b[across.size:]
+                                     - _power_gap(alpha, a, b))
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_two_terms(alpha):
+    """The series of int_0^2 u^(alpha-1) (e^{iu} - 1) du and T_1(2) =
+    int_2^inf u^(alpha-1) e^{iu} du, the two parts at w = 1 of a power law
+    split at phase 2 (the series None where alpha <= -1)."""
+    one, split = np.ones(1), np.full(1, _SERIES_PHASE)
+    # the series from 0 converges for alpha > -1 only, as a piece from 0 has
+    series = (_series_segment(alpha, 0.0, one, split)[0]
+              if alpha > -1.0 else None)
+    return series, _osc_tail(np.array([alpha - 1.0]), one, split)[0]
+
+
+def _series_segment(alpha, a, w, hi):
+    """int_a^hi r^(alpha-1) (e^{iwr} - 1) dr per entry, phase w hi <= 2.
+
+    It is hi^alpha sum_{k>=1} x^k / k! E_k, x = i w hi, with E_k = (1 -
+    (a/hi)^(k+alpha)) / (k+alpha) written with expm1, log(hi/a) where k +
+    alpha = 0 and 1/(k+alpha) at a = 0 (alpha > -1 there); so a piece end
+    near t* cancels nothing and alpha near 0 has no pole.  An entry takes
+    the terms k <= n of _SERIES_CUTS for its own phase, summed in order,
+    so it gets the same bits in any batch.
+    """
+    n = 2 + np.searchsorted(_SERIES_CUTS, w * hi)
+    ks = np.arange(1.0, n.max() + 1.0)
+    beta = ks + alpha
+    if a == 0.0:
+        weights = 1.0 / beta
+    else:
+        log_ratio = np.log(a / hi)[:, None]
+        pole = beta == 0.0
+        beta = np.where(pole, 1.0, beta)
+        weights = np.where(pole, -log_ratio,
+                           -np.expm1(beta * log_ratio) / beta)
+    terms = np.cumprod(1j * (w * hi)[:, None] / ks, axis=1) * weights
+    sums = np.cumsum(terms, axis=1)
+    return hi ** alpha * sums[np.arange(hi.size), n - 1]
+
+
+def _power_gap(alpha, lo, hi):
+    """(hi^alpha - lo^alpha) / alpha per entry of lo, 0 < lo < hi, with
+    hi a number: log(hi / lo) at alpha = 0 and -lo^alpha / alpha at hi =
+    inf (alpha < 0 there)."""
+    if hi == math.inf:
+        return -lo ** alpha / alpha
+    log_ratio = np.log(lo / hi)
+    if alpha == 0.0:
+        return -log_ratio
+    return hi ** alpha * -np.expm1(alpha * log_ratio) / alpha
 
 
 def _zones(kernel, c):
@@ -280,16 +386,14 @@ def _zones(kernel, c):
 
 
 def _half_line_block(kernel, c, power, z1, r_osc, n_base):
-    """S(c) for positive c, at most BLOCK_ENTRIES / _COLUMNS of them.
+    """S(c) in zones for positive c, at most BLOCK_ENTRIES / (2 _COLUMNS)
+    of them.
 
-    Entries with z1 = 0 skip the Taylor zone, those with n_base = 0 the
+    Every entry has a Taylor zone (z1 > 0); those with n_base = 0 skip the
     panels, and those with r_osc at the support top the far tail.
     """
     w = _TWO_PI * c
-    total = np.zeros(w.size, dtype=complex)
-    near = np.flatnonzero(z1 > 0.0)
-    if near.size:
-        total[near] = _taylor_zone(kernel, w[near], z1[near], power)
+    total = _taylor_zone(kernel, w, z1, power)
     mid = np.flatnonzero(n_base > 0)
     if mid.size:
         total[mid] += _panel_zone(kernel, w[mid], z1[mid], r_osc[mid],
@@ -433,18 +537,17 @@ def _panel_sums(kernel, a, b, owner, w, power):
 def _tail_zone(kernel, w, lo, power):
     """int_lo^hi r^power profile (e^{iwr} - 1) dr per entry, in closed form.
 
-    Each power-law term coeff r^p on (a, b) of _tail_power_terms adds
+    Only logreg pieces have a tail (pow-only kernels take _power_law_block,
+    and panels cover loglin pieces).  Each power-law term coeff r^p on (a,
+    b) of their expansion (_tail_power_terms) adds
 
         coeff [T(a) - T(b) - (b^alpha - a^alpha) / alpha],
 
-    alpha = p + power + 1 and T(t) = int_t^inf r^(p + power) e^{iwr} dr
-    (see _tail_end).  The terms of all entries are summed together in blocks
-    of rows and added to each entry in term order, after the partial
-    fractions of a log_regularized tail that starts below 6 delta
-    (_logreg_near_tail).  alpha = 0 never comes
-    here: no kernel family has a pow piece with p = -1 - power
-    (_closed_form_reach rejects one anyway), and logreg terms have alpha =
-    -1 - j.
+    alpha = p + power + 1 = -dd - j <= -1 and T(t) = int_t^inf r^(p +
+    power) e^{iwr} dr (see _tail_end).  The terms of all entries are summed
+    together in blocks of rows, both ends of a block in one _osc_tail call,
+    and added to each entry in term order, after the partial fractions of a
+    log_regularized tail that starts below 6 delta (_logreg_near_tail).
     """
     pieces = _kern._pieces(kernel)
     total = np.zeros(w.size, dtype=complex)
@@ -465,12 +568,13 @@ def _tail_zone(kernel, w, lo, power):
     a = np.concatenate([t[2][t[4]] for t in terms])
     b = np.repeat([t[3] for t in terms], sizes)
     val = np.empty(owner.size, dtype=complex)
-    rows = BLOCK_ENTRIES // _COLUMNS
+    rows = BLOCK_ENTRIES // (2 * _COLUMNS)
     for start in range(0, owner.size, rows):
         cut = slice(start, start + rows)
-        ws = w[owner[cut]]
-        val[cut] = _tail_end(e[cut], ws, a[cut]) - _tail_end(e[cut], ws,
-                                                              b[cut])
+        n = owner[cut].size
+        ends = _tail_end(np.tile(e[cut], 2), np.tile(w[owner[cut]], 2),
+                         np.concatenate([a[cut], b[cut]]))
+        val[cut] = ends[:n] - ends[n:]
     np.add.at(total, owner, coeff * val)
     return total
 
@@ -485,7 +589,8 @@ def _logreg_near_tail(piece, w, a, power):
     kernels._logreg_primitive, -log1p(dl/t) / dl at m = -1, so it adds P(a)
     - P(b).  The terms cancel by up to (a + dl) / dl, so this serves starts
     a below 6 dl; further out the binomial expansion of _tail_power_terms
-    does.  Takes m <= 0, as the symbols of d = 1 and 2 have.
+    does.  Takes m <= 0, as the symbols of d = 1 and 2 have.  All ends of
+    all fractions go to one _osc_tail call.
     """
     coeff, b, dl, dd = piece[3], piece[2], piece[4], piece[5]
     m = power - 1
@@ -495,12 +600,16 @@ def _logreg_near_tail(piece, w, a, power):
     else:       # r^m = ((r + dl) - dl)^m, binomially
         fractions = [(math.comb(m, j) * (-dl) ** (m - j), dl, float(j - dd))
                      for j in range(m + 1)]
-    total = np.zeros(w.size, dtype=complex)
-    for f, s, e in fractions:
-        exps = np.full(w.size, e)
-        osc = _osc_tail(exps, w, a + s)
-        if b < math.inf:
-            osc -= _osc_tail(exps, w, np.full(w.size, b + s))
+    n, shifts = w.size, [s for _, s, _ in fractions]
+    ts = [a + s for s in shifts]
+    if b < math.inf:
+        ts += [np.full(n, b + s) for s in shifts]
+    exps = [e for _, _, e in fractions] * (len(ts) // len(fractions))
+    tails = _osc_tail(np.repeat(exps, n), np.tile(w, len(ts)),
+                      np.concatenate(ts)).reshape(-1, len(fractions), n)
+    total = np.zeros(n, dtype=complex)
+    for (f, s, _), osc in zip(fractions, tails[0] - tails[1]
+                              if b < math.inf else tails[0]):
         total += f * (np.exp(-1j * w * s) * osc if s else osc)
     total += _kern._logreg_primitive(m, dl, dd, a)
     if b < math.inf:
@@ -511,22 +620,15 @@ def _logreg_near_tail(piece, w, a, power):
 def _tail_end(e, w, t):
     """T(t) + t^alpha / alpha per entry, T(t) = int_t^inf r^e e^{iwr} dr.
 
-    alpha = e + 1, and T comes from _osc_tail for 0 < t < inf.  At t = 0,
-    where t^alpha counts as 0, T(0) = e^{i pi alpha/2} Gamma(alpha)
-    w^-alpha, the incomplete gamma function at 0 continued analytically to
-    -1 < alpha, alpha != 0 (DLMF Sec. 8.2); at t = inf both parts are 0.
+    alpha = e + 1 < 0, t > 0, and T comes from _osc_tail; at t = inf both
+    parts are 0.
     """
     alpha = e + 1.0
     out = np.zeros(w.size, dtype=complex)
-    mid = np.flatnonzero((0.0 < t) & (t < math.inf))
+    mid = np.flatnonzero(t < math.inf)
     if mid.size:
         al, tm = alpha[mid], t[mid]
         out[mid] = _osc_tail(e[mid], w[mid], tm) + tm ** al / al
-    at0 = np.flatnonzero(t == 0.0)
-    if at0.size:  # only a kernel's first piece starts at 0: one alpha
-        al = alpha[at0[0]]
-        out[at0] = (cmath.exp(0.5j * math.pi * al) * math.gamma(al)
-                    * w[at0] ** -al)
     return out
 
 
@@ -539,31 +641,29 @@ def _tail_power_terms(pieces, lo_cut):
     delta or later, where delta/r <= 1/6 (nearer starts take
     _logreg_near_tail), and each entry drops the expansion once a term
     past j = 4 falls below 1e-25 at its own start; loglin pieces never
-    reach here because the panel zone is extended over their support.
+    reach here because the panel zone is extended over their support, nor
+    do pow pieces, which take _power_law_block.
     """
     out = []
     for piece in pieces:
-        kind, a, b = piece[0], np.maximum(piece[1], lo_cut), piece[2]
+        a, b = np.maximum(piece[1], lo_cut), piece[2]
         live = a < b
-        if kind == "logreg":  # nearer starts take _logreg_near_tail
+        if piece[0] == "logreg":  # nearer starts take _logreg_near_tail
             live &= a >= 6.0 * piece[4]
         if not live.any():
             continue
-        if kind == "pow":
-            out.append((piece[3], piece[4], a, b, live))
-        elif kind == "logreg":
-            coeffs, exps = _logreg_tail_terms(*piece[3:])
-            # row j - 5: the entries whose terms 5..j all reach 1e-25
-            far = np.where(live, a, math.inf)
-            lives = live & ~np.logical_or.accumulate(
-                np.abs(coeffs[5:, None]) * far ** exps[5:, None] < 1e-25,
-                axis=0)
-            some = lives.any(axis=1)
-            count = 5 + (some.size if some.all() else int(np.argmin(some)))
-            out.extend((coeffs[j], exps[j], a, b, live if j < 5 else
-                        lives[j - 5]) for j in range(count))
-        else:
+        if piece[0] != "logreg":
             raise ValueError("unexpected piece kind in far tail")
+        coeffs, exps = _logreg_tail_terms(*piece[3:])
+        # row j - 5: the entries whose terms 5..j all reach 1e-25
+        far = np.where(live, a, math.inf)
+        lives = live & ~np.logical_or.accumulate(
+            np.abs(coeffs[5:, None]) * far ** exps[5:, None] < 1e-25,
+            axis=0)
+        some = lives.any(axis=1)
+        count = 5 + (some.size if some.all() else int(np.argmin(some)))
+        out.extend((coeffs[j], exps[j], a, b, live if j < 5 else
+                    lives[j - 5]) for j in range(count))
     return out
 
 
@@ -588,9 +688,10 @@ def _osc_tail(e, w, t):
     converges at any phase, in about 25 steps from 4 pi.  Past k = 1 the
     partial numerators k (a - k) are <= 0, so D^-1 and C stay in the lower
     half-plane and never vanish.  An entry stops at its first step with
-    |D C - 1| <= 2.2e-16; _CF_STEPS steps are taken at a time for the
-    entries still running, and one still running after 128 steps keeps
-    its last value.
+    |D C - 1| <= 2.2e-16; the steps of _CF_PASSES are taken a pass at a
+    time for the entries still running (the first pass is short, as the
+    fraction of an integer a >= 1 ends at step a), and one still running
+    after 128 steps keeps its last value.
     """
     a = e + 1.0
     base = -1j * w * t + (1.0 - a)
@@ -598,22 +699,23 @@ def _osc_tail(e, w, t):
     h, c = d, np.full(w.size, complex(math.inf))  # Lentz's C_0 = inf
     out = np.empty(w.size, dtype=complex)
     idx = np.arange(w.size)
-    for k0 in range(1, 128, _CF_STEPS):
-        ks = np.arange(k0, k0 + _CF_STEPS)
-        num = ks * (a[:, None] - ks)
-        den = base[:, None] + 2.0 * ks
+    for k0, k1 in _CF_PASSES:
+        ks = np.arange(k0, k1)[:, None]
+        num = ks * (a - ks)
+        den = base + 2.0 * ks
         ratios = np.empty(num.shape, dtype=complex)
-        for k in range(_CF_STEPS):
-            d = 1.0 / (num[:, k] * d + den[:, k])
-            c = den[:, k] + num[:, k] / c
-            ratios[:, k] = d * c
-        hs = np.cumprod(np.column_stack([h, ratios]), axis=1)[:, 1:]
+        for k in range(k1 - k0):
+            d = 1.0 / (num[k] * d + den[k])
+            c = den[k] + num[k] / c
+            ratios[k] = d * c
+        hs = np.cumprod(np.vstack([h, ratios]), axis=0)[1:]
         stop = np.abs(ratios - 1.0) <= 2.2e-16
-        done = stop.any(axis=1)
-        out[idx[done]] = hs[done, np.argmax(stop[done], axis=1)]
+        done = stop.any(axis=0)
+        out[idx[done]] = hs[np.argmax(stop[:, done], axis=0),
+                            np.flatnonzero(done)]
         keep = ~done
         idx, a, base = idx[keep], a[keep], base[keep]
-        d, c, h = d[keep], c[keep], hs[keep, -1]
+        d, c, h = d[keep], c[keep], hs[-1, keep]
         if not idx.size:
             break
     out[idx] = h
@@ -662,7 +764,9 @@ def _symbol_e1_2d(kernel, xis):
     with e_m = sgn(phi0) (u_2, -u_1): each magnitude |c| is sampled once,
     Im lambda is parallel to xi, and c = 0 is a panel end.  Each interval
     gets 33-point Gauss panels, ceil(length / (pi/2) * ceil(|xi|/4)) of
-    them.  All nodes of a run of rows go to the engine in one call; a run
+    them; for a kernel of unbounded support, whose S has a cusp at c = 0,
+    the panel at each interval's smallest |c| is graded (_folded_sums).
+    All nodes of a run of rows go to the engine in one call; a run
     closes once it holds BLOCK_ENTRIES nodes, so a single row is always
     one call, and every row's nodes and sums are its own arithmetic.  A
     row that needs over 3e5 panels per quadrant raises SymbolError.
@@ -688,27 +792,34 @@ def _symbol_e1_2d(kernel, xis):
                      * per_quadrant[:, None]).astype(np.int64)
     e_m = np.sign(phi0)[:, None] * np.column_stack([u[:, 1], -u[:, 0]])
     scale = sigma * norm[live]
-    nodes = _ANGLE_GAUSS * counts.sum(axis=1)
+    # S(c) of an unbounded support has a cusp at c = 0
+    graded = _kern.support(kernel)[1] == math.inf
+    nodes = _ANGLE_GAUSS * (counts.sum(axis=1) + graded * _GRADE_LAYERS
+                            * np.count_nonzero(counts, axis=1))
     start, held = 0, 0
     for i, n in enumerate(nodes):
         held += n
         if held >= BLOCK_ENTRIES or i == live.size - 1:
             run = slice(start, i + 1)
             along, across = _folded_sums(kernel, scale[run], lengths[run],
-                                         counts[run])
+                                         counts[run], graded)
             out[live[run]] = (u[run] * along[:, None]
                               + e_m[run] * across[:, None])
             start, held = i + 1, 0
     return out
 
 
-def _folded_sums(kernel, scale, lengths, counts):
+def _folded_sums(kernel, scale, lengths, counts, graded):
     """The two integrals of the folded rule for a run of rows.
 
     Row r has the interval [0, lengths[r, 0]] with c = scale[r] cos t and
     [0, lengths[r, 1]] with c = scale[r] sin t, cut into counts[r] equal
-    panels.  Returns per row the coefficient of u (complex) and that of e_m
-    (real), the fold's factor 2 included.
+    panels.  Where graded, the panel at the end nearest c = 0 (the last of
+    a cos interval, the first of a sin interval) is cut geometrically
+    toward that end, _GRADE_LAYERS + 1 panels with ratio _GRADE_RATIO, so
+    the cusp of S at c = 0 costs no digits.  Returns per row the
+    coefficient of u (complex) and that of e_m (real), the fold's factor 2
+    included.
     """
     x, wg = gauss_rule(_ANGLE_GAUSS)
     pieces = counts.ravel()
@@ -717,7 +828,23 @@ def _folded_sums(kernel, scale, lengths, counts):
     k = np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]
     step = lengths.ravel()[owner] / pieces[owner]
     half = 0.5 * step
-    t = ((k + 0.5) * step)[:, None] + half[:, None] * x
+    centre = (k + 0.5) * step
+    if graded:
+        # the first panel of a sin interval, the last of a cos one, cut at
+        # the fractions _GRADE_RATIO^j of its width from its c = 0 end
+        cusp = np.where(owner % 2 == 1, k == 0, k == pieces[owner] - 1)
+        cuts = np.append(0.0, _GRADE_RATIO ** np.arange(_GRADE_LAYERS, -1, -1))
+        lo, hi = cuts[:-1], cuts[1:]
+        cos = owner[cusp][:, None] % 2 == 0
+        lo, hi = np.where(cos, 1.0 - hi, lo), np.where(cos, 1.0 - lo, hi)
+        start = (k[cusp] * step[cusp])[:, None]
+        width = step[cusp][:, None]
+        owner = np.concatenate([owner[~cusp],
+                                np.repeat(owner[cusp], _GRADE_LAYERS + 1)])
+        centre = np.concatenate([centre[~cusp],
+                                 (start + 0.5 * width * (lo + hi)).ravel()])
+        half = np.concatenate([half[~cusp], (0.5 * width * (hi - lo)).ravel()])
+    t = centre[:, None] + half[:, None] * x
     wt = (half[:, None] * wg).ravel()
     cos_t, sin_t = np.cos(t).ravel(), np.sin(t).ravel()
     owner = np.repeat(owner, _ANGLE_GAUSS)

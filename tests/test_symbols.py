@@ -400,6 +400,8 @@ def test_batched_half_line_matches_scalar_oracle(family, d):
 
 POWER_LAW_KERNELS = {
     "constant_ball": lambda d: K.constant_ball(d),
+    "riesz_truncated-1e-08": lambda d: K.riesz_truncated(d, 1e-8),
+    "riesz_truncated-1e-05": lambda d: K.riesz_truncated(d, 1e-5),
     "riesz_truncated-0.01": lambda d: K.riesz_truncated(d, 0.01),
     "riesz_truncated-0.4": lambda d: K.riesz_truncated(d, 0.4),
     "riesz_truncated-0.99": lambda d: K.riesz_truncated(d, 0.99),
@@ -414,42 +416,37 @@ POWER_LAW_KERNELS = {
 @pytest.mark.parametrize("family", sorted(POWER_LAW_KERNELS))
 def test_power_law_symbol_matches_incomplete_gamma(family, d):
     k = POWER_LAW_KERNELS[family](d)
-    # just below and just above the phase 4 pi at every finite piece end,
-    # where the engine hands the frequency over to the closed form
+    # just below and just above the phases 2, where a piece end passes
+    # from the series to the continued fraction, and 4 pi at every finite
+    # piece end
     ends = {t for piece in K._pieces(k) for t in piece[1:3]
             if 0.0 < t < math.inf}
-    cs = np.concatenate([ORACLE_CS] + [S._TAIL_PHASE / (2.0 * math.pi * t)
+    cs = np.concatenate([ORACLE_CS] + [phase / (2.0 * math.pi * t)
                                        * np.array([1.0 - 1e-9, 1.0 + 1e-9])
-                                       for t in sorted(ends)])
+                                       for t in sorted(ends)
+                                       for phase in (2.0, S._TAIL_PHASE)])
     got = S._half_line_symbol(k, cs, d - 1)
     want = np.array([power_law_reference(k, c, d - 1) for c in cs])
     assert got[0] == 0.0
     assert np.all(np.abs(got[1:] - want[1:]) <= 1e-13 * np.abs(want[1:]))
 
 
-def test_power_law_frequencies_past_phase_4pi_are_all_tail(monkeypatch):
-    # phase >= 4 pi at every finite positive piece end: z1 = r_osc = 0, so
-    # neither the Taylor zone nor a panel is entered
-    cases = []
-    for family in sorted(POWER_LAW_KERNELS):
-        for d in (1, 2):
-            k = POWER_LAW_KERNELS[family](d)
-            reach = S._closed_form_reach(K._pieces(k), d - 1)
-            low = (S._TAIL_PHASE / (2.0 * math.pi * reach) * (1.0 + 1e-9)
-                   if reach < math.inf else 1e-7)
-            cs = low * np.array([1.0, -1.0, 3.7, 1e3, -1e5])
-            cases.append((k, d, cs, S._half_line_symbol(k, cs, d - 1)))
-
+def test_power_law_kernels_never_enter_the_zones(monkeypatch):
+    # pow pieces only: every frequency takes the series and the continued
+    # fraction of _power_law_block, never a Taylor zone or a panel
     def entered(*args):
         raise AssertionError("zone entered")
 
     monkeypatch.setattr(S, "_taylor_zone", entered)
     monkeypatch.setattr(S, "_panel_zone", entered)
-    for k, d, cs, want in cases:
-        assert np.array_equal(S._half_line_symbol(k, cs, d - 1), want)
-    # below phase 4 pi the zones are entered
+    for family in sorted(POWER_LAW_KERNELS):
+        for d in (1, 2):
+            got = S._half_line_symbol(POWER_LAW_KERNELS[family](d),
+                                      ORACLE_CS, d - 1)
+            assert np.all(np.isfinite(got))
+    # a log_regularized kernel still takes them
     with pytest.raises(AssertionError, match="zone entered"):
-        S._half_line_symbol(K.constant_ball(1), np.array([1.9]), 0)
+        S._half_line_symbol(K.log_regularized(1, 0.1), np.array([1.9]), 0)
 
 
 def test_log_regularized_far_tail_matches_mpmath():
@@ -586,11 +583,12 @@ def test_memo_holds_at_most_a_block_of_frequencies(monkeypatch):
 
 
 def test_oracle_frequencies_reach_every_zone():
-    ball = K.constant_ball(1)
-    z1, r_osc, n_base = S._zones(ball, np.abs(ORACLE_CS[1:]))
-    assert np.any(z1 >= 1.0)                  # Taylor only
-    assert np.any((z1 < 1.0) & (r_osc == 1.0))  # panels to the support top
-    assert np.any(r_osc < 1.0)                # far tail
+    # a cut-off log_regularized kernel (support top 0.7) takes the zones
+    cut = ORACLE_KERNELS["cutoff"](1)
+    z1, r_osc, n_base = S._zones(cut, np.abs(ORACLE_CS[1:]))
+    assert np.any(z1 >= 0.7)                  # Taylor only
+    assert np.any((z1 < 0.7) & (r_osc == 0.7))  # panels to the support top
+    assert np.any(r_osc < 0.7)                # far tail
     # the first 32 Taylor orders recur forward where z1 / delta >= 16^(1/31)
     logreg = K.log_regularized(1, 0.1)
     z1, _, _ = S._zones(logreg, np.abs(ORACLE_CS[1:]))
@@ -609,8 +607,8 @@ def test_batch_larger_than_a_block_matches_small_batches():
     n_base = S._zones(ORACLE_KERNELS["tabulated"](1),
                       np.array([600.0, 1000.0]))[2]
     assert S._GROUP_PANELS < n_base[0] < 2 * S._GROUP_PANELS < n_base[1]
-    # min_level's piece end at r = 0.104 has phase 4 pi at |c| = 19.3, so
-    # the batch splits between the closed form and the quadrature engine
+    # min_level's piece end at r = 0.104 has phase 2 at |c| = 3.06, so
+    # its entries split between the series and the continued fraction
     for family in ("log_regularized", "fractional_vanishing", "tabulated",
                    "min_level"):
         k = ORACLE_KERNELS[family](1)
@@ -644,20 +642,13 @@ def test_osc_tail_matches_incomplete_gamma(e):
 def test_panels_end_at_phase_4pi():
     cs = np.array([0.26, 0.9, 3.1, 27.5, 140.0, 900.0])
     end = S._TAIL_PHASE / (2.0 * math.pi * cs)
-    for family in ("constant_ball", "riesz_truncated",
-                   "fractional_vanishing", "log_truncated"):
-        k = ORACLE_KERNELS[family](1)
-        z1, r_osc, n_base = S._zones(k, cs)
-        # power-law pieces only: quarter-period panels from phase pi/2 to
-        # 4 pi at most, then the continued-fraction tail
-        assert np.all(r_osc <= end) and np.all(n_base <= 7)
-        assert np.all(r_osc == np.minimum(K.support(k)[1], end))
-    frac = ORACLE_KERNELS["fractional_vanishing"](1)
-    assert np.all(S._zones(frac, cs)[2] == 7)
+    # an unbounded support: quarter-period panels from phase pi/2 to 4 pi
+    logreg = ORACLE_KERNELS["log_regularized"](1)
+    assert np.all(S._zones(logreg, cs)[2] == 7)
     # a Taylor zone cut at r = 1 keeps its panels to phase 40
     low = np.array([0.02, 0.2])
-    assert np.all(S._zones(frac, low)[1] == 40.0 / (2.0 * math.pi * low))
-    # log_regularized panels end at phase 4 pi too, where the partial
+    assert np.all(S._zones(logreg, low)[1] == 40.0 / (2.0 * math.pi * low))
+    # log_regularized panels end at phase 4 pi, where the partial
     # fractions of its tail take over: at most 7 panels from |c| = 1/(3
     # delta) on, where the panels reached 6 delta before
     for k in (ORACLE_KERNELS["log_regularized"](1), ORACLE_KERNELS["cutoff"](1)):
@@ -883,18 +874,11 @@ def test_symbol_values_check_the_array_shape():
 # perpendicular to xi.
 PANEL_DEFECT = pytest.mark.xfail(
     raises=AssertionError, reason="panel zone too coarse at small |c|")
-# fractional_vanishing takes the closed form at every |c|, but in d=2
-# S(|xi| sin t) ~ |t|^0.8 has a cusp at the angle t = 0, a panel end of
-# the 33-point angle rule; the rescaling identity is off by 1.03e-7 at
-# xi = (0, 5), delta = 0.5
-ANGLE_CUSP = pytest.mark.xfail(
-    raises=AssertionError, reason="angle rule too coarse at the cusp c = 0")
+# in d=2, fractional_vanishing's S(|xi| sin t) ~ |t|^0.8 has a cusp at the
+# angle t = 0, where the angle panels of an unbounded support are graded
 INVARIANT_FAMILIES = [
     "constant_ball", "riesz_truncated", "rescaled", "cutoff",
     "fractional_vanishing",
-    pytest.param("log_regularized", marks=PANEL_DEFECT)]
-INVARIANT_FAMILIES_D2 = INVARIANT_FAMILIES[:4] + [
-    pytest.param("fractional_vanishing", marks=ANGLE_CUSP),
     pytest.param("log_regularized", marks=PANEL_DEFECT)]
 
 
@@ -937,7 +921,7 @@ def test_symbol_identities_d1(family, xis, nu, delta):
     check_identities(ORACLE_KERNELS[family](1), nu, xis, delta, 1e-13)
 
 
-@pytest.mark.parametrize("family", INVARIANT_FAMILIES_D2)
+@pytest.mark.parametrize("family", INVARIANT_FAMILIES)
 @settings(max_examples=10)
 @example(xis=np.array([[0.0, 1.0]]), angle=0.0, delta=0.5)
 @given(xis=hnp.arrays(float, (1, 2), elements=frequencies(70.0)),
