@@ -26,9 +26,10 @@ vectorized antiderivative of r^q * profile and one divergence rule, and
 every moment integral (batched, memoized or as an antiderivative) is built
 on them, never on quadrature.  Below 0.9 delta, where the log_regularized
 primitive cancels, that piece takes the scaled moments of _logreg_moments
-instead, as the symbol engine's Taylor zone does.  tests/kernel_oracle.py
-keeps scalar closed forms to check them against.  Divergent integrals are
-math.inf.
+instead, as the symbol engine's Taylor zone does, and from 6 delta on its
+expansion in delta/t (_logreg_far_terms), as the symbol engine's far tail
+does.  tests/kernel_oracle.py keeps scalar closed forms to check them
+against.  Divergent integrals are math.inf.
 
 Kernels are immutable; every operation is a pure function of its inputs.
 """
@@ -44,6 +45,8 @@ from ._quad import BLOCK_ENTRIES
 
 _DELTA_LADDER = (0.2, 0.1, 0.05, 0.025)
 _MOMENT_RADII = (0.25, 0.5, 1.0, 2.0, 4.0)
+_FAR_START = 6.0   # a logreg piece takes its expansion from 6 delta on
+_FAR_TERMS = 40    # terms of that expansion
 
 
 class AssumptionError(ValueError):
@@ -391,7 +394,8 @@ def eval(kernel, r):
 # ---------------------------------------------------------------------------
 # Closed-form integrals int_a^b r^q * profile(r) dr, all built on one
 # antiderivative (_primitive) and one divergence rule (_divergent_ends) per
-# piece kind, and below 0.9 delta on the logreg moments (_logreg_moments).
+# piece kind, and for logreg pieces on the moments (_logreg_moments) below
+# 0.9 delta and the expansion in delta/t (_logreg_far_terms) from 6 delta.
 # A scalar q stays a scalar, so t ** (p + q + 1) takes NumPy's
 # scalar-exponent path in every caller that passes one.
 # ---------------------------------------------------------------------------
@@ -492,7 +496,8 @@ def _logreg_integrals(piece, q, a, b):
     """A logreg piece's integrals: for m >= 0 below 0.9 dl, where the
     primitive cancels, dl^-dd z^(m+1) I_m(z/dl) at both ends from one
     _logreg_moments call per order (so an entry's bits do not depend on its
-    batch); the primitive above 0.9 dl and for m = -1."""
+    batch); from a >= 6 dl on the expansion in dl/t, where the primitive
+    cancels when b - a << a; the primitive in between and for m = -1."""
     coeff, dl, dd = piece[3], piece[4], piece[5]
     m = np.broadcast_to(_logreg_order(q), a.shape)
     split = 0.9 * dl
@@ -505,8 +510,19 @@ def _logreg_integrals(piece, q, a, b):
             dd, ends / dl, order, order)[:, 0]
         out[idx] = coeff * dl ** float(-dd) * (scaled[:idx.size]
                                               - scaled[idx.size:])
+    far = a >= _FAR_START * dl
+    if far.any():
+        # term j adds coeff_j int_a^b t^(p_j + q) dt, the gap at beta = p_j
+        # + q + 1 = p_j + m + 2, and coeff_j a^beta = scaled_j a^(m + 1 -
+        # dd).  All 40 terms: the mask's 1e-25 floor is absolute, and an
+        # integral far out may itself be smaller
+        af, mf = a[far], m[far]
+        scaled, exps, _ = _logreg_far_terms(piece, af)
+        gaps = _power_gap(exps + (mf + 2.0)[:, None], af[:, None],
+                          b[far][:, None], af[:, None])
+        out[far] = af ** (mf + 1.0 - dd) * (scaled * gaps).sum(axis=1)
     lo = np.where(near, np.maximum(a, split), a)
-    closed = lo < b
+    closed = (lo < b) & ~far
     if closed.any():
         lo, hi, mc = lo[closed], b[closed], m[closed]
         b_val = np.where(hi == math.inf, 0.0,
@@ -514,6 +530,52 @@ def _logreg_integrals(piece, q, a, b):
         val = b_val - _logreg_primitive(mc, dl, dd, lo)
         out[closed] = out[closed] + coeff * val
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _logreg_far_table(coeff, dl, dd):
+    """Coefficients coeff comb(dd + j - 1, j) (-dl)^j and exponents
+    -1 - dd - j, j < 40, of a logreg piece's expansion in (dl/t)."""
+    coeffs = np.array([coeff * math.comb(dd + j - 1, j) * (-dl) ** j
+                       for j in range(_FAR_TERMS)])
+    exps = -1.0 - dd - np.arange(float(_FAR_TERMS))
+    coeffs.flags.writeable = exps.flags.writeable = False  # shared
+    return coeffs, exps
+
+
+def _logreg_far_terms(piece, a):
+    """The terms coeff_j t^p_j of a logreg piece on t > a >= 6 dl, where a
+    term is at most (dd + j)/(6 (j + 1)) of the one before: the (entries,
+    40) scaled coefficients coeff_j a^-j (no under- or overflow at small
+    dl), the exponents p_j, and the mask of the terms an entry takes: all
+    j < 5, then j while the terms 5 .. j are at least 1e-25 at its start.
+    """
+    coeff, dl, dd = piece[3], piece[4], piece[5]
+    at_one, exps = _logreg_far_table(coeff, 1.0, dd)    # coeff_j at dl = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = at_one * (dl / a)[:, None] ** np.arange(float(_FAR_TERMS))
+        big = np.abs(scaled[:, 5:]) * a[:, None] ** (-1.0 - dd) >= 1e-25
+    live = np.ones(scaled.shape, dtype=bool)
+    live[:, 5:] = np.logical_and.accumulate(big, axis=1)
+    return scaled, exps, live
+
+
+def _power_gap(beta, lo, hi, scale=1.0):
+    """(hi^beta - lo^beta) / (beta scale^beta) elementwise, 0 < lo < hi <=
+    inf: log(hi / lo) at beta = 0, -lo^beta / beta at hi = inf.
+
+    The larger power is factored out, so expm1 takes |beta| log(lo / hi)
+    <= 0 and beta near 0 has no pole; log(lo / hi) is log1p((lo - hi) /
+    hi) where lo / hi >= 1/2, so a short interval far out keeps its digits.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lo / hi
+        log_ratio = np.where(ratio < 0.5, np.log(ratio),
+                             np.log1p((lo - hi) / hi))
+        size = np.abs(beta)
+        gap = (-(np.where(beta > 0.0, hi, lo) / scale) ** beta
+               * np.expm1(size * log_ratio) / size)
+        return np.where(beta == 0.0, -log_ratio, gap)
 
 
 def _logreg_primitive(m, dl, dd, t):

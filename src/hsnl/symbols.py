@@ -25,7 +25,7 @@ at t* = 2 / w, the phase 2: below t* it adds C r^alpha sum_{k>=1} (iwr)^k
 0), above it C [T(lo) - T(hi) - (hi^alpha - lo^alpha)/alpha], with T(t)
 = int_t^inf r^(alpha-1) e^{iwr} dr a continued fraction of the
 incomplete gamma function (DLMF 8.9.2).  Differences of powers are
-written with expm1, so alpha near 0 costs no digits.
+kernels._power_gap, written with expm1, so alpha near 0 costs no digits.
 
 Other kernels take three zones: a Taylor zone near the origin summed
 against closed-form partial moments (this absorbs integrable
@@ -33,8 +33,9 @@ singularities), an oscillatory middle zone on panels no wider than a
 quarter period with 16-point Gauss-Legendre, and a far tail from a phase
 of 4 pi on, which is exact.  A log_regularized piece is a sum of shifted
 power laws: its tail takes partial fractions, each term (r + s)^e adding
-e^{-iws} T(t + s), where it starts below 6 delta, and the expansion into
-power-law terms in delta/r further out.  Its Taylor moments come from a
+e^{-iws} T(t + s), where it starts below 6 delta, and further out the
+expansion in delta/r that the kernel integrals take there
+(kernels._logreg_far_terms).  Its Taylor moments come from a
 recurrence in the order.  Tabulated pieces keep their panels over their
 support.  Lower-bound constants are fitted infima over named grids, not
 proved bounds.
@@ -302,12 +303,12 @@ def _power_law_block(pieces, w, power):
                 near = (_series_segment(alpha, a, wa, lo)
                         + tail * wa ** -alpha)
             total[across] += coeff * (near - at_b[:across.size]
-                                      - _power_gap(alpha, lo, b))
+                                      - _kern._power_gap(alpha, lo, b))
         if above.size:
             at_a = tails[pos:pos + above.size]
             pos += above.size
             total[above] += coeff * (at_a - at_b[across.size:]
-                                     - _power_gap(alpha, a, b))
+                                     - _kern._power_gap(alpha, a, b))
     return total
 
 
@@ -347,18 +348,6 @@ def _series_segment(alpha, a, w, hi):
     terms = np.cumprod(1j * (w * hi)[:, None] / ks, axis=1) * weights
     sums = np.cumsum(terms, axis=1)
     return hi ** alpha * sums[np.arange(hi.size), n - 1]
-
-
-def _power_gap(alpha, lo, hi):
-    """(hi^alpha - lo^alpha) / alpha per entry of lo, 0 < lo < hi, with
-    hi a number: log(hi / lo) at alpha = 0 and -lo^alpha / alpha at hi =
-    inf (alpha < 0 there)."""
-    if hi == math.inf:
-        return -lo ** alpha / alpha
-    log_ratio = np.log(lo / hi)
-    if alpha == 0.0:
-        return -log_ratio
-    return hi ** alpha * -np.expm1(alpha * log_ratio) / alpha
 
 
 def _zones(kernel, c):
@@ -535,47 +524,47 @@ def _panel_sums(kernel, a, b, owner, w, power):
 
 
 def _tail_zone(kernel, w, lo, power):
-    """int_lo^hi r^power profile (e^{iwr} - 1) dr per entry, in closed form.
+    """int_lo^b r^power profile (e^{iwr} - 1) dr per entry, in closed form.
 
-    Only logreg pieces have a tail (pow-only kernels take _power_law_block,
-    and panels cover loglin pieces).  Each power-law term coeff r^p on (a,
-    b) of their expansion (_tail_power_terms) adds
+    Only a log_regularized kernel, one logreg piece on (0, b), has a tail
+    (pow-only kernels take _power_law_block, and panels cover loglin
+    pieces).  Starts below 6 delta take the partial fractions of
+    _logreg_near_tail.  Further out each term coeff r^p of the piece's
+    expansion in delta/r that an entry takes (kernels._logreg_far_terms)
+    adds
 
-        coeff [T(a) - T(b) - (b^alpha - a^alpha) / alpha],
+        coeff [T(lo) - T(b) - (b^alpha - lo^alpha) / alpha],
 
-    alpha = p + power + 1 = -dd - j <= -1 and T(t) = int_t^inf r^(p +
-    power) e^{iwr} dr (see _tail_end).  The terms of all entries are summed
-    together in blocks of rows, both ends of a block in one _osc_tail call,
-    and added to each entry in term order, after the partial fractions of a
-    log_regularized tail that starts below 6 delta (_logreg_near_tail).
+    alpha = p + power + 1 = power - dd - j <= -1, T(t) = int_t^inf
+    r^(alpha-1) e^{iwr} dr from _osc_tail (T(inf) = 0) and the gap from
+    kernels._power_gap.  The terms of all entries go in blocks of rows,
+    both ends of a block in one _osc_tail call, and are added to each
+    entry in term order.
     """
-    pieces = _kern._pieces(kernel)
+    piece = _kern._pieces(kernel)[0]
+    b = piece[2]
     total = np.zeros(w.size, dtype=complex)
-    for piece in pieces:
-        if piece[0] == "logreg":
-            a = np.maximum(piece[1], lo)
-            near = np.flatnonzero((a < piece[2]) & (a < 6.0 * piece[4]))
-            if near.size:
-                total[near] += _logreg_near_tail(piece, w[near], a[near],
-                                                 power)
-    terms = _tail_power_terms(pieces, lo)
-    if not terms:
-        return total
-    owner = np.concatenate([np.flatnonzero(t[4]) for t in terms])
-    sizes = [int(np.count_nonzero(t[4])) for t in terms]
-    coeff = np.repeat([t[0] for t in terms], sizes)
-    e = np.repeat([t[1] + power for t in terms], sizes)
-    a = np.concatenate([t[2][t[4]] for t in terms])
-    b = np.repeat([t[3] for t in terms], sizes)
+    near = lo < _kern._FAR_START * piece[4]
+    if near.any():
+        total[near] += _logreg_near_tail(piece, w[near], lo[near], power)
+    far = np.flatnonzero(~near)
+    _, exps, live = _kern._logreg_far_terms(piece, lo[far])
+    rows, j = np.nonzero(live)
+    owner, start = far[rows], lo[far][rows]
+    e = exps[j] + power
     val = np.empty(owner.size, dtype=complex)
-    rows = BLOCK_ENTRIES // (2 * _COLUMNS)
-    for start in range(0, owner.size, rows):
-        cut = slice(start, start + rows)
+    step = BLOCK_ENTRIES // (2 * _COLUMNS)
+    for s in range(0, owner.size, step):
+        cut = slice(s, s + step)
         n = owner[cut].size
-        ends = _tail_end(np.tile(e[cut], 2), np.tile(w[owner[cut]], 2),
-                         np.concatenate([a[cut], b[cut]]))
-        val[cut] = ends[:n] - ends[n:]
-    np.add.at(total, owner, coeff * val)
+        ends = [start[cut]] + ([np.full(n, b)] if b < math.inf else [])
+        tails = _osc_tail(np.tile(e[cut], len(ends)),
+                          np.tile(w[owner[cut]], len(ends)),
+                          np.concatenate(ends))
+        val[cut] = tails[:n] - tails[n:] if b < math.inf else tails
+    gap = _kern._power_gap(e + 1.0, start, b)
+    coeffs = _kern._logreg_far_table(*piece[3:])[0]
+    np.add.at(total, owner, coeffs[j] * (val - gap))
     return total
 
 
@@ -588,18 +577,18 @@ def _logreg_near_tail(piece, w, a, power):
     (T(inf) = 0); the "-1" part of them all is the primitive P of
     kernels._logreg_primitive, -log1p(dl/t) / dl at m = -1, so it adds P(a)
     - P(b).  The terms cancel by up to (a + dl) / dl, so this serves starts
-    a below 6 dl; further out the binomial expansion of _tail_power_terms
-    does.  Takes m <= 0, as the symbols of d = 1 and 2 have.  All ends of
-    all fractions go to one _osc_tail call.
+    a below 6 dl; further out the expansion in dl/r of _tail_zone does.
+    Takes m <= 0, as the symbols of d = 1 and 2 have.  All ends of all
+    fractions go to one _osc_tail call.
     """
     coeff, b, dl, dd = piece[3], piece[2], piece[4], piece[5]
     m = power - 1
     if m < 0:   # 1/(r (r+dl)^dd) = dl^-dd / r - sum_k dl^(k-1-dd) (r+dl)^-k
         fractions = [(dl ** -float(dd), 0.0, -1.0)] + [
             (-dl ** float(k - 1 - dd), dl, -float(k)) for k in range(1, dd + 1)]
-    else:       # r^m = ((r + dl) - dl)^m, binomially
-        fractions = [(math.comb(m, j) * (-dl) ** (m - j), dl, float(j - dd))
-                     for j in range(m + 1)]
+    else:       # r^m = ((r + dl) - dl)^m, binomially, as P has it
+        fractions = [(f, dl, float(j - dd)) for j, f
+                     in enumerate(_kern._logreg_binomials(m, dl)[m])]
     n, shifts = w.size, [s for _, s, _ in fractions]
     ts = [a + s for s in shifts]
     if b < math.inf:
@@ -615,67 +604,6 @@ def _logreg_near_tail(piece, w, a, power):
     if b < math.inf:
         total -= _kern._logreg_primitive(m, dl, dd, np.full(w.size, b))
     return coeff * total
-
-
-def _tail_end(e, w, t):
-    """T(t) + t^alpha / alpha per entry, T(t) = int_t^inf r^e e^{iwr} dr.
-
-    alpha = e + 1 < 0, t > 0, and T comes from _osc_tail; at t = inf both
-    parts are 0.
-    """
-    alpha = e + 1.0
-    out = np.zeros(w.size, dtype=complex)
-    mid = np.flatnonzero(t < math.inf)
-    if mid.size:
-        al, tm = alpha[mid], t[mid]
-        out[mid] = _osc_tail(e[mid], w[mid], tm) + tm ** al / al
-    return out
-
-
-def _tail_power_terms(pieces, lo_cut):
-    """Power-law terms (coeff, p, a, b, live) of the profile on r > lo_cut.
-
-    lo_cut is an array; a is the per-entry start max(piece start, lo_cut)
-    and live marks the entries a term applies to.  log_regularized pieces
-    are expanded binomially in (delta/r) for the entries that start at 6
-    delta or later, where delta/r <= 1/6 (nearer starts take
-    _logreg_near_tail), and each entry drops the expansion once a term
-    past j = 4 falls below 1e-25 at its own start; loglin pieces never
-    reach here because the panel zone is extended over their support, nor
-    do pow pieces, which take _power_law_block.
-    """
-    out = []
-    for piece in pieces:
-        a, b = np.maximum(piece[1], lo_cut), piece[2]
-        live = a < b
-        if piece[0] == "logreg":  # nearer starts take _logreg_near_tail
-            live &= a >= 6.0 * piece[4]
-        if not live.any():
-            continue
-        if piece[0] != "logreg":
-            raise ValueError("unexpected piece kind in far tail")
-        coeffs, exps = _logreg_tail_terms(*piece[3:])
-        # row j - 5: the entries whose terms 5..j all reach 1e-25
-        far = np.where(live, a, math.inf)
-        lives = live & ~np.logical_or.accumulate(
-            np.abs(coeffs[5:, None]) * far ** exps[5:, None] < 1e-25,
-            axis=0)
-        some = lives.any(axis=1)
-        count = 5 + (some.size if some.all() else int(np.argmin(some)))
-        out.extend((coeffs[j], exps[j], a, b, live if j < 5 else
-                    lives[j - 5]) for j in range(count))
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _logreg_tail_terms(coeff, dl, dd):
-    """Coefficients coeff comb(dd + j - 1, j) (-dl)^j and exponents
-    -1 - dd - j, j < 40, of a logreg piece's expansion in (dl/r)."""
-    coeffs = np.array([coeff * math.comb(dd + j - 1, j) * (-dl) ** j
-                       for j in range(40)])
-    exps = -1.0 - dd - np.arange(40.0)
-    coeffs.flags.writeable = exps.flags.writeable = False  # shared
-    return coeffs, exps
 
 
 def _osc_tail(e, w, t):

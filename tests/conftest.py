@@ -5,6 +5,10 @@ from hypothesis import settings
 from hsnl import symbols
 
 settings.register_profile("ci", derandomize=True, max_examples=50, deadline=None)
+# `pytest --hypothesis-profile=thorough` overrides the ci profile loaded
+# below; CI runs tests/test_kernels.py under it as a step of its own
+settings.register_profile("thorough", derandomize=True, max_examples=1000,
+                          deadline=None)
 settings.load_profile("ci")
 
 

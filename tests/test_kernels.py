@@ -475,9 +475,6 @@ def test_radial_antideriv_keeps_its_digits_near_the_origin(k, q):
             assert abs(hs[j] - hs[i] - want) <= 1e-13 * want
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the partial fractions of t^-1 (t + delta)^-d cancel by about "
-    "(a/delta)^(d-1) when b - a << a: 1.8e-12 apart here"))
 def test_radial_integral_rescales_on_a_short_interval_far_out():
     # a failing example of test_radial_integral_rescales_with_the_horizon
     # under 1000 derandomized draws; int_a^b is 3.558771896056909e-4
@@ -485,6 +482,39 @@ def test_radial_integral_rescales_on_a_short_interval_far_out():
     a, b = 2.9086881367278714, 3.0
     scaled = K.radial_integral(K.rescaled(k, delta), delta * a, delta * b, q)
     assert _close(scaled, delta ** (q - k.d) * K.radial_integral(k, a, b, q))
+
+
+def _far_intervals():
+    """(d, delta, q, a, b) from 6 delta to 1e4 delta out: b - a from 1e-8 a
+    to 3 a, or b = inf where the tail converges (q < d)."""
+    rng = np.random.default_rng(25)
+    out = [(3, 0.8082854453592934, 0, 2331.139730300342, 2331.1404872856774)]
+    for _ in range(139):
+        d, q = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        delta = rng.uniform(0.01, 0.9)
+        a = delta * 10.0 ** rng.uniform(math.log10(6.0), 4.0)
+        b = math.inf if q < d and rng.random() < 0.25 else \
+            a * (1.0 + 10.0 ** rng.uniform(-8.0, math.log10(3.0)))
+        out.append((d, delta, q, a, b))
+    return out
+
+
+def test_log_regularized_far_zone_matches_mpmath():
+    # from 6 delta on the integrals take the expansion in delta/t, since
+    # the primitive's partial fractions cancel by about (a/delta)^(d-1)
+    # when b - a << a: by 1.0e-2 of the first interval's value
+    import mpmath
+
+    for d, delta, q, a, b in _far_intervals():
+        k = K.log_regularized(d, delta)
+        got = K.radial_integral(k, a, b, q)
+        coeff = K._pieces(k)[0][3]
+        with mpmath.workdps(30):
+            dl = mpmath.mpf(delta)
+            want = float(coeff * mpmath.quad(
+                lambda t: t ** (q - 1) * (t + dl) ** -d,
+                [mpmath.mpf(a), mpmath.mpf(b)]))
+        assert abs(got - want) <= 1e-14 * want, (d, delta, q, a, b)
 
 
 @given(KERNEL, ENDS, ENDS, ORDER, st.integers(min_value=0, max_value=2999))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -449,29 +450,52 @@ def test_power_law_kernels_never_enter_the_zones(monkeypatch):
         S._half_line_symbol(K.log_regularized(1, 0.1), np.array([1.9]), 0)
 
 
-def test_log_regularized_far_tail_matches_mpmath():
-    # int_R^inf coeff (e^{iwr} - 1) / (r (r + dl)) dr = coeff / dl [E1(-iwR)
-    # - e^{-iw dl} E1(-iw(R + dl)) - log1p(dl / R)] from the panel end R
-    # on; the "-1" part alone was 3.6e-8 off at c = 1e-7 before it was
-    # summed from the power-law terms
+def _logreg_tail_from(d, coeff, dl, w, r):
+    """int_r^inf coeff r^(d-1) (e^{iwr} - 1) / (r (r + dl)^d) dr from
+    mpmath, z = -iw dl: coeff / dl [E1(-iwr) - e^z E1(-iw(r + dl)) -
+    log1p(dl / r)] for d = 1, coeff [e^z E2(-iw(r + dl)) - 1] / (r + dl)
+    for d = 2."""
     import mpmath
 
-    k = ORACLE_KERNELS["log_regularized"](1)
-    coeff = K._pieces(k)[0][3]
-    # from |c| = 1/(3 delta) on the tail starts below 6 delta, and its
-    # partial fractions take over from the expansion in delta/r
-    cs = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3.0, 3.4, 9.0, 27.5, 1e3])
-    r_osc = S._zones(k, cs)[1]
-    assert np.any(r_osc < 0.6) and np.any(r_osc > 0.6)
-    got = S._tail_zone(k, 2.0 * math.pi * cs, r_osc, 0)
-    with mpmath.workdps(40):
-        dl = mpmath.mpf(0.1)
-        for c, r, value in zip(cs, r_osc, got):
-            z = -2j * mpmath.pi * c
-            want = complex(coeff / dl * (
-                mpmath.e1(z * r) - mpmath.exp(z * dl) * mpmath.e1(z * (r + dl))
-                - mpmath.log1p(dl / r)))
-            assert abs(value - want) <= 1e-15 * abs(want)
+    z = -1j * w * dl
+    if d == 1:
+        return coeff / dl * (mpmath.e1(-1j * w * r)
+                             - mpmath.exp(z) * mpmath.e1(-1j * w * (r + dl))
+                             - mpmath.log1p(dl / r))
+    return coeff * (mpmath.exp(z) * mpmath.expint(2, -1j * w * (r + dl))
+                    - 1) / (r + dl)
+
+
+def test_log_regularized_far_tail_matches_mpmath():
+    # the tail from the panel end R to the support top, for starts on both
+    # sides of 6 delta: the partial fractions below, the expansion in
+    # delta/r from kernels._logreg_far_terms above; the "-1" part alone
+    # was 3.6e-8 off at c = 1e-7 before it was summed from the power-law
+    # terms.  A cut-off form's tail starts at phase 4 pi, below its top
+    import mpmath
+
+    for d, top in itertools.product((1, 2), (math.inf, 2.0)):
+        k = K.log_regularized(d, 0.1)
+        cs = np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3.0, 3.4, 9.0, 27.5,
+                       1e3])
+        if top < math.inf:
+            k = K.cutoff(k, top)
+            cs = np.array([1.5, 3.0, 3.4, 9.0, 27.5, 1e3])
+        coeff = K._pieces(k)[0][3]
+        r_osc = S._zones(k, cs)[1]
+        assert np.any(r_osc < 0.6) and np.any(r_osc > 0.6)
+        assert np.all(r_osc < top)
+        got = S._tail_zone(k, 2.0 * math.pi * cs, r_osc, d - 1)
+        with mpmath.workdps(40):
+            dl = mpmath.mpf(0.1)
+            for c, r, value in zip(cs, r_osc, got):
+                w = 2 * mpmath.pi * mpmath.mpf(c)
+                want = _logreg_tail_from(d, coeff, dl, w, mpmath.mpf(r))
+                if top < math.inf:
+                    want -= _logreg_tail_from(d, coeff, dl, w,
+                                              mpmath.mpf(top))
+                assert abs(value - complex(want)) <= 1e-15 * abs(want), \
+                    (d, top, c)
 
 
 def log_regularized_reference(kernel, c, power):
@@ -628,7 +652,9 @@ def test_osc_tail_matches_incomplete_gamma(e):
     # int_t^inf r^e e^{i w r} dr = (-i w)^{-e-1} Gamma(e + 1, -i w t); w is
     # a power of two, so the phase w t is exact in floating point
     mpmath.mp.dps = 40
-    phases = np.array([4.0 * math.pi, 13.0, 40.0, 400.0, 1e3, 1e4])
+    # _power_law_block takes T from phase 2 on, the far tail from 4 pi
+    phases = np.array([2.0, 2.5, 3.0, math.pi, 4.0, 2.0 * math.pi,
+                       4.0 * math.pi, 13.0, 40.0, 400.0, 1e3, 1e4])
     for w in (0.5, 2.0, 8.0):
         ts = phases / w
         got = S._osc_tail(np.full(ts.size, e), np.full(ts.size, w), ts)
