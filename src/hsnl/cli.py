@@ -9,6 +9,7 @@ significant digits; identical configs give identical bytes.
 
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from . import symbols as _sym
 
 class CliError(Exception):
     """Bad configuration or validation failure; exit code 1."""
+
+
+class OutputError(Exception):
+    """A result to be written is not a finite number; exit code 2."""
 
 
 def _fmt(value):
@@ -152,28 +157,29 @@ def _echo_lines(cfg):
     return ["# %s=%s" % (k, v) for k, v in sorted(cfg.resolved.items())]
 
 
-def _spec(kind):
-    """The % conversion that prints a value of this type as _fmt does."""
-    if kind is bool or kind is np.bool_ or kind is int \
-            or issubclass(kind, np.integer):
-        return "%d"
-    if issubclass(kind, (float, np.floating)):
-        return "%.17g"
-    return "%s"
-
-
-def _write_csv(path, cfg, header, rows):
-    """Echoed config, header and rows, each row formatted with one %
-    template per tuple of value types; the bytes are the _fmt join's."""
-    lines = _echo_lines(cfg)
-    lines.append(header)
-    templates = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_spec, kinds))
-        lines.append(template % tuple(row))
+def _write_csv(path, cfg, header, columns):
+    """Echoed config, header and columns, one per header name, the body
+    formatted with one %: a float or integer array as it is, any other
+    column value by value with _fmt, so the bytes are the _fmt join of
+    each row.  Raises OutputError, and writes nothing, if a number is not
+    finite."""
+    specs, cols = [], []
+    for name, values in zip(header.split(","), columns):
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+        bad = np.flatnonzero(~np.isfinite(values)) if kind == "f" else [
+            r for r, v in enumerate(values)
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v)]
+        if len(bad):
+            raise OutputError("%s row %d, column %s: %s is not finite" % (
+                path, bad[0] + 1, name, _fmt(values[bad[0]])))
+        specs.append("%.17g" if kind == "f" else "%d" if kind in "biu"
+                     else "%s")
+        cols.append(values.tolist() if specs[-1] != "%s"
+                    else list(map(_fmt, values)))
+    lines = _echo_lines(cfg) + [header]
+    if cols and cols[0]:
+        lines.append("\n".join([",".join(specs)] * len(cols[0]))
+                     % tuple(chain.from_iterable(zip(*cols))))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -316,13 +322,15 @@ def _cmd_symbol(cfg):
     d = kernel.d
     xis = np.asarray(points, dtype=float).reshape(len(points), d)
     _kern.standing_moments(kernel)
-    values = _sym._symbol_values(kernel, nu, xis if d > 1 else xis[:, 0])
-    rows = [(*xi, *value.real, *value.imag) for xi, value in zip(xis, values)]
+    # a value that overflows reaches _write_csv, which refuses it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = _sym._symbol_values(kernel, nu,
+                                     xis if d > 1 else xis[:, 0])
     header = ",".join(["xi_%d" % (k + 1) for k in range(d)]
                       + ["re_%d" % (k + 1) for k in range(d)]
                       + ["im_%d" % (k + 1) for k in range(d)])
-    _write_csv(out, cfg, header, rows)
-    return "points=%d out=%s" % (len(rows), out)
+    _write_csv(out, cfg, header, [*xis.T, *values.real.T, *values.imag.T])
+    return "points=%d out=%s" % (len(xis), out)
 
 
 def _cmd_bounds(cfg):
@@ -343,7 +351,7 @@ def _cmd_bounds(cfg):
                                                       radius))
     reports.append(_sym.check_eta_envelope(kernel.d, nu, tau, grid))
     rows = [(r.name, *r.grid_span(), r.margin, r.passed) for r in reports]
-    _write_csv(out, cfg, "name,grid_min,grid_max,margin,pass", rows)
+    _write_csv(out, cfg, "name,grid_min,grid_max,margin,pass", zip(*rows))
     failures = sum(1 for r in rows if not r[4])
     return "checks=%d failures=%d out=%s" % (len(rows), failures, out)
 
@@ -359,7 +367,7 @@ def _cmd_localize(cfg):
                                     2 if norm == "l2" else math.inf)
     rate = table.diag_order
     rows = [(delta, err, rate) for delta, _, err in table.rows]
-    _write_csv(out, cfg, "delta,error,rate", rows)
+    _write_csv(out, cfg, "delta,error,rate", zip(*rows))
     return "rate=%s rows=%d out=%s" % (_fmt(rate), len(rows), out)
 
 
@@ -380,8 +388,7 @@ def _cmd_solve(cfg):
         system = _fem.assemble(kernel, nu, coef, rhs, mesh)
     u = _fem.solve_state(system)
     full = np.concatenate([[0.0], u, [0.0]])
-    rows = list(zip(mesh.nodes, full))
-    _write_csv(out, cfg, "x,u", rows)
+    _write_csv(out, cfg, "x,u", [mesh.nodes, full])
     return "n=%d umax=%s out=%s" % (n, _fmt(float(np.abs(u).max())), out)
 
 
@@ -408,7 +415,7 @@ def _cmd_poincare(cfg):
             table = _exp.poincare_sweep(
                 lambda d: _kern.rescaled(base, d), deltas, h=h, nu=nu,
                 cap=cap)
-    _write_csv(out, cfg, "delta,h,cp", table.rows)
+    _write_csv(out, cfg, "delta,h,cp", zip(*table.rows))
     top = max(cp for _, _, cp in table.rows)
     return "verdict=%s max_cp=%s out=%s" % (
         "pass" if table.verdict else "fail", _fmt(top), out)
@@ -445,7 +452,7 @@ def _cmd_ac(cfg):
             hs=hs, A=coef, f=rhs, reference="fine_nonlocal_fem",
             reference_kernel=base, reference_h=ref_h)
         table = _exp.ac_nonlocal_sweep(config)
-    _write_csv(out, cfg, "param,h,l2_error", table.rows)
+    _write_csv(out, cfg, "param,h,l2_error", zip(*table.rows))
     trend = _exp.classify_trend([e for _, _, e in table.diagonal()])
     return "diagonal_trend=%s" % trend
 
@@ -477,9 +484,8 @@ def _cmd_control(cfg):
         gamma=gamma, u_des=lambda x: scale * target(x), nu=nu)
     triple = _control.solve_optimal(problem, tol=tol, max_iter=max_iter)
     full = np.concatenate([[0.0], triple.u, [0.0]])
-    _write_csv(state_out, cfg, "x,u", list(zip(mesh.nodes, full)))
-    _write_csv(control_out, cfg, "cell,g",
-               list(zip(range(n), triple.g)))
+    _write_csv(state_out, cfg, "x,u", [mesh.nodes, full])
+    _write_csv(control_out, cfg, "cell,g", [np.arange(n), triple.g])
     return "objective=%s,residual=%s,iters=%d" % (
         _fmt(triple.objective_value), _fmt(triple.residual),
         triple.iterations)
@@ -488,16 +494,14 @@ def _cmd_control(cfg):
 def _cmd_appendix(cfg):
     deltas = cfg.get_floats("deltas", "0.1,0.01,0.001")
     out = cfg.get("out", "appendix.csv")
-    rows = []
-    for entry in _sym.appendix_limit_table(deltas):
-        rows.append((entry["delta"], entry["sin_integral"],
-                     entry["cos_integral"], entry["sin_upto1"],
-                     entry["cos_upto1"]))
-    _write_csv(out, cfg, "delta,sin_integral,cos_integral,sin_upto1,"
-               "cos_upto1", rows)
-    last = rows[-1]
+    table = _sym.appendix_limit_table(deltas)
+    header = "delta,sin_integral,cos_integral,sin_upto1,cos_upto1"
+    _write_csv(out, cfg, header,
+               [[entry[key] for entry in table] for key in header.split(",")])
+    last = table[-1]
     return "sin_gap=%s cos_abs=%s out=%s" % (
-        _fmt(abs(last[1] - 2.0 * math.pi)), _fmt(abs(last[2])), out)
+        _fmt(abs(last["sin_integral"] - 2.0 * math.pi)),
+        _fmt(abs(last["cos_integral"])), out)
 
 
 def _cmd_basis(cfg):
@@ -524,7 +528,7 @@ def _cmd_basis(cfg):
                             for k in range(d - 1)])
         first_row_err = float(np.max(np.abs(q[0, :d - 1] - formula)))
         rows.append((index, defect, first_row_err))
-    _write_csv(out, cfg, "index,defect,first_row_error", rows)
+    _write_csv(out, cfg, "index,defect,first_row_error", zip(*rows))
     worst_defect = max(r[1] for r in rows)
     worst_row = max(r[2] for r in rows)
     return "samples=%d max_defect=%s max_first_row_error=%s out=%s" % (
@@ -536,16 +540,10 @@ def _cmd_validate(cfg):
     report = _kern.validate_assumptions(kernel)
     for line in _echo_lines(cfg):
         print(line)
-    flat = {}
-    for key, value in report.items():
-        if key == "delta_ladder":
-            continue
-        flat[key] = value
-    ladder = report.get("delta_ladder")
-    if ladder:
-        for delta, entries in ladder.items():
-            for name, value in entries.items():
-                flat["ladder.%s.%s" % (_fmt(delta), name)] = value
+    flat = {k: v for k, v in report.items() if k != "delta_ladder"}
+    for delta, entries in (report.get("delta_ladder") or {}).items():
+        for name, value in entries.items():
+            flat["ladder.%s.%s" % (_fmt(delta), name)] = value
     for key in sorted(flat):
         value = flat[key]
         print("%s=%s" % (key, "none" if value is None else _fmt(value)))
@@ -626,7 +624,7 @@ def run(argv):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (_control.NonconvergenceError, _fem.AssemblyError,
-            _sym.SymbolError, np.linalg.LinAlgError) as exc:
+            _sym.SymbolError, np.linalg.LinAlgError, OutputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (_kern.AssumptionError, ValueError) as exc:

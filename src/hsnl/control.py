@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+# unused by the solver, which calls LAPACK through fem1d; the benchmark's
+# tracer (perfbench/tracer.py) proxies this module's sla attribute
+import scipy.linalg as sla  # noqa: F401
 
 from . import fem1d as _fem
 from .experiments import _cells_for, _diagonal, _l2_error, _reference_h
@@ -163,7 +165,7 @@ def _adjoint_load(problem, u):
 def solve_adjoint(system, u, problem):
     """Adjoint solve: the state operator is self-adjoint, so its banded
     factor, made once per system, serves the adjoint too."""
-    return sla.cho_solve_banded(system.factor, _adjoint_load(problem, u))
+    return _fem._cho_solve(system.factor, _adjoint_load(problem, u))
 
 
 def objective(u, g, problem):
@@ -178,15 +180,18 @@ def objective(u, g, problem):
 
 def _kkt_band(stiffness_band, mass_band):
     """Half-width and band of [[K, T], [-2M, K]] in the unknowns
-    (u_0, p_0, u_1, p_1, ...), in the `scipy.linalg.solve_banded` layout,
-    with T = 0; _Reduced.newton_direction writes T = C_I D_I^-1 C_I^T.
+    (u_0, p_0, u_1, p_1, ...), with T = 0, in the (3 half + 1)-row layout
+    of LAPACK dgbsv (fem1d._band_solve); _Reduced.newton_direction writes
+    T = C_I D_I^-1 C_I^T.
 
-    K sits on the even offsets from the diagonal, M and T on offsets
-    -3, -1, 1 and 3, so each step overwrites T's entries in place.
+    Below the first half rows, kept zero for dgbsv's fill-in, row half
+    holds the diagonal.  K sits on the even offsets from it, M and T on
+    offsets -3, -1, 1 and 3, so each step overwrites T's entries in place.
     """
     width, m = stiffness_band.shape
     half = max(2 * width - 2, 3)
-    band = np.zeros((2 * half + 1, 2 * m))
+    full = np.zeros((3 * half + 1, 2 * m), order="F")
+    band = full[half:]
     for k in range(width):
         row = stiffness_band[width - 1 - k, k:]
         for parity in (0, 1):
@@ -195,7 +200,7 @@ def _kkt_band(stiffness_band, mass_band):
     band[half + 1, 0::2] = -2.0 * mass_band[1]
     band[half - 1, 2::2] = -2.0 * mass_band[0, 1:]
     band[half + 3, 0:2 * m - 2:2] = -2.0 * mass_band[0, 1:]
-    return half, band
+    return half, full
 
 
 class _Reduced:
@@ -242,6 +247,8 @@ class _Reduced:
         # the Newton system's K and M part, built once; none for a custom F
         self.kkt = (None if self.des is None
                     else _kkt_band(system.stiffness_band, system.mass_band))
+        # each Newton step copies the band here, as dgbsv overwrites it
+        self.work = None if self.kkt is None else np.empty_like(self.kkt[1])
 
     def user(self, fn, *args):
         """fn(*args) under the caller's floating-point settings rather
@@ -250,7 +257,7 @@ class _Reduced:
             return fn(*args)
 
     def state(self, g):
-        return sla.cho_solve_banded(self.factor, _couple(self.mesh, g))
+        return _fem._cho_solve(self.factor, _couple(self.mesh, g))
 
     def adjoint(self, u_q):
         """Adjoint state for the state sampled at the quadrature points."""
@@ -258,8 +265,8 @@ class _Reduced:
             vals = self.user(self.problem.F_xi, self.xq, u_q)
         else:
             vals = 2.0 * (u_q - self.des)
-        return sla.cho_solve_banded(
-            self.factor, _hat_pairing(self.mesh, vals, self.wq))
+        return _fem._cho_solve(self.factor,
+                               _hat_pairing(self.mesh, vals, self.wq))
 
     def project(self, p):
         raw = -_couple_t(self.mesh, p) / self.scale
@@ -287,14 +294,16 @@ class _Reduced:
         active = (((g <= self.lo + eps) & (grad > 0.0))
                   | ((g >= self.hi - eps) & (grad < 0.0)))
         inv = np.where(active, 0.0, 1.0 / self.scale)
-        half, band = self.kkt
+        half, full = self.kkt
+        band = full[half:]
         quarter = 0.25 * self.mesh.h ** 2
         band[half - 1, 1::2] = quarter * (inv[:-1] + inv[1:])
         band[half - 3, 3::2] = quarter * inv[1:-1]
         band[half + 1, 1:-1:2] = quarter * inv[1:-1]
+        np.copyto(self.work, full)
         rhs = np.zeros(band.shape[1])
         rhs[0::2] = -_couple(self.mesh, inv * grad)
-        dp = sla.solve_banded((half, half), band, rhs)[1::2]
+        dp = _fem._band_solve(half, self.work, rhs)[1::2]
         return -(grad + np.where(active, 0.0, _couple_t(self.mesh, dp))) \
             / self.scale
 

@@ -36,14 +36,17 @@ not limited.
 
 Since a point sees only its window, the stiffness and mass matrices are
 banded, and a `FemSystem` stores only their upper bands, in the
-`(width, n)` row layout that `scipy.linalg.cholesky_banded` reads: `width`
-is the window width (2 for the local operator and the mass).  The
-nonlocal stiffness band is held in Fortran order, so BLAS and LAPACK read
-it without a copy.  Assembly factors the stiffness band once and the
-`FemSystem` keeps that factor, so every later solve is an
-O(n * width) banded back-substitution; band products go through BLAS
-`dsbmv`.  A `FemSystem` built by hand factors on first use, and its
-`stiffness` and `mass` properties build dense copies for checks.
+`(width, n)` row layout of LAPACK's banded Cholesky `dpbtrf`: `width` is
+the window width (2 for the local operator and the mass).  The nonlocal
+stiffness band is held in Fortran order, so BLAS and LAPACK read it
+without a copy.  Assembly factors the stiffness band once and the
+`FemSystem` keeps that factor, so every later solve is an O(n * width)
+banded back-substitution (`dpbtrs`).  The solves, the general band solve
+of the control's Newton system (`dgbsv`) and the band products (BLAS
+`dsbmv`) call `scipy.linalg.lapack` and `.blas` directly, with the
+finiteness checks of SciPy's wrappers.  A `FemSystem` built by hand
+factors on first use, and its `stiffness` and `mass` properties build
+dense copies for checks.
 """
 
 import functools
@@ -102,9 +105,9 @@ class FemSystem:
     Row width - 1 - k of a band holds the k-th superdiagonal, ending in
     the last column (the layout of `scipy.linalg.cholesky_banded`).
     `factor` is the banded Cholesky factor of the stiffness, in the
-    `(cb, lower)` form `scipy.linalg.cho_solve_banded` takes.  It is
-    computed once, so build a new system rather than changing the
-    stiffness of one that has been solved.
+    `(cb, lower)` form `scipy.linalg.cho_solve_banded` takes, with lower
+    always False.  It is computed once, so build a new system rather than
+    changing the stiffness of one that has been solved.
     """
 
     stiffness_band: np.ndarray
@@ -407,14 +410,47 @@ def _band_product(band, x):
     return sla.blas.dsbmv(band.shape[0] - 1, 1.0, band, x)
 
 
+def _check_finite(*arrays):
+    """Raise scipy.linalg's ValueError if an array has infs or NaNs."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _factor(band):
-    """Banded Cholesky factor (cb, lower) of the symmetric upper band."""
-    try:
-        return sla.cholesky_banded(band), False
-    except sla.LinAlgError:
+    """Banded Cholesky factor (cb, lower) of the symmetric upper band, by
+    LAPACK dpbtrf."""
+    _check_finite(band)
+    cb, info = sla.lapack.dpbtrf(band)
+    if info > 0:
         low = sla.eigvals_banded(band, select="i", select_range=(0, 0))[0]
         raise AssemblyError("stiffness is not positive definite (smallest "
                             "eigenvalue %.3e)" % low)
+    # scipy's cho_solve_banded checks the factor at every solve; it does
+    # not change, so once here
+    _check_finite(cb)
+    return cb, False
+
+
+def _cho_solve(factor, rhs):
+    """Solve with a banded Cholesky factor from _factor, by LAPACK dpbtrs;
+    rhs is left as it is."""
+    _check_finite(rhs)
+    if rhs.shape != factor[0].shape[1:]:
+        raise ValueError("shapes of cb and b are not compatible.")
+    return sla.lapack.dpbtrs(factor[0], rhs)[0]
+
+
+def _band_solve(half, work, rhs):
+    """Solve the general band system with half sub- and superdiagonals in
+    work, in the (3 half + 1)-row layout of LAPACK dgbsv (entry (i, j) in
+    row 2 half + i - j, the first half rows for its fill-in).  dgbsv
+    overwrites work with the LU factors and rhs with the solution."""
+    _check_finite(work, rhs)
+    _, _, x, info = sla.lapack.dgbsv(half, half, work, rhs, overwrite_ab=1,
+                                     overwrite_b=1)
+    if info > 0:
+        raise sla.LinAlgError("singular matrix")
+    return x
 
 
 def _system(stiffness_band, mesh, f):
@@ -506,7 +542,7 @@ def solve_state(system):
 
     The system's factor is reused; a hand-built system factors here once.
     """
-    u = sla.cho_solve_banded(system.factor, system.load)
+    u = _cho_solve(system.factor, system.load)
     # norms of the vectors scaled to max|load| = 1, so that a load near
     # the top of the float range does not overflow them
     size = max(float(np.max(np.abs(system.load))), 1e-300)
@@ -527,7 +563,7 @@ def smallest_eigenvalue(system, tol=1e-10, maxit=500):
     y /= math.sqrt(y @ _band_product(mass, y))
     lam = y @ _band_product(stiff, y)
     for _ in range(maxit):
-        z = sla.cho_solve_banded(system.factor, _band_product(mass, y))
+        z = _cho_solve(system.factor, _band_product(mass, y))
         z /= math.sqrt(z @ _band_product(mass, z))
         lam_new = z @ _band_product(stiff, z)
         y = z

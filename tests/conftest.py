@@ -1,12 +1,13 @@
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import settings
 
 from hsnl import symbols
 
 settings.register_profile("ci", derandomize=True, max_examples=50, deadline=None)
 # `pytest --hypothesis-profile=thorough` overrides the ci profile loaded
-# below; CI runs tests/test_kernels.py under it as a step of its own
+# below; CI runs tests/test_kernels.py and the CLI contract test under it
+# as a step of its own
 settings.register_profile("thorough", derandomize=True, max_examples=1000,
                           deadline=None)
 settings.load_profile("ci")
@@ -14,15 +15,16 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def factor_count(monkeypatch):
-    """List that grows by one on every scipy.linalg.cholesky_banded call."""
+    """List that grows by one on every LAPACK dpbtrf call, the banded
+    Cholesky factorization that fem1d._factor makes."""
     calls = []
-    real = scipy.linalg.cholesky_banded
+    real = scipy.linalg.lapack.dpbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted)
     return calls
 
 

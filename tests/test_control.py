@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from hsnl import kernels as K
@@ -384,6 +385,29 @@ def test_newton_direction_matches_the_dense_reduced_hessian(n, delta):
         want = -grad / reduced.scale
         want[free] = -np.linalg.solve(hess, grad[free])
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,delta", [(16, 0.0), (16, 0.1), (5, 0.6)])
+def test_newton_system_solve_matches_solve_banded(monkeypatch, n, delta):
+    # dgbsv on the (3 half + 1)-row band against scipy.linalg.solve_banded
+    # on its last 2 half + 1 rows, for a box that binds on some cells
+    prob = ball_problem(F.Mesh1D(1.0, n), delta=delta, alpha=0.0, beta=2.0)
+    reduced = C._Reduced(prob)
+    rng = np.random.default_rng(n)
+    g = rng.choice([0.0, 2.0, 1.0], size=n, p=[0.3, 0.3, 0.4])
+    grad = rng.standard_normal(n)
+    active = (((g == 0.0) & (grad > 0.0)) | ((g == 2.0) & (grad < 0.0)))
+    assert active.any() and not active.all()
+    got = reduced.newton_direction(g, grad, 1e-3)
+    half, band = reduced.kkt
+    assert not band[:half].any()
+    rhs = rng.standard_normal(band.shape[1])
+    want = sla.solve_banded((half, half), band[half:], rhs)
+    assert np.array_equal(F._band_solve(half, band.copy(order="F"),
+                                        rhs.copy()), want)
+    monkeypatch.setattr(F, "_band_solve", lambda half, work, rhs:
+                        sla.solve_banded((half, half), work[half:], rhs))
+    assert np.array_equal(reduced.newton_direction(g, grad, 1e-3), got)
 
 
 @pytest.mark.parametrize("prob", [
