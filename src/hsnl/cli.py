@@ -5,8 +5,13 @@ Configuration is a flat key=value map assembled from an optional file
 the output header as '# key=value' lines, so any produced file can be fed
 back through --config to reproduce the run.  Floats print with 17
 significant digits; identical configs give identical bytes.
+
+The subcommands share what is here; the handler of each is run(cfg) in
+hsnl/commands/<subcommand>.py, and run() imports only the one it calls,
+so a job compiles one handler.
 """
 
+import importlib
 import math
 import sys
 from itertools import chain
@@ -14,10 +19,8 @@ from itertools import chain
 import numpy as np
 
 from . import control as _control
-from . import experiments as _exp
 from . import fem1d as _fem
 from . import kernels as _kern
-from . import operators as _ops
 from . import symbols as _sym
 
 
@@ -184,10 +187,6 @@ def _write_csv(path, cfg, header, columns):
         handle.write("\n".join(lines) + "\n")
 
 
-# ---------------------------------------------------------------------------
-# Shared pieces: kernels, directions, named functions.
-# ---------------------------------------------------------------------------
-
 _FAMILIES = ("constant_ball", "riesz_truncated", "fractional_vanishing",
              "log_regularized", "log_truncated", "local")
 
@@ -276,307 +275,29 @@ def _xi_grid(cfg):
     return np.geomspace(lo, hi, count)
 
 
-def _bump_handle():
-    def bump(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= 1.0, (1.0 - x ** 2) ** 2, 0.0)
-
-    def dbump(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= 1.0, -4.0 * x * (1.0 - x ** 2), 0.0)
-
-    return _ops.SmoothFunction(fn=bump, lipschitz=1.5396007178390021,
-                               support_radius=1.0, sup_norm=1.0,
-                               derivative=dbump)
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns the one-line stdout summary.
-# ---------------------------------------------------------------------------
-
-def _cmd_symbol(cfg):
-    kernel = _build_kernel(cfg)
-    nu = _parse_nu(cfg, kernel.d)
-    if cfg.has("xis"):
-        raw = cfg.get("xis")
-        points = []
-        for part in raw.split(","):
-            try:
-                comps = tuple(float(p) for p in part.split(":"))
-            except ValueError:
-                raise CliError("key xis expects numbers, got %r" % part)
-            if not all(math.isfinite(c) for c in comps):
-                raise CliError("key xis: xi point %r is not finite" % part)
-            if len(comps) != kernel.d:
-                raise CliError("xi point %r has %d components, kernel is "
-                               "d=%d" % (part, len(comps), kernel.d))
-            points.append(comps)
-        cfg.resolved["xis"] = ",".join(":".join(_fmt(c) for c in p)
-                                       for p in points)
-    else:
-        if kernel.d != 1:
-            raise CliError("the default grid is one-dimensional; pass "
-                           "--xis for d=2")
-        points = _xi_grid(cfg)
-    out = cfg.get("out", "symbol.csv")
-    d = kernel.d
-    xis = np.asarray(points, dtype=float).reshape(len(points), d)
-    _kern.standing_moments(kernel)
-    # a value that overflows reaches _write_csv, which refuses it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = _sym._symbol_values(kernel, nu,
-                                     xis if d > 1 else xis[:, 0])
-    header = ",".join(["xi_%d" % (k + 1) for k in range(d)]
-                      + ["re_%d" % (k + 1) for k in range(d)]
-                      + ["im_%d" % (k + 1) for k in range(d)])
-    _write_csv(out, cfg, header, [*xis.T, *values.real.T, *values.imag.T])
-    return "points=%d out=%s" % (len(xis), out)
-
-
-def _cmd_bounds(cfg):
-    kernel = _build_kernel(cfg)
-    _kern.standing_moments(kernel)
-    nu = _parse_nu(cfg, kernel.d)
-    grid = _xi_grid(cfg)
-    out = cfg.get("out", "bounds.csv")
-    radius = cfg.get_float("cutoff_radius", 1.0)
-    tau = cfg.get_float("tau", 0.01)
-    reports = [_sym.check_linear_bound(kernel, nu, grid),
-               _sym.check_lower_bound_small_xi(kernel, nu),
-               _sym.check_lower_bound_large_xi(kernel, nu),
-               _sym.check_hermitian_symmetry(kernel, nu, grid)]
-    # an infinite tail mass bounds nothing, so that row is left out
-    if math.isfinite(_kern.tail_mass(kernel, radius)):
-        reports.append(_sym.check_cutoff_perturbation(kernel, nu, grid,
-                                                      radius))
-    reports.append(_sym.check_eta_envelope(kernel.d, nu, tau, grid))
-    rows = [(r.name, *r.grid_span(), r.margin, r.passed) for r in reports]
-    _write_csv(out, cfg, "name,grid_min,grid_max,margin,pass", zip(*rows))
-    failures = sum(1 for r in rows if not r[4])
-    return "checks=%d failures=%d out=%s" % (len(rows), failures, out)
-
-
-def _cmd_localize(cfg):
-    kernel = _build_kernel(cfg)
-    if kernel.d != 1:
-        raise CliError("localization runs in d=1")
-    deltas = cfg.get_floats("deltas", "0.2,0.1,0.05,0.025")
-    norm = cfg.get_choice("norm", ("l2", "linf"), "l2")
-    out = cfg.get("out", "localize.csv")
-    table = _ops.localization_study(kernel, _bump_handle(), deltas,
-                                    2 if norm == "l2" else math.inf)
-    rate = table.diag_order
-    rows = [(delta, err, rate) for delta, _, err in table.rows]
-    _write_csv(out, cfg, "delta,error,rate", zip(*rows))
-    return "rate=%s rows=%d out=%s" % (_fmt(rate), len(rows), out)
-
-
-def _cmd_solve(cfg):
-    kernel = _build_kernel(cfg, allow_local=True)
-    nu = _parse_nu(cfg, 1 if kernel is None else kernel.d)
-    if kernel is not None and kernel.d != 1:
-        raise CliError("the solver is one-dimensional")
-    n = cfg.get_int("n", 64)
-    length = cfg.get_float("length", 1.0)
-    coef = _parse_field(cfg, "coef")
-    rhs = _parse_field(cfg, "rhs")
-    out = cfg.get("out", "solve.csv")
-    mesh = _fem.Mesh1D(length, n)
-    if kernel is None:
-        system = _fem.assemble_local(coef, rhs, mesh)
-    else:
-        system = _fem.assemble(kernel, nu, coef, rhs, mesh)
-    u = _fem.solve_state(system)
-    full = np.concatenate([[0.0], u, [0.0]])
-    _write_csv(out, cfg, "x,u", [mesh.nodes, full])
-    return "n=%d umax=%s out=%s" % (n, _fmt(float(np.abs(u).max())), out)
-
-
-def _cmd_poincare(cfg):
-    cap = cfg.get_float("cap", 0.5)
-    out = cfg.get("out", "poincare.csv")
-    base = _build_kernel(cfg, allow_local=True)
-    if base is None:
-        hs = cfg.get_floats("hs", required=True)
-        table = _exp.poincare_sweep(None, hs, cap=cap)
-    else:
-        nu = _parse_nu(cfg, base.d)
-        h = cfg.get_float("h", 1.0 / 256.0)
-        if cfg.has("levels"):
-            levels = cfg.get_floats("levels")
-            table = _exp.poincare_sweep(
-                lambda lev: _kern.min_level(base, lev), levels, h=h, nu=nu,
-                cap=cap)
-        else:
-            if cfg.has("kernel.delta"):
-                raise CliError("kernel.delta conflicts with the deltas "
-                               "ladder; pick one")
-            deltas = cfg.get_floats("deltas", "0.2,0.1,0.05,0.025")
-            table = _exp.poincare_sweep(
-                lambda d: _kern.rescaled(base, d), deltas, h=h, nu=nu,
-                cap=cap)
-    _write_csv(out, cfg, "delta,h,cp", zip(*table.rows))
-    top = max(cp for _, _, cp in table.rows)
-    return "verdict=%s max_cp=%s out=%s" % (
-        "pass" if table.verdict else "fail", _fmt(top), out)
-
-
-def _cmd_ac(cfg):
-    mode = cfg.get_choice("mode", ("local", "nonlocal"), "local")
-    out = cfg.get("out", "ac.csv")
-    hs = cfg.get_floats("hs", "0.0625,0.03125,0.015625,0.0078125")
-    coef = _parse_field(cfg, "coef")
-    rhs = _parse_field(cfg, "rhs")
-    if mode == "local":
-        base = _build_kernel(cfg)
-        deltas = cfg.get_floats("deltas", "0.2,0.1,0.05,0.025")
-        reference = cfg.get_choice("reference",
-                                   ("analytic_local", "fine_local_fem"),
-                                   "analytic_local")
-        ref_h = cfg.get_float("reference_h") if cfg.has("reference_h") \
-            else None
-        config = _exp.SweepConfig(
-            family=lambda d: _kern.rescaled(base, d), params=deltas, hs=hs,
-            A=coef, f=rhs, reference=reference, reference_h=ref_h)
-        table = _exp.ac_local_sweep(config)
-    else:
-        if not cfg.has("kernel.family"):
-            cfg.pairs.setdefault("kernel.family", "riesz_truncated")
-            cfg.pairs.setdefault("kernel.s", "0.5")
-        base = _build_kernel(cfg)
-        levels = cfg.get_floats("levels", "4,16,64,256")
-        ref_h = cfg.get_float("reference_h") if cfg.has("reference_h") \
-            else None
-        config = _exp.SweepConfig(
-            family=lambda lev: _kern.min_level(base, lev), params=levels,
-            hs=hs, A=coef, f=rhs, reference="fine_nonlocal_fem",
-            reference_kernel=base, reference_h=ref_h)
-        table = _exp.ac_nonlocal_sweep(config)
-    _write_csv(out, cfg, "param,h,l2_error", zip(*table.rows))
-    trend = _exp.classify_trend([e for _, _, e in table.diagonal()])
-    return "diagonal_trend=%s" % trend
-
-
-def _cmd_control(cfg):
-    n = cfg.get_int("n", 32)
-    delta = cfg.get_float("delta", 0.1)
-    tol = cfg.get_float("tol", 1e-8)
-    max_iter = cfg.get_int("max_iter", 500)
-    lam = cfg.get_float("lam", 0.01)
-    # infinite box bounds leave the control unconstrained
-    alpha = cfg.get_float("alpha", -1.0, allow_inf=True)
-    beta = cfg.get_float("beta", 1.0, allow_inf=True)
-    raw_gamma = cfg.get("gamma", "const:1")
-    if not raw_gamma.startswith("const:"):
-        raise CliError("gamma supports const:<number> only")
-    gamma = _number("gamma", raw_gamma[len("const:"):])
-    scale = cfg.get_float("udes_scale", 1.0)
-    target = _named_function(cfg.get_choice(
-        "udes", ("zero", "parabola", "sine"), "parabola"))
-    nu = _parse_nu(cfg, 1)
-    state_out = cfg.get("state_out", "state.csv")
-    control_out = cfg.get("control_out", "control.csv")
-    mesh = _fem.Mesh1D(1.0, n)
-    kernel = None if delta == 0.0 else _kern.rescaled(_kern.constant_ball(),
-                                                      delta)
-    problem = _control.ControlProblem(
-        mesh=mesh, kernel=kernel, alpha=alpha, beta=beta, lam_reg=lam,
-        gamma=gamma, u_des=lambda x: scale * target(x), nu=nu)
-    triple = _control.solve_optimal(problem, tol=tol, max_iter=max_iter)
-    full = np.concatenate([[0.0], triple.u, [0.0]])
-    _write_csv(state_out, cfg, "x,u", [mesh.nodes, full])
-    _write_csv(control_out, cfg, "cell,g", [np.arange(n), triple.g])
-    return "objective=%s,residual=%s,iters=%d" % (
-        _fmt(triple.objective_value), _fmt(triple.residual),
-        triple.iterations)
-
-
-def _cmd_appendix(cfg):
-    deltas = cfg.get_floats("deltas", "0.1,0.01,0.001")
-    out = cfg.get("out", "appendix.csv")
-    table = _sym.appendix_limit_table(deltas)
-    header = "delta,sin_integral,cos_integral,sin_upto1,cos_upto1"
-    _write_csv(out, cfg, header,
-               [[entry[key] for entry in table] for key in header.split(",")])
-    last = table[-1]
-    return "sin_gap=%s cos_abs=%s out=%s" % (
-        _fmt(abs(last["sin_integral"] - 2.0 * math.pi)),
-        _fmt(abs(last["cos_integral"])), out)
-
-
-def _cmd_basis(cfg):
-    d = cfg.get_int("d", 2)
-    if d < 2:
-        raise CliError("the frame construction needs d >= 2")
-    count = cfg.get_int("count", 1000)
-    if count < 1:
-        raise CliError("count must be at least 1")
-    seed = cfg.get_int("seed", 0)
-    out = cfg.get("out", "basis.csv")
-    rng = np.random.default_rng(seed)
-    rows = []
-    eye = np.eye(d)
-    for index in range(count):
-        mu = rng.standard_normal(d)
-        mu[0] = abs(mu[0]) + 1e-12
-        frame = _sym.ortho_basis(mu)
-        q = frame.matrix
-        defect = float(np.max(np.abs(q.T @ q - eye)))
-        unit = mu / np.linalg.norm(mu)
-        s = np.sqrt(np.cumsum(unit ** 2))
-        formula = np.array([unit[0] * abs(unit[k + 1]) / (s[k] * s[k + 1])
-                            for k in range(d - 1)])
-        first_row_err = float(np.max(np.abs(q[0, :d - 1] - formula)))
-        rows.append((index, defect, first_row_err))
-    _write_csv(out, cfg, "index,defect,first_row_error", zip(*rows))
-    worst_defect = max(r[1] for r in rows)
-    worst_row = max(r[2] for r in rows)
-    return "samples=%d max_defect=%s max_first_row_error=%s out=%s" % (
-        count, _fmt(worst_defect), _fmt(worst_row), out)
-
-
-def _cmd_validate(cfg):
-    kernel = _build_kernel(cfg)
-    report = _kern.validate_assumptions(kernel)
-    for line in _echo_lines(cfg):
-        print(line)
-    flat = {k: v for k, v in report.items() if k != "delta_ladder"}
-    for delta, entries in (report.get("delta_ladder") or {}).items():
-        for name, value in entries.items():
-            flat["ladder.%s.%s" % (_fmt(delta), name)] = value
-    for key in sorted(flat):
-        value = flat[key]
-        print("%s=%s" % (key, "none" if value is None else _fmt(value)))
-    ok = (report["m1_ok"] and report["m2_ok"] and report["nonnegative"]
-          and report["monotone"] is not False)
-    return "valid=%s" % ("yes" if ok else "no")
-
-
 _KERNEL_KEYS = ("kernel.family", "kernel.d", "kernel.s", "kernel.delta",
                 "kernel.level", "kernel.cutoff")
 
 # the keys each subcommand reads; threads, config and command are taken
-# out before the check, so every subcommand accepts them
+# out before the check, so every subcommand accepts them.  The handler of
+# a subcommand is run() of its module in hsnl.commands
 _COMMANDS = {
-    "symbol": (_cmd_symbol, _KERNEL_KEYS + ("nu", "xis", "xi_min", "xi_max",
-                                            "xi_count", "out")),
-    "bounds": (_cmd_bounds, _KERNEL_KEYS + ("nu", "xi_min", "xi_max",
-                                            "xi_count", "tau",
-                                            "cutoff_radius", "out")),
-    "localize": (_cmd_localize, _KERNEL_KEYS + ("deltas", "norm", "out")),
-    "solve": (_cmd_solve, _KERNEL_KEYS + ("nu", "n", "length", "coef",
-                                          "rhs", "out")),
-    "poincare": (_cmd_poincare, _KERNEL_KEYS + ("nu", "deltas", "levels",
-                                                "hs", "h", "cap", "out")),
-    "ac": (_cmd_ac, _KERNEL_KEYS + ("mode", "deltas", "levels", "hs",
-                                    "reference", "reference_h", "coef",
-                                    "rhs", "out")),
-    "control": (_cmd_control, ("udes", "udes_scale", "alpha", "beta", "lam",
-                               "gamma", "delta", "n", "tol", "max_iter",
-                               "nu", "state_out", "control_out")),
-    "appendix": (_cmd_appendix, ("deltas", "out")),
-    "basis": (_cmd_basis, ("d", "count", "seed", "out")),
-    "validate": (_cmd_validate, _KERNEL_KEYS),
+    "symbol": _KERNEL_KEYS + ("nu", "xis", "xi_min", "xi_max", "xi_count",
+                              "out"),
+    "bounds": _KERNEL_KEYS + ("nu", "xi_min", "xi_max", "xi_count", "tau",
+                              "cutoff_radius", "out"),
+    "localize": _KERNEL_KEYS + ("deltas", "norm", "out"),
+    "solve": _KERNEL_KEYS + ("nu", "n", "length", "coef", "rhs", "out"),
+    "poincare": _KERNEL_KEYS + ("nu", "deltas", "levels", "hs", "h", "cap",
+                                "out"),
+    "ac": _KERNEL_KEYS + ("mode", "deltas", "levels", "hs", "reference",
+                          "reference_h", "coef", "rhs", "out"),
+    "control": ("udes", "udes_scale", "alpha", "beta", "lam", "gamma",
+                "delta", "n", "tol", "max_iter", "nu", "state_out",
+                "control_out"),
+    "appendix": ("deltas", "out"),
+    "basis": ("d", "count", "seed", "out"),
+    "validate": _KERNEL_KEYS,
 }
 
 
@@ -590,7 +311,7 @@ def run(argv):
     if command not in _COMMANDS:
         print("error: unknown subcommand %r" % command, file=sys.stderr)
         return 1
-    handler, allowed = _COMMANDS[command]
+    allowed = _COMMANDS[command]
     try:
         flags = _parse_flags(argv[1:])
         merged = {}
@@ -617,7 +338,8 @@ def run(argv):
             if threads < 1:
                 raise CliError("threads must be at least 1")
         cfg = Config(merged, command)
-        summary = handler(cfg)
+        handler = importlib.import_module(".commands." + command, __package__)
+        summary = handler.run(cfg)
         print(summary)
         return 0
     except CliError as exc:
@@ -627,7 +349,8 @@ def run(argv):
             _sym.SymbolError, np.linalg.LinAlgError, OutputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (_kern.AssumptionError, ValueError) as exc:
+    # an array too large to allocate: numpy's message names its size
+    except (_kern.AssumptionError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
@@ -637,4 +360,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    # this file runs as __main__ under `python -m`; the handlers import
+    # hsnl.cli, whose run() catches their CliError
+    from hsnl import cli
+    cli.main()

@@ -537,9 +537,10 @@ def _tail_zone(kernel, w, lo, power):
 
     alpha = p + power + 1 = power - dd - j <= -1, T(t) = int_t^inf
     r^(alpha-1) e^{iwr} dr from _osc_tail (T(inf) = 0) and the gap from
-    kernels._power_gap.  The terms of all entries go in blocks of rows,
-    both ends of a block in one _osc_tail call, and are added to each
-    entry in term order.
+    kernels._power_gap, both in units of lo^alpha and coeff_j lo^-j, as
+    the kernel integrals take them, so that no power overflows at a tiny
+    delta.  The terms of all entries go in blocks of rows, both ends of a
+    block in one _osc_tail call, and are added to each entry in term order.
     """
     piece = _kern._pieces(kernel)[0]
     b = piece[2]
@@ -548,7 +549,7 @@ def _tail_zone(kernel, w, lo, power):
     if near.any():
         total[near] += _logreg_near_tail(piece, w[near], lo[near], power)
     far = np.flatnonzero(~near)
-    _, exps, live = _kern._logreg_far_terms(piece, lo[far])
+    scaled, exps, live = _kern._logreg_far_terms(piece, lo[far])
     rows, j = np.nonzero(live)
     owner, start = far[rows], lo[far][rows]
     e = exps[j] + power
@@ -560,11 +561,13 @@ def _tail_zone(kernel, w, lo, power):
         ends = [start[cut]] + ([np.full(n, b)] if b < math.inf else [])
         tails = _osc_tail(np.tile(e[cut], len(ends)),
                           np.tile(w[owner[cut]], len(ends)),
-                          np.concatenate(ends))
+                          np.concatenate(ends),
+                          np.tile(start[cut], len(ends)))
         val[cut] = tails[:n] - tails[n:] if b < math.inf else tails
-    gap = _kern._power_gap(e + 1.0, start, b)
-    coeffs = _kern._logreg_far_table(*piece[3:])[0]
-    np.add.at(total, owner, coeffs[j] * (val - gap))
+    gap = _kern._power_gap(e + 1.0, start, b, start)
+    # coeff_j lo^alpha = (coeff_j lo^-j) lo^(power - dd)
+    np.add.at(total, owner, scaled[rows, j] * (val - gap)
+              * start ** float(power - piece[5]))
     return total
 
 
@@ -606,8 +609,9 @@ def _logreg_near_tail(piece, w, a, power):
     return coeff * total
 
 
-def _osc_tail(e, w, t):
-    """int_t^inf r^e e^{i w r} dr per entry, for e <= 1 and w t > 0.
+def _osc_tail(e, w, t, scale=1.0):
+    """int_t^inf r^e e^{i w r} dr / scale^(e+1) per entry, for e <= 1 and
+    w t > 0.
 
     It is e^{iwt} t^a F with a = e + 1, x = -iwt and F = e^x x^-a
     Gamma(a, x), the even part of Legendre's continued fraction (DLMF
@@ -647,7 +651,7 @@ def _osc_tail(e, w, t):
         if not idx.size:
             break
     out[idx] = h
-    return np.exp(1j * w * t) * t ** (e + 1.0) * out
+    return np.exp(1j * w * t) * (t / scale) ** (e + 1.0) * out
 
 
 # ---------------------------------------------------------------------------

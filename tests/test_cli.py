@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -210,6 +211,45 @@ def test_frequencies_past_the_float_range_exit_2(tmp_path, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert match in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,size", [
+    (["solve", "--n", "100000000"], "71.1 PiB"),
+    (["basis", "--d", "10000000"], "728. TiB"),
+], ids=["solve-band", "basis-eye"])
+def test_arrays_too_large_to_allocate_exit_1(tmp_path, monkeypatch, capsys,
+                                             args, size):
+    # the allocator refuses these sizes at once, so nothing is allocated
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("error: Unable to allocate %s" % size)
+    assert err.count("\n") == 1
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_tiny_delta_log_regularized_symbol_matches_closed_form(
+        tmp_path, monkeypatch, capsys):
+    # the far tail starts near 6 delta, where its terms' powers t^alpha
+    # (alpha down to -41) overflow unless taken in units of the start
+    import mpmath
+
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["symbol", "--kernel-family", "log_regularized",
+                            "--kernel-delta", "2e-12", "--xis", "1e10,1e11"],
+                           capsys)
+    assert code == 0 and err == ""
+    _, _, rows = read_csv(tmp_path / "symbol.csv")
+    coeff = hsnl.kernels._pieces(hsnl.kernels.log_regularized(1, 2e-12))[0][3]
+    assert [row[0] for row in rows] == [1e10, 1e11]
+    with mpmath.workdps(30):
+        dl = mpmath.mpf(2e-12)
+        for xi, re, im in rows:
+            # d = 1: (C / delta) [-gamma - log z - e^z E1(z)], z = -i w delta
+            z = -1j * 2 * mpmath.pi * mpmath.mpf(xi) * dl
+            want = complex(coeff / dl * (-mpmath.euler - mpmath.log(z)
+                                         - mpmath.exp(z) * mpmath.e1(z)))
+            assert abs(complex(re, im) - want) <= 1e-12 * abs(want), xi
 
 
 def test_a_load_near_the_float_range_solves_without_overflow(
@@ -492,16 +532,23 @@ def test_control_overflow_exits_without_a_warning(tmp_path, monkeypatch,
     assert not (tmp_path / "control.csv").exists()
 
 
-def test_control_modules_do_not_import_scipy_sparse():
-    # a cold scipy.sparse import costs about a third of a second of start-up
-    env = dict(os.environ)
+def child_env(**env):
+    """os.environ updated by env, for a child run from another directory,
+    where a relative PYTHONPATH resolves to nothing: it gets the absolute
+    directory holding the hsnl imported here."""
+    env = {**os.environ, **env}
     package_root = str(Path(hsnl.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_control_modules_do_not_import_scipy_sparse():
+    # a cold scipy.sparse import costs about a third of a second of start-up
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, hsnl.cli, hsnl.control; "
          "print([m for m in sys.modules if m.startswith('scipy.sparse')])"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=child_env(), check=True)
     assert proc.stdout.strip() == "[]"
 
 
@@ -619,14 +666,9 @@ def test_threads_leave_the_environment_unchanged(tmp_path, monkeypatch,
 def run_child(args, cwd, **env):
     """`python -m hsnl.cli args` in a child process run from cwd, with the
     environment updated by env."""
-    # The child runs from cwd, where a relative PYTHONPATH resolves to
-    # nothing; point it at the directory holding the hsnl imported here.
-    env = {**os.environ, **env}
-    package_root = str(Path(hsnl.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "hsnl.cli", *args],
-                          cwd=cwd, capture_output=True, text=True, env=env)
+                          cwd=cwd, capture_output=True, text=True,
+                          env=child_env(**env))
 
 
 def test_module_entry_point(tmp_path):
@@ -636,6 +678,45 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "appendix.csv").exists()
     # the package must not import cli before runpy executes it
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_module_entry_point_reports_a_handler_error(tmp_path):
+    # the handler raises the CliError of hsnl.cli, which is not the class
+    # of the __main__ copy of cli.py that `python -m` runs
+    proc = run_child(["solve", "--kernel-d", "2"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the solver is one-dimensional\n"
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+HANDLERS_LOADED = """
+import contextlib, io, json, os, sys, tempfile
+from hsnl import cli
+loaded = []
+for args in json.loads(sys.argv[1]):
+    os.chdir(tempfile.mkdtemp())
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.run(args)
+    loaded.append(sorted(m for m in sys.modules
+                         if m.startswith("hsnl.commands.")))
+    for name in loaded[-1]:
+        del sys.modules[name]
+print(json.dumps(loaded))
+"""
+
+
+def test_a_run_loads_only_its_own_handler(tmp_path):
+    # one child for all runs; after each, its handler module is dropped
+    cases = [list(args) for args in CLI_MATRIX]
+    cases += [["solve", "--bogus", "1"], ["bogus"], []]
+    proc = subprocess.run(
+        [sys.executable, "-c", HANDLERS_LOADED, json.dumps(cases)],
+        capture_output=True, text=True, env=child_env(TMPDIR=str(tmp_path)),
+        check=True)
+    want = [["hsnl.commands." + args[0]] for args in CLI_MATRIX]
+    assert json.loads(proc.stdout) == want + [[], [], []]
+    assert set(cli._COMMANDS) == {args[0] for args in CLI_MATRIX}
 
 
 @pytest.mark.parametrize("args", [
@@ -889,7 +970,7 @@ def _fuzz_values(key):
 @st.composite
 def cli_draws(draw):
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    keys = [k for k in cli._COMMANDS[command][1] if not k.endswith("out")]
+    keys = [k for k in cli._COMMANDS[command] if not k.endswith("out")]
     chosen = draw(st.lists(st.sampled_from(keys + ["threads"]), max_size=3,
                            unique=True))
     args = [command] + FUZZ_BASE[command]
@@ -913,8 +994,8 @@ def _csv_numbers(path):
 # at least 200 draws, more under a profile with more examples
 @settings(max_examples=max(200, settings().max_examples))
 @given(cli_draws())
-# a log_regularized symbol whose far tail overflows at this delta: its NaN
-# row must not reach the CSV
+# a log_regularized symbol whose far tail once overflowed at this delta
+# into a NaN row
 @example(["symbol", "--kernel-family", "log_regularized", "--kernel-delta",
           "2e-12", "--xis", "1e10,1e11"])
 def test_cli_contract_holds_on_extreme_inputs(args):
